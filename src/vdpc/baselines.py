@@ -27,6 +27,8 @@ __all__ = [
     "snnc",
 ]
 
+_BLOCK_CELLS = 1 << 21  # distance cells compared per block when counting
+
 
 @dataclass(frozen=True)
 class DbscanParams:
@@ -97,38 +99,43 @@ def dpc_assign(profile: DensityProfile, centers: np.ndarray) -> np.ndarray:
     return labels
 
 
-def dbscan(cd: CondensedDistances, params: DbscanParams) -> np.ndarray:
-    """Density-reachability clustering with strict neighborhoods.
+def _dbscan_labels(
+    sq: np.ndarray, pts: np.ndarray, eps: float, minpts: int
+) -> np.ndarray:
+    """Breadth-first DBSCAN expansion over the ascending point set ``pts``.
 
-    A core point has at least ``minpts`` points (itself included) at
-    distance strictly below ``eps``.  Clusters grow from core points in
-    ascending index order; a non-core point within reach keeps the first
-    cluster that claims it; unreached points stay noise (-1).
+    A core point has at least ``minpts`` points of ``pts`` (itself
+    included) at distance strictly below ``eps``.  Clusters grow from
+    core points in ascending index order; a non-core point within reach
+    keeps the first cluster that claims it; unreached points stay noise
+    (-1).  ``labels[i]`` is the label of ``pts[i]``.
     """
-    sq = cd.square
-    n = cd.n
-    eps, minpts = params.eps, params.minpts
-    counts = np.empty(n, dtype=np.int64)
-    for a in range(0, n, 2048):
-        b = min(a + 2048, n)
-        counts[a:b] = (sq[a:b] < eps).sum(axis=1)
+    m = len(pts)
+    counts = np.empty(m, dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // max(m, 1))
+    for a in range(0, m, step):
+        counts[a:a + step] = (sq[pts[a:a + step, None], pts] < eps).sum(axis=1)
     core = counts >= minpts  # the diagonal zero already counts the point
-    labels = np.full(n, -1, dtype=np.int64)
+    labels = np.full(m, -1, dtype=np.int64)
     cid = 0
-    for seed in range(n):
-        if not core[seed] or labels[seed] >= 0:
+    for seed in np.flatnonzero(core):
+        if labels[seed] >= 0:
             continue
         labels[seed] = cid
         queue = deque([seed])
         while queue:
-            q = queue.popleft()
-            for j in np.where(sq[q] < eps)[0]:
-                if labels[j] < 0:
-                    labels[j] = cid
-                    if core[j]:
-                        queue.append(j)
+            near = np.flatnonzero(sq[pts[queue.popleft()], pts] < eps)
+            new = near[labels[near] < 0]
+            labels[new] = cid
+            queue.extend(new[core[new]])
         cid += 1
     return labels
+
+
+def dbscan(cd: CondensedDistances, params: DbscanParams) -> np.ndarray:
+    """Density-reachability clustering with strict neighborhoods over the
+    whole dataset; noise is -1 (see ``_dbscan_labels`` for the rules)."""
+    return _dbscan_labels(cd.square, np.arange(cd.n), params.eps, params.minpts)
 
 
 def _knn_sets(

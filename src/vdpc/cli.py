@@ -20,6 +20,7 @@ reproduces every artifact byte for byte, except the wall-clock
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -31,7 +32,7 @@ import numpy as np
 
 from .baselines import DbscanParams, dbscan, dpc_assign, dpc_select_centers, snnc
 from .dataset import Dataset, load_points_csv, pairwise_distances
-from .density import density_profile
+from .density import decision_graph, density_profile
 from .errors import DataError, VdpcError
 from .metrics import adjusted_rand_index, normalized_mutual_information
 from .vdpc import (
@@ -47,7 +48,6 @@ from .vdpc import (
 __all__ = ["main"]
 
 BUNDLED = ("aggregation", "compound", "flame", "jain", "pathbased", "r15")
-ALGORITHMS = ("vdpc", "dpc", "dbscan", "snnc")
 SUITES = (
     "synthetic-table4",
     "num-sensitivity-table2",
@@ -79,10 +79,14 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _write_rows(path: Path, header: list[str], rows) -> None:
+def _csv_text(header: list[str], rows) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _write_rows(path: Path, header: list[str], rows) -> None:
+    _write_text(path, _csv_text(header, rows))
 
 
 def _json_text(obj) -> str:
@@ -111,15 +115,8 @@ def _load_dataset(args) -> Dataset:
     )
 
 
-def _write_labels(path: Path, labels: np.ndarray) -> None:
-    _write_rows(path, ["index", "cluster"], enumerate(labels.tolist()))
-
-
-def _write_decision_graph(path: Path, profile) -> None:
-    rows = (
-        (i, profile.rho[i], profile.delta[i]) for i in range(profile.n)
-    )
-    _write_rows(path, ["index", "rho", "delta"], rows)
+def _write_indexed(path: Path, column: str, values: np.ndarray) -> None:
+    _write_rows(path, ["index", column], enumerate(values.tolist()))
 
 
 def _write_trace(outdir: Path, result) -> None:
@@ -133,11 +130,7 @@ def _write_trace(outdir: Path, result) -> None:
             for r, lv in zip(result.representatives, result.rep_level)
         ),
     )
-    _write_rows(
-        trace / "initial_labels.csv",
-        ["index", "cluster"],
-        enumerate(result.initial_labels.tolist()),
-    )
+    _write_indexed(trace / "initial_labels.csv", "cluster", result.initial_labels)
     _write_rows(
         trace / "levels.csv",
         ["level", "rho_low", "rho_high", "w", "numl"],
@@ -146,18 +139,13 @@ def _write_trace(outdir: Path, result) -> None:
             for p, (lo, hi) in enumerate(result.levels.intervals)
         ),
     )
-    _write_rows(
-        trace / "point_levels.csv",
-        ["index", "level"],
-        enumerate(result.point_level.tolist()),
-    )
+    _write_indexed(trace / "point_levels.csv", "level", result.point_level)
     _write_rows(
         trace / "low_clusters.csv",
         ["index", "cluster"],
-        (
-            (int(p), c)
-            for c, cluster in enumerate(result.low_clusters)
-            for p in cluster
+        itertools.chain(
+            ((int(p), c) for c, cluster in enumerate(result.low_clusters) for p in cluster),
+            ((int(p), -1) for p in result.low_noise),
         ),
     )
     _write_rows(
@@ -173,57 +161,61 @@ def _write_trace(outdir: Path, result) -> None:
             for p, d in result.derivations
         ),
     )
-    _write_rows(
-        trace / "pre_noise_labels.csv",
-        ["index", "cluster"],
-        enumerate(result.pre_noise_labels.tolist()),
-    )
+    _write_indexed(trace / "pre_noise_labels.csv", "cluster", result.pre_noise_labels)
 
 
-def _require(args, names: list[str]) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
+# the parameters each algorithm reads, in the order metrics.json shows them
+PARAMS = {
+    "vdpc": ("pct", "delta_t", "num"),
+    "dpc": ("pct", "rho_min", "delta_min"),
+    "dbscan": ("eps", "minpts"),
+    "snnc": ("k",),
+}
+ABLATIONS = tuple(f.name for f in dataclasses.fields(AblationOptions))
+
+
+def run_algorithm(cd, algorithm: str, params: dict, profiles: dict | None = None):
+    """Cluster ``cd`` with one algorithm, named and parameterized as in the
+    bench manifest (vdpc's ``num`` and ablation keys may be left out).
+
+    ``profiles`` caches density profiles by ``pct`` across calls on the
+    same distances.  Returns (labels, profile or None, VdpcResult or None).
+    """
+    profiles = {} if profiles is None else profiles
+
+    def profile(pct):
+        if pct not in profiles:
+            profiles[pct] = density_profile(cd, pct)
+        return profiles[pct]
+
+    if algorithm == "vdpc":
+        vp = VdpcParams(pct=params["pct"], delta_t=params["delta_t"],
+                        num=params.get("num", 10))
+        options = AblationOptions(**{k: params[k] for k in ABLATIONS if k in params})
+        result = vdpc_run(cd, vp, options, profile(vp.pct))
+        return result.labels, result.profile, result
+    if algorithm == "dpc":
+        dp = profile(params["pct"])
+        centers = dpc_select_centers(dp, params["rho_min"], params["delta_min"])
+        return dpc_assign(dp, centers), dp, None
+    if algorithm == "dbscan":
+        labels = dbscan(cd, DbscanParams(eps=params["eps"], minpts=params["minpts"]))
+        return labels, None, None
+    return snnc(cd, params["k"]), None, None
+
+
+def _cli_params(args) -> dict:
+    """The chosen algorithm's parameters from the command line; the
+    ablation switches are included only when one is not the default."""
+    missing = [n for n in PARAMS[args.algorithm] if getattr(args, n) is None]
     if missing:
-        raise UsageError(
-            "algorithm %r requires --%s" % (args.algorithm, ", --".join(missing))
-        )
-
-
-def _run_algorithm(ds: Dataset, args):
-    """Returns (labels, profile-or-None, vdpc-result-or-None, params-dict)."""
-    cd = pairwise_distances(ds)
-    if args.algorithm == "vdpc":
-        _require(args, ["pct", "delta-t"])
-        params = VdpcParams(pct=args.pct, delta_t=args.delta_t, num=args.num)
-        options = AblationOptions(
-            k_rule=args.k_rule,
-            eps_rule=args.eps_rule,
-            combo=args.combo,
-            level_assignment=args.level_assignment,
-        )
-        result = vdpc_run(cd, params, options)
-        shown = {"pct": args.pct, "delta_t": args.delta_t, "num": args.num}
-        if options != AblationOptions():
-            shown.update(
-                k_rule=options.k_rule,
-                eps_rule=options.eps_rule,
-                combo=options.combo,
-                level_assignment=options.level_assignment,
-            )
-        return result.labels, result.profile, result, shown
-    if args.algorithm == "dpc":
-        _require(args, ["pct", "rho-min", "delta-min"])
-        profile = density_profile(cd, args.pct)
-        centers = dpc_select_centers(profile, args.rho_min, args.delta_min)
-        labels = dpc_assign(profile, centers)
-        shown = {"pct": args.pct, "rho_min": args.rho_min, "delta_min": args.delta_min}
-        return labels, profile, None, shown
-    if args.algorithm == "dbscan":
-        _require(args, ["eps", "minpts"])
-        labels = dbscan(cd, DbscanParams(eps=args.eps, minpts=args.minpts))
-        return labels, None, None, {"eps": args.eps, "minpts": args.minpts}
-    _require(args, ["k"])
-    labels = snnc(cd, args.k)
-    return labels, None, None, {"k": args.k}
+        raise UsageError("algorithm %r requires --%s" % (
+            args.algorithm, ", --".join(n.replace("_", "-") for n in missing)))
+    params = {n: getattr(args, n) for n in PARAMS[args.algorithm]}
+    ablation = {n: getattr(args, n) for n in ABLATIONS}
+    if args.algorithm == "vdpc" and ablation != dataclasses.asdict(AblationOptions()):
+        params.update(ablation)
+    return params
 
 
 def _score(ds: Dataset, labels: np.ndarray):
@@ -237,25 +229,22 @@ def _score(ds: Dataset, labels: np.ndarray):
 
 def _emit(args, header: list[str], rows: list[list]) -> None:
     if args.format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        sys.stdout.write(_json_text(payload))
+        sys.stdout.write(_json_text([dict(zip(header, row)) for row in rows]))
     else:
-        sys.stdout.write(",".join(header) + "\n")
-        for row in rows:
-            sys.stdout.write(
-                ",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n"
-            )
+        sys.stdout.write(_csv_text(header, rows))
 
 
 def cmd_run(args) -> int:
     ds = _load_dataset(args)
+    params = _cli_params(args)
     t0 = time.perf_counter()
-    labels, profile, result, params = _run_algorithm(ds, args)
+    labels, profile, result = run_algorithm(pairwise_distances(ds), args.algorithm, params)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     outdir = Path(args.output_dir)
-    _write_labels(outdir / "labels.csv", labels)
+    _write_indexed(outdir / "labels.csv", "cluster", labels)
     if profile is not None:
-        _write_decision_graph(outdir / "decision_graph.csv", profile)
+        _write_rows(outdir / "decision_graph.csv", ["index", "rho", "delta"],
+                    decision_graph(profile))
     ari, nmi = _score(ds, labels)
     if ari is not None:
         metrics = {
@@ -283,7 +272,7 @@ def cmd_decision_graph(args) -> int:
     ds = _load_dataset(args)
     profile = density_profile(pairwise_distances(ds), args.pct)
     out = Path(args.output) if args.output else Path(args.output_dir) / "decision_graph.csv"
-    _write_decision_graph(out, profile)
+    _write_rows(out, ["index", "rho", "delta"], decision_graph(profile))
     _emit(args, ["dataset", "points", "d_c", "output"],
           [[ds.name, profile.n, profile.d_c, str(out)]])
     return 0
@@ -292,62 +281,34 @@ def cmd_decision_graph(args) -> int:
 def cmd_sweep(args) -> int:
     ds = _load_dataset(args)
     cd = pairwise_distances(ds)
-    grid = list(itertools.product(args.pct, args.delta_t, args.num))
+    ablation = {n: getattr(args, n) for n in ABLATIONS}
+    profiles: dict = {}
     rows: list[list] = []
-    for pct, delta_t, num in grid:
+    nan = float("nan")
+    for pct, delta_t, num in itertools.product(args.pct, args.delta_t, args.num):
+        params = dict(pct=pct, delta_t=delta_t, num=num, **ablation)
         try:
-            result = vdpc_run(
-                cd,
-                VdpcParams(pct=pct, delta_t=delta_t, num=num),
-                AblationOptions(
-                    k_rule=args.k_rule,
-                    eps_rule=args.eps_rule,
-                    combo=args.combo,
-                    level_assignment=args.level_assignment,
-                ),
-            )
-            ari, nmi = _score(ds, result.labels)
-            rows.append([pct, delta_t, num,
-                         float("nan") if ari is None else ari,
-                         float("nan") if nmi is None else nmi])
+            ari, nmi = _score(ds, run_algorithm(cd, "vdpc", params, profiles)[0])
         except VdpcError:
-            rows.append([pct, delta_t, num, float("nan"), float("nan")])
+            ari = nmi = None
+        rows.append([pct, delta_t, num, nan if ari is None else ari,
+                     nan if nmi is None else nmi])
     header = ["pct", "delta_t", "num", "ari", "nmi"]
     _write_rows(Path(args.output_dir) / "sweep.csv", header, rows)
     _emit(args, header, rows)
     return 0
 
 
-def _bench_cell(cell: dict):
-    ds = load_bundled(cell["dataset"])
+def _bench_dataset(name: str, cells: list[dict]) -> dict[int, tuple]:
+    """(ARI, NMI) by manifest position of the cells on one bundled dataset;
+    they share its distances and its density profiles."""
+    ds = load_bundled(name)
     cd = pairwise_distances(ds)
-    p = cell["params"]
-    algorithm = cell["algorithm"]
-    if algorithm == "vdpc":
-        result = vdpc_run(
-            cd,
-            VdpcParams(pct=p["pct"], delta_t=p["delta_t"], num=p.get("num", 10)),
-            AblationOptions(
-                k_rule=p.get("k_rule", "sqrt"),
-                eps_rule=p.get("eps_rule", "sqrt"),
-                combo=p.get("combo", "snnc+dbscan"),
-                level_assignment=p.get("level_assignment", "inherit"),
-            ),
-        )
-        labels = result.labels
-    elif algorithm == "dpc":
-        profile = density_profile(cd, p["pct"])
-        labels = dpc_assign(
-            profile, dpc_select_centers(profile, p["rho_min"], p["delta_min"])
-        )
-    elif algorithm == "dbscan":
-        labels = dbscan(cd, DbscanParams(eps=p["eps"], minpts=p["minpts"]))
-    else:
-        labels = snnc(cd, p["k"])
-    return (
-        adjusted_rand_index(labels, ds.ground_truth),
-        normalized_mutual_information(labels, ds.ground_truth),
-    )
+    profiles: dict = {}
+    return {
+        i: _score(ds, run_algorithm(cd, c["algorithm"], c["params"], profiles)[0])
+        for i, c in enumerate(cells) if c["dataset"] == name
+    }
 
 
 def _judge_cell(cell: dict, ari: float, nmi: float):
@@ -384,8 +345,12 @@ def cmd_bench(args) -> int:
     rows: list[list] = []
     records: list[dict] = []
     gated_failures: list[str] = []
-    for cell in suite["cells"]:
-        ari, nmi = _bench_cell(cell)
+    # one dataset's distances at a time; rows stay in manifest order
+    scores: dict[int, tuple] = {}
+    for name in dict.fromkeys(cell["dataset"] for cell in suite["cells"]):
+        scores.update(_bench_dataset(name, suite["cells"]))
+    for i, cell in enumerate(suite["cells"]):
+        ari, nmi = scores[i]
         status = _judge_cell(cell, ari, nmi)
         gated = bool(cell.get("gated", False))
         if status == "fail" and gated:
@@ -450,18 +415,14 @@ def _run_check(check: dict, records: list[dict]) -> str:
     return "pass" if ok else "fail"
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(t) for t in text.split(",") if t.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(t) for t in text.split(",") if t.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _list_of(kind):
+    """argparse type: a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(t) for t in text.split(",") if t.strip() != ""]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return parse
 
 
 def _add_dataset_args(p: _Parser) -> None:
@@ -483,7 +444,6 @@ def _add_common_output(p: _Parser) -> None:
 
 
 def _add_ablation_args(p: _Parser) -> None:
-    p.add_argument("--num", type=int, default=10, help="density segment count")
     p.add_argument("--k-rule", choices=K_RULES, default="sqrt")
     p.add_argument("--eps-rule", choices=EPS_RULES, default="sqrt")
     p.add_argument("--combo", choices=COMBOS, default="snnc+dbscan")
@@ -499,11 +459,12 @@ def build_parser() -> _Parser:
     run = sub.add_parser("run",
                          help="cluster one dataset and write artifacts")
     _add_dataset_args(run)
-    run.add_argument("--algorithm", choices=ALGORITHMS, default="vdpc")
+    run.add_argument("--algorithm", choices=tuple(PARAMS), default="vdpc")
     run.add_argument("--pct", type=float, default=None,
                      help="distance percentile (vdpc, dpc)")
     run.add_argument("--delta-t", type=float, default=None,
                      help="representative delta cut-off (vdpc)")
+    run.add_argument("--num", type=int, default=10, help="density segment count")
     _add_ablation_args(run)
     run.add_argument("--rho-min", type=float, default=None,
                      help="decision-graph density threshold (dpc)")
@@ -529,17 +490,13 @@ def build_parser() -> _Parser:
     sweep = sub.add_parser("sweep",
                            help="evaluate a vdpc parameter grid")
     _add_dataset_args(sweep)
-    sweep.add_argument("--pct", type=_float_list, required=True,
+    sweep.add_argument("--pct", type=_list_of(float), required=True,
                        help="comma-separated percentile values")
-    sweep.add_argument("--delta-t", type=_float_list, required=True,
+    sweep.add_argument("--delta-t", type=_list_of(float), required=True,
                        help="comma-separated delta cut-offs")
-    sweep.add_argument("--num", type=_int_list, default=[10],
+    sweep.add_argument("--num", type=_list_of(int), default=[10],
                        help="comma-separated segment counts")
-    sweep.add_argument("--k-rule", choices=K_RULES, default="sqrt")
-    sweep.add_argument("--eps-rule", choices=EPS_RULES, default="sqrt")
-    sweep.add_argument("--combo", choices=COMBOS, default="snnc+dbscan")
-    sweep.add_argument("--level-assignment", choices=LEVEL_ASSIGNMENTS,
-                       default="inherit")
+    _add_ablation_args(sweep)
     _add_common_output(sweep)
     sweep.set_defaults(func=cmd_sweep)
 

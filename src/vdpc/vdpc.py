@@ -15,14 +15,18 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import dpc_assign, relabel_contiguous
+from .baselines import (
+    _dbscan_labels,
+    _shared_neighbor_components,
+    dpc_assign,
+    relabel_contiguous,
+)
 from .dataset import CondensedDistances, Dataset, pairwise_distances
-from .density import DensityProfile, density_profile
+from .density import DensityProfile, cutoff_distance, density_profile
 from .errors import ParameterError, StageError
 
 __all__ = [
@@ -32,7 +36,6 @@ __all__ = [
     "ADbscanDerivation",
     "VdpcResult",
     "select_representatives",
-    "initial_clusters",
     "compute_levels",
     "partition_points",
     "inherit_levels",
@@ -83,16 +86,11 @@ class AblationOptions:
     level_assignment: str = "inherit"
 
     def __post_init__(self):
-        if self.k_rule not in K_RULES:
-            raise ParameterError("k_rule must be one of %s" % (K_RULES,))
-        if self.eps_rule not in EPS_RULES:
-            raise ParameterError("eps_rule must be one of %s" % (EPS_RULES,))
-        if self.combo not in COMBOS:
-            raise ParameterError("combo must be one of %s" % (COMBOS,))
-        if self.level_assignment not in LEVEL_ASSIGNMENTS:
-            raise ParameterError(
-                "level_assignment must be one of %s" % (LEVEL_ASSIGNMENTS,)
-            )
+        for name, choices in (("k_rule", K_RULES), ("eps_rule", EPS_RULES),
+                              ("combo", COMBOS),
+                              ("level_assignment", LEVEL_ASSIGNMENTS)):
+            if getattr(self, name) not in choices:
+                raise ParameterError("%s must be one of %s" % (name, choices))
 
     @property
     def low_algorithm(self) -> str:
@@ -154,6 +152,7 @@ class VdpcResult:
     rep_level: np.ndarray
     point_level: np.ndarray
     low_clusters: list[np.ndarray] = field(default_factory=list)
+    low_noise: np.ndarray = field(default_factory=lambda: np.array([], int))
     boundary_points: np.ndarray = field(default_factory=lambda: np.array([], int))
     derivations: list[tuple[int, ADbscanDerivation]] = field(default_factory=list)
     pre_noise_labels: np.ndarray = field(default_factory=lambda: np.array([], int))
@@ -173,11 +172,6 @@ def select_representatives(profile: DensityProfile, delta_t: float) -> np.ndarra
             "no representatives at delta_t=%g; choose a smaller delta_t" % delta_t
         )
     return reps
-
-
-def initial_clusters(profile: DensityProfile, reps: np.ndarray) -> np.ndarray:
-    """Assign every point to its representative along denser-neighbor chains."""
-    return dpc_assign(profile, reps)
 
 
 def compute_levels(rep_rhos: np.ndarray, num: int) -> DensityLevels:
@@ -218,19 +212,16 @@ def partition_points(rho: np.ndarray, levels: DensityLevels) -> np.ndarray:
     return np.array([levels.level_of(v) for v in np.asarray(rho)], dtype=np.int64)
 
 
-def inherit_levels(
-    initial: np.ndarray, reps: np.ndarray, rep_level: np.ndarray
-) -> np.ndarray:
+def inherit_levels(initial: np.ndarray, rep_level: np.ndarray) -> np.ndarray:
     """Per-point level inherited from the point's initial-cluster
     representative (the default assignment)."""
     return rep_level[initial]
 
 
-def _subset_knn_count(n_subset: int, rule: str) -> int:
-    if n_subset <= 1:
-        return 1
+def _rule_count(n: int, rule: str) -> int:
+    """ceil(sqrt(n)) or ceil(ln(n)) by rule, at least 1; n >= 1."""
     fn = math.sqrt if rule == "sqrt" else math.log
-    return max(math.ceil(fn(n_subset)), 1)
+    return max(math.ceil(fn(n)), 1)
 
 
 def asnnc(
@@ -242,15 +233,11 @@ def asnnc(
     lists are drawn from the whole dataset so that subset members keep
     their true local context.
     """
-    from .baselines import _shared_neighbor_components
-
     low_points = np.sort(np.asarray(low_points))
     m = len(low_points)
     if m == 0:
         return []
-    if m == 1:
-        return [low_points.copy()]
-    k = min(_subset_knn_count(m, k_rule), cd.n - 1)
+    k = min(_rule_count(m, k_rule), cd.n - 1)
     comp = _shared_neighbor_components(cd.square, low_points, k)
     return [low_points[comp == c] for c in range(comp.max() + 1)]
 
@@ -336,8 +323,6 @@ def derive_adbscan_params(
     reps_in_level = np.asarray(reps_in_level)
     x_low = int(reps_in_level[np.argmin(rho[reps_in_level])])
     x_high = int(reps_in_level[np.argmax(rho[reps_in_level])])
-    in_level = np.zeros(cd.n, dtype=bool)
-    in_level[pts] = True
     members_low = pts[initial[pts] == initial[x_low]]
     members_high = pts[initial[pts] == initial[x_high]]
     x_far = int(members_low[np.argmax(sq[x_low, members_low])])
@@ -345,10 +330,8 @@ def derive_adbscan_params(
     in_interval = int(
         ((rho[members_low] >= lo - _EDGE) & (rho[members_low] <= hi + _EDGE)).sum()
     )
-    fn = math.sqrt if eps_rule == "sqrt" else math.log
-    idx = math.ceil(fn(in_interval)) if in_interval > 0 else 0
     others = pts[pts != x_far]
-    idx = min(max(idx, 1), len(others))
+    idx = min(_rule_count(max(in_interval, 1), eps_rule), len(others))
     sim = np.sort(sq[x_far, others], kind="stable")
     eps = float(sim[idx - 1])
     if eps <= 0:
@@ -374,29 +357,9 @@ def adbscan_level(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """DBSCAN restricted to one level; returns (clusters, noise)."""
     pts = np.sort(np.asarray(level_points))
-    sq = cd.square
-    m = len(pts)
-    eps, minpts = derivation.eps, derivation.minpts
-    neigh = [np.where(sq[i, pts] < eps)[0] for i in pts]
-    core = np.array([len(nb) >= minpts for nb in neigh])
-    labels = np.full(m, -1, dtype=np.int64)
-    cid = 0
-    for seed in range(m):
-        if not core[seed] or labels[seed] >= 0:
-            continue
-        labels[seed] = cid
-        queue = deque([seed])
-        while queue:
-            q = queue.popleft()
-            for j in neigh[q]:
-                if labels[j] < 0:
-                    labels[j] = cid
-                    if core[j]:
-                        queue.append(j)
-        cid += 1
-    clusters = [pts[labels == c] for c in range(cid)]
-    noise = pts[labels < 0]
-    return clusters, noise
+    labels = _dbscan_labels(cd.square, pts, derivation.eps, derivation.minpts)
+    clusters = [pts[labels == c] for c in range(labels.max(initial=-1) + 1)]
+    return clusters, pts[labels < 0]
 
 
 def microcluster_postprocess(
@@ -479,12 +442,25 @@ def vdpc_run(
     data: Dataset | CondensedDistances,
     params: VdpcParams,
     options: AblationOptions = AblationOptions(),
+    profile: DensityProfile | None = None,
 ) -> VdpcResult:
-    """Run the full pipeline and return labels plus stage snapshots."""
+    """Run the full pipeline and return labels plus stage snapshots.
+
+    ``profile`` may carry ``density_profile(cd, params.pct)`` computed
+    earlier, so that runs differing only in ``delta_t``, ``num`` or the
+    options share it; a profile of other distances or another cut-off
+    distance is rejected.
+    """
     cd = data if isinstance(data, CondensedDistances) else pairwise_distances(data)
-    profile = density_profile(cd, params.pct)
+    if profile is None:
+        profile = density_profile(cd, params.pct)
+    elif profile.n != cd.n or profile.d_c != cutoff_distance(cd, params.pct):
+        raise ParameterError(
+            "the density profile was not computed from these distances at "
+            "pct=%g" % params.pct
+        )
     reps = select_representatives(profile, params.delta_t)
-    initial = initial_clusters(profile, reps)
+    initial = dpc_assign(profile, reps)
     levels = compute_levels(profile.rho[reps], params.num)
     rep_level = np.array(
         [levels.level_of(profile.rho[r]) for r in reps], dtype=np.int64
@@ -503,33 +479,33 @@ def vdpc_run(
         )
 
     if options.level_assignment == "inherit":
-        point_level = inherit_levels(initial, reps, rep_level)
+        point_level = inherit_levels(initial, rep_level)
     else:
         point_level = partition_points(profile.rho, levels)
 
-    n = cd.n
-    labels = np.full(n, -1, dtype=np.int64)
-    next_id = 0
-    terminal_noise: list[int] = []
-    rank = profile.rank
-
-    # lowest level: cluster, keep the big clusters, dissolve the rest
-    low = np.where(point_level == 1)[0]
-    if options.low_algorithm == "snnc":
-        low_clusters = asnnc(cd, low, options.k_rule)
-        low_noise = np.array([], dtype=np.int64)
-    else:
+    def cluster_level(p: int, pts: np.ndarray, algorithm: str):
+        """(clusters, noise, aDBSCAN derivation or None) of level p."""
+        if algorithm == "snnc":
+            return asnnc(cd, pts, options.k_rule), np.array([], dtype=np.int64), None
         derivation = derive_adbscan_params(
             cd,
             profile.rho,
             initial,
-            low,
-            reps[rep_level == 1],
-            levels.intervals[0],
+            pts,
+            reps[rep_level == p],
+            levels.intervals[p - 1],
             options.eps_rule,
         )
-        low_clusters, low_noise = adbscan_level(cd, low, derivation)
-    terminal_noise.extend(low_noise.tolist())
+        return (*adbscan_level(cd, pts, derivation), derivation)
+
+    labels = np.full(cd.n, -1, dtype=np.int64)
+    next_id = 0
+    rank = profile.rank
+
+    # lowest level: cluster, keep the big clusters, dissolve the rest
+    low_clusters, low_noise, _ = cluster_level(
+        1, np.flatnonzero(point_level == 1), options.low_algorithm
+    )
     kept, boundary = split_boundary(low_clusters)
     for c in kept:
         labels[c] = next_id
@@ -543,36 +519,21 @@ def vdpc_run(
         pts = np.where(point_level == p)[0]
         if len(pts) == 0:
             continue
-        if options.high_algorithm == "dbscan":
-            derivation = derive_adbscan_params(
-                cd,
-                profile.rho,
-                initial,
-                pts,
-                reps[rep_level == p],
-                levels.intervals[p - 1],
-                options.eps_rule,
-            )
+        clusters, noise, derivation = cluster_level(p, pts, options.high_algorithm)
+        if derivation is not None:
             derivations.append((p, derivation))
-            clusters, noise = adbscan_level(cd, pts, derivation)
-        else:
-            clusters = asnnc(cd, pts, options.k_rule)
-            noise = np.array([], dtype=np.int64)
         clusters = microcluster_postprocess(cd, clusters, profile.rho)
         level_centers: list[tuple[int, int]] = []
         for c in clusters:
             labels[c] = next_id
             level_centers.append((int(c[np.argmax(profile.rho[c])]), next_id))
             next_id += 1
-        if len(noise):
-            if level_centers:
-                _paint_level_noise(cd, noise, level_centers, labels, rank)
-            else:
-                terminal_noise.extend(noise.tolist())
+        if len(noise) and level_centers:
+            _paint_level_noise(cd, noise, level_centers, labels, rank)
 
+    # the low-level noise and the noise of levels without clusters
     pre_noise = labels.copy()
-    labels = assign_noise(cd, np.array(terminal_noise, dtype=np.int64), labels, profile)
-    assert (labels >= 0).all(), "every point must end up labeled"
+    labels = assign_noise(cd, np.flatnonzero(labels < 0), labels, profile)
     return VdpcResult(
         labels=relabel_contiguous(labels),
         profile=profile,
@@ -582,6 +543,7 @@ def vdpc_run(
         rep_level=rep_level,
         point_level=point_level,
         low_clusters=low_clusters,
+        low_noise=low_noise,
         boundary_points=boundary,
         derivations=derivations,
         pre_noise_labels=pre_noise,

@@ -24,6 +24,7 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from vdpc import (
+    ADbscanDerivation,
     AblationOptions,
     Dataset,
     DbscanParams,
@@ -41,6 +42,7 @@ from vdpc import (
     snnc,
     vdpc_run,
 )
+from vdpc.vdpc import adbscan_level
 
 from conftest import BEST_PARAMS, BUNDLED, random_points
 from oracles import (
@@ -123,12 +125,10 @@ def ablation(datasets):
 def level_one_class(result, truth):
     """Indices of the ground-truth class that makes up the lowest level.
 
-    Boundary points are the only points moved off level 1, so together
-    with the points still there they are what the low-level algorithm
-    clustered.
+    The low-level clusters and the low-level noise together are exactly
+    the points the low-level algorithm clustered.
     """
-    low = np.union1d(np.flatnonzero(result.point_level == 1),
-                     result.boundary_points)
+    low = np.concatenate([*result.low_clusters, result.low_noise])
     classes = np.unique(truth[low])
     assert len(classes) == 1, f"level 1 spans classes {classes.tolist()}"
     return np.flatnonzero(truth == classes[0])
@@ -204,6 +204,7 @@ class TestCombinationAblation:
         whole, _ = ablation["pathbased", "snnc+dbscan"]
         ring = level_one_class(collapsed, truth)
         assert np.array_equal(ring, level_one_class(whole, truth))
+        assert len(collapsed.low_noise) == 70 and len(whole.low_noise) == 0
 
         largest = np.bincount(collapsed.labels[ring]).max()
         assert len(collapsed.low_clusters) > 1 and 2 * largest <= len(ring), (
@@ -259,6 +260,27 @@ class TestOracleEquivalence:
             expected = naive_dbscan(points, eps, minpts)
             assert same_partition(labels, expected)
             check_dbscan_closure(points, eps, minpts, labels)
+
+    def test_adbscan_level_matches_dbscan_on_the_subset(self, cases):
+        rng = np.random.default_rng(20240818)
+        for points, _ in cases:
+            n = len(points)
+            subset = np.sort(rng.choice(n, int(rng.integers(2, n + 1)), replace=False))
+            eps = float(np.quantile(pdist(points[subset]), rng.uniform(0.1, 0.6)))
+            minpts = int(rng.integers(2, 6))
+            if eps <= 0:
+                continue
+            derivation = ADbscanDerivation(x_low=0, x_far=0, x_high=0, eps=eps,
+                                           minpts_low=minpts, minpts_high=minpts,
+                                           minpts=minpts)
+            clusters, noise = adbscan_level(pairwise_distances(Dataset(points)),
+                                            subset, derivation)
+            expected = np.array(naive_dbscan(points[subset], eps, minpts))
+            labels = np.full(n, -1)
+            for c, members in enumerate(clusters):
+                labels[members] = c
+            assert labels[subset].tolist() == expected.tolist()
+            assert noise.tolist() == subset[expected == -1].tolist()
 
     def test_density_and_delta_match_double_loop(self, cases):
         for points, rng in cases:

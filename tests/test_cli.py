@@ -1,11 +1,20 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vdpc import adjusted_rand_index
+import vdpc
+from vdpc import (
+    AblationOptions,
+    VdpcParams,
+    adjusted_rand_index,
+    normalized_mutual_information,
+    vdpc_run,
+)
 from vdpc.cli import load_bundled, load_manifest, main
 
 
@@ -88,6 +97,28 @@ class TestRun:
         ]
         levels = trace / "levels.csv"
         assert levels.read_text().splitlines()[0] == "level,rho_low,rho_high,w,numl"
+
+    def test_ablation_options_written_to_metrics(self, tmp_path):
+        assert run_cli("run", "--dataset", "jain", "--pct", "50", "--delta-t",
+                       "5.5", "--combo", "snnc+snnc",
+                       "--output-dir", str(tmp_path)) == 0
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        assert metrics["params"] == {
+            "pct": 50.0, "delta_t": 5.5, "num": 10, "k_rule": "sqrt",
+            "eps_rule": "sqrt", "combo": "snnc+snnc", "level_assignment": "inherit",
+        }
+
+    def test_trace_writes_low_level_noise(self, tmp_path):
+        run_cli("run", "--dataset", "pathbased", "--pct", "0.4", "--delta-t",
+                "3.5", "--combo", "dbscan+dbscan", "--trace",
+                "--output-dir", str(tmp_path))
+        rows = np.loadtxt(tmp_path / "trace" / "low_clusters.csv",
+                          delimiter=",", skiprows=1, dtype=np.int64)
+        # the cluster rows come first, then one row per low-level noise point
+        assert (rows[:, 1] == -1).sum() == 70
+        assert np.all(rows[-70:, 1] == -1)
+        pre_noise = read_labels(tmp_path / "trace" / "pre_noise_labels.csv")
+        assert np.all(pre_noise[rows[-70:, 0]] == -1)
 
     def test_dbscan_jain(self, tmp_path):
         code = run_cli("run", "--dataset", "jain", "--algorithm", "dbscan",
@@ -176,8 +207,12 @@ class TestExitCodes:
         assert run_cli("--help") == 0
 
     def test_console_script_installed(self):
+        # the child imports the same vdpc as this process, installed or not
+        src = str(Path(vdpc.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "vdpc.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "decision-graph" in proc.stdout
 
@@ -211,6 +246,15 @@ class TestBench:
             (b / "bench_appendixA.csv").read_bytes()
         assert (a / "bench_appendixA.json").read_bytes() == \
             (b / "bench_appendixA.json").read_bytes()
+
+    def test_rows_follow_manifest_order(self, tmp_path, capsys):
+        # the cells run grouped by dataset; the rows keep the manifest order
+        run_cli("bench", "--suite", "synthetic-table4", "--output-dir", str(tmp_path))
+        records = json.loads((tmp_path / "bench_synthetic_table4.json").read_text())
+        cells = load_manifest()["synthetic-table4"]["cells"]
+        assert [(r["dataset"], r["algorithm"], r["params"]) for r in records
+                if "params" in r] == [
+            (c["dataset"], c["algorithm"], c["params"]) for c in cells]
 
     def test_manifest_covers_all_suites(self):
         manifest = load_manifest()
@@ -251,6 +295,35 @@ class TestSweep:
         first = lines[1].split(",")
         assert first[3] == "nan" and first[4] == "nan"
         assert float(lines[2].split(",")[3]) == 1.0
+
+    def test_invalid_pct_and_num_cells_become_nan_rows(self, tmp_path, capsys):
+        run_cli("sweep", "--dataset", "flame", "--pct", "0,5",
+                "--delta-t", "5.5", "--num", "0,10",
+                "--output-dir", str(tmp_path))
+        rows = [line.split(",") for line in
+                (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert [r[:3] for r in rows] == [["0", "5.5", "0"], ["0", "5.5", "10"],
+                                         ["5", "5.5", "0"], ["5", "5.5", "10"]]
+        for pct, _, num, ari, nmi in rows:
+            failed = pct == "0" or num == "0"
+            assert (ari == "nan" and nmi == "nan") == failed
+        assert float(rows[3][3]) == 1.0
+
+    def test_combo_rows_equal_library_runs(self, tmp_path, capsys):
+        run_cli("sweep", "--dataset", "pathbased", "--pct", "0.4,1",
+                "--delta-t", "3.5,5", "--combo", "dbscan+dbscan",
+                "--output-dir", str(tmp_path))
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        ds = load_bundled("pathbased")
+        options = AblationOptions(combo="dbscan+dbscan")
+        assert len(rows) == 4
+        for row in rows:
+            pct, delta_t, num, ari, nmi = row.split(",")
+            labels = vdpc_run(ds, VdpcParams(float(pct), float(delta_t), int(num)),
+                              options).labels
+            assert ari == "%.12g" % adjusted_rand_index(labels, ds.ground_truth)
+            assert nmi == "%.12g" % normalized_mutual_information(labels,
+                                                                  ds.ground_truth)
 
     def test_empty_grid_header_only(self, tmp_path, capsys):
         code = run_cli("sweep", "--dataset", "flame", "--pct", ",",

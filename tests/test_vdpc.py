@@ -143,10 +143,9 @@ class TestRepresentatives:
 
     def test_inherit_levels_copies_representative_level(self):
         initial = np.array([0, 0, 1, 1, 2])
-        reps = np.array([0, 2, 4])
         rep_level = np.array([1, 2, 2])
         np.testing.assert_array_equal(
-            inherit_levels(initial, reps, rep_level), [1, 1, 2, 2, 2]
+            inherit_levels(initial, rep_level), [1, 1, 2, 2, 2]
         )
 
 
@@ -368,6 +367,34 @@ class TestVdpcRun:
         for i in range(distances["compound"].n):
             if i not in moved:
                 assert result.point_level[i] == levels.level_of(rho[i])
+
+    def test_shared_profile_gives_the_same_result(self, distances):
+        cd = distances["compound"]
+        profile = density_profile(cd, 1.9)
+        for delta_t, num in ((1.39, 10), (1.0, 5), (2.0, 15)):
+            params = VdpcParams(1.9, delta_t, num)
+            shared = vdpc_run(cd, params, AblationOptions(), profile)
+            fresh = vdpc_run(cd, params)
+            assert shared.profile is profile
+            np.testing.assert_array_equal(shared.labels, fresh.labels)
+            np.testing.assert_array_equal(shared.pre_noise_labels,
+                                          fresh.pre_noise_labels)
+
+    def test_mismatched_profile_rejected(self, distances):
+        profile = density_profile(distances["compound"], 1.9)
+        with pytest.raises(ParameterError):
+            vdpc_run(distances["compound"], VdpcParams(5, 1.39), profile=profile)
+        with pytest.raises(ParameterError):
+            vdpc_run(distances["flame"], VdpcParams(1.9, 1.39), profile=profile)
+
+    def test_low_noise_is_what_the_low_level_left_unlabeled(self, distances):
+        result = vdpc_run(distances["pathbased"], VdpcParams(0.4, 3.5),
+                          AblationOptions(combo="dbscan+dbscan"))
+        low = np.concatenate([*result.low_clusters, result.low_noise])
+        expected = np.union1d(np.flatnonzero(result.point_level == 1),
+                              result.boundary_points)
+        np.testing.assert_array_equal(np.sort(low), expected)
+        assert np.all(result.pre_noise_labels[result.low_noise] == -1)
 
     def test_duplicate_heavy_data_degenerates_cleanly(self):
         # with this many coincident pairs the distance percentile is zero
