@@ -14,9 +14,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .dataset import CondensedDistances
+from .dataset import CondensedDistances, _row_blocks
 from .density import DensityProfile
-from .errors import ParameterError, StageError
+from .errors import ParameterError, StageError, _check_positive
 
 __all__ = [
     "DbscanParams",
@@ -27,9 +27,6 @@ __all__ = [
     "snnc",
 ]
 
-_BLOCK_CELLS = 1 << 21  # distance cells compared per block when counting
-
-
 @dataclass(frozen=True)
 class DbscanParams:
     """Neighborhood radius and minimum count (the point itself included)."""
@@ -38,8 +35,7 @@ class DbscanParams:
     minpts: int
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ParameterError("eps must be > 0")
+        _check_positive("eps", self.eps)
         if self.minpts < 1:
             raise ParameterError("minpts must be >= 1")
 
@@ -112,9 +108,8 @@ def _dbscan_labels(
     """
     m = len(pts)
     counts = np.empty(m, dtype=np.int64)
-    step = max(1, _BLOCK_CELLS // max(m, 1))
-    for a in range(0, m, step):
-        counts[a:a + step] = (sq[pts[a:a + step, None], pts] < eps).sum(axis=1)
+    for a, b in _row_blocks(m, m):
+        counts[a:b] = (sq[pts[a:b, None], pts] < eps).sum(axis=1)
     core = counts >= minpts  # the diagonal zero already counts the point
     labels = np.full(m, -1, dtype=np.int64)
     cid = 0

@@ -1,20 +1,23 @@
-"""Point-set ingestion and condensed pairwise-distance computation.
+"""Point-set ingestion and the pairwise-distance matrix.
 
 A dataset is an (N, D) array of feature vectors with optional integer
-ground-truth labels.  Distances are stored condensed: the N(N-1)/2
-pairwise Euclidean distances in row-major upper-triangular order,
-together with an ascending-sorted copy ``u`` used for quantile lookups.
+ground-truth labels.  Its Euclidean distances are held once, as a
+symmetric N-by-N float64 matrix filled by row blocks of ``cdist``; the
+condensed upper-triangular form is derived from it on demand.  Order
+statistics of the distances, such as the d_c percentile, are found by
+an exact blocked selection, never by sorting all N(N-1)/2 of them.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, squareform
 
 from .errors import DataError
 
@@ -25,6 +28,9 @@ __all__ = [
     "load_condensed_matrix",
     "pairwise_distances",
 ]
+
+_BLOCK_CELLS = 1 << 18  # matrix cells per block in the row-block loops
+_BUCKETS = 1 << 16  # histogram buckets of ``kth_smallest``
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -69,41 +75,45 @@ class Dataset:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
 class CondensedDistances:
-    """Pairwise Euclidean distances in condensed upper-triangular form.
+    """Pairwise Euclidean distances of ``n`` points.
 
-    ``d`` holds dist(i, j) for i < j at index i*n - i*(i+1)/2 + (j-i-1);
-    ``u`` is the same multiset sorted ascending.
+    ``square`` is the one stored copy: the symmetric n-by-n matrix with a
+    zero diagonal.  ``d`` is the condensed form, dist(i, j) for i < j at
+    index i*n - i*(i+1)/2 + (j-i-1), built from ``square`` on each access.
     """
 
-    n: int
-    d: np.ndarray
-    u: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        d = np.asarray(self.d, dtype=np.float64).ravel()
-        m = self.n * (self.n - 1) // 2
-        if self.n < 2:
+    def __init__(self, n: int, d: np.ndarray):
+        d = np.asarray(d, dtype=np.float64).ravel()
+        m = n * (n - 1) // 2
+        if n < 2:
             raise DataError("need at least 2 points")
         if d.size != m:
             raise DataError(
                 "expected %d pairwise distances for n=%d, got %d"
-                % (m, self.n, d.size)
+                % (m, n, d.size)
             )
-        if not np.all(np.isfinite(d)):
-            raise DataError("distances contain non-finite values")
-        if d.size and d.min() < 0:
-            raise DataError("distances must be non-negative")
-        object.__setattr__(self, "d", _readonly(d))
-        u = self.u
-        if u is None:
-            u = np.sort(d, kind="stable")
-        else:
-            u = np.asarray(u, dtype=np.float64).ravel()
-            if u.size != d.size or np.any(np.diff(u) < 0):
-                raise DataError("u must be the ascending sort of d")
-        object.__setattr__(self, "u", _readonly(u))
+        top = _checked_max(d)
+        _require_memory(n)
+        self._hold(squareform(d, checks=False), top)
+
+    @classmethod
+    def _of_square(cls, square: np.ndarray, max_distance: float):
+        """Wrap a checked symmetric matrix without copying it."""
+        cd = cls.__new__(cls)
+        cd._hold(square, max_distance)
+        return cd
+
+    def _hold(self, square: np.ndarray, max_distance: float) -> None:
+        self.n = len(square)
+        self.square = _readonly(square)
+        self.max_distance = max_distance
+        self._kth: dict[int, float] = {}  # kth_smallest results by k
+
+    @property
+    def d(self) -> np.ndarray:
+        """Condensed upper-triangular copy of the distances."""
+        return squareform(self.square, checks=False)
 
     def index(self, i: int, j: int) -> int:
         """Condensed index of the (i, j) pair, i != j."""
@@ -115,23 +125,93 @@ class CondensedDistances:
 
     def dist(self, i: int, j: int) -> float:
         """Symmetric distance accessor; dist(i, i) = 0 by convention."""
-        if i == j:
+        return float(self.square[i, j])
+
+    def kth_smallest(self, k: int) -> float:
+        """Exact k-th smallest (1-based) of the n(n-1)/2 distances i < j.
+
+        A selection, not a sort: one pass over row blocks of the strict
+        upper triangle counts the distances per bucket of [0, max], a
+        second pass collects the one bucket that holds the k-th, and
+        ``np.partition`` finishes it.  Both passes bucket with the same
+        ``_bucket`` call, so no value can change bucket between them.
+        Ties only make that bucket larger.  Results are kept by k.
+        """
+        m = self.n * (self.n - 1) // 2
+        if not 1 <= k <= m:
+            raise IndexError("k=%d outside 1..%d" % (k, m))
+        if k not in self._kth:
+            self._kth[k] = self._select(k)
+        return self._kth[k]
+
+    def _select(self, k: int) -> float:
+        if self.max_distance == 0.0:
             return 0.0
-        return float(self.d[self.index(i, j)])
+        scale = _BUCKETS / self.max_distance
+        counts = np.zeros(_BUCKETS + 1, dtype=np.int64)
+        for v in self._upper_blocks():
+            counts += np.bincount(_bucket(v, scale).ravel(), minlength=_BUCKETS + 1)
+        through = np.cumsum(counts)
+        b = int(np.searchsorted(through, k))  # first bucket reaching rank k
+        k -= int(through[b] - counts[b])
+        held = np.concatenate([v[_bucket(v, scale) == b] for v in self._upper_blocks()])
+        return float(np.partition(held, k - 1)[k - 1])
 
-    @cached_property
-    def square(self) -> np.ndarray:
-        """Full symmetric n-by-n matrix view of the condensed data."""
-        return _readonly(squareform(self.d))
+    def _upper_blocks(self):
+        """The strict upper triangle, by row blocks: the part of each block
+        right of its diagonal square, then the triangle inside that square."""
+        sq = self.square
+        for a, b in _row_blocks(self.n, self.n):
+            yield sq[a:b, b:]
+            yield sq[a:b, a:b][~np.tri(b - a, dtype=bool)]
 
-    @property
-    def max_distance(self) -> float:
-        return float(self.u[-1])
+
+def _row_blocks(rows: int, cols: int) -> list[tuple[int, int]]:
+    """(start, stop) row ranges of at most ``_BLOCK_CELLS`` cells (one row
+    at least) covering ``rows`` rows of ``cols`` columns."""
+    step = max(1, _BLOCK_CELLS // max(cols, 1))
+    return [(a, min(a + step, rows)) for a in range(0, rows, step)]
+
+
+def _bucket(v: np.ndarray, scale: float) -> np.ndarray:
+    """Histogram bucket of each distance, int(v * scale) with
+    scale = _BUCKETS / max: monotone in v, and at most _BUCKETS."""
+    return (v * scale).astype(np.intp)
+
+
+def _checked_max(v: np.ndarray) -> float:
+    """Largest of a block of distances, after checking that all of them
+    are finite and non-negative (a NaN propagates into min and max)."""
+    lo, hi = float(v.min()), float(v.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DataError("distances contain non-finite values")
+    if lo < 0:
+        raise DataError("distances must be non-negative")
+    return hi
+
+
+def _require_memory(n: int) -> None:
+    """Refuse an n-by-n float64 matrix larger than physical memory."""
+    need = 8 * n * n
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise DataError(
+            "the distance matrix of %d points needs %d bytes, more than the "
+            "%d bytes of physical memory; use fewer points" % (n, need, have)
+        )
 
 
 def pairwise_distances(ds: Dataset) -> CondensedDistances:
-    """Condensed Euclidean distances of a dataset, row-major order."""
-    return CondensedDistances(n=ds.n, d=pdist(ds.points))
+    """Euclidean distances of a dataset.  The matrix is filled by row
+    blocks of ``cdist``, bitwise equal to ``squareform(pdist(points))``."""
+    pts, n = ds.points, ds.n
+    _require_memory(n)
+    sq = np.empty((n, n))
+    top = 0.0
+    for a, b in _row_blocks(n, n):
+        cdist(pts[a:b], pts, out=sq[a:b])
+        top = max(top, _checked_max(sq[a:b]))
+    return CondensedDistances._of_square(sq, top)
 
 
 def load_points_csv(

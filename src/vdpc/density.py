@@ -1,11 +1,12 @@
 """Density analytics: cut-off distance, local density, delta, decision graph.
 
-The cut-off distance d_c is a percentile of the sorted pairwise
-distances.  Local density is a Gaussian-kernel sum over all other
-points.  Delta is each point's distance to its nearest neighbor of
-strictly higher density under a fixed total order (descending density,
-ties by ascending index); the density argmax instead receives the
-maximum pairwise distance.
+The cut-off distance d_c is a percentile of the pairwise distances,
+found by an exact selection over the distance matrix, not a sort.
+Local density is a Gaussian-kernel sum over all other points.  Delta
+is each point's distance to its nearest neighbor of strictly higher
+density under a fixed total order (descending density, ties by
+ascending index); the density argmax instead receives the maximum
+pairwise distance.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import CondensedDistances, _readonly
-from .errors import ParameterError
+from .dataset import CondensedDistances, _readonly, _row_blocks
+from .errors import ParameterError, _check_positive
 
 __all__ = [
     "DensityProfile",
@@ -27,8 +28,6 @@ __all__ = [
     "density_profile",
     "decision_graph",
 ]
-
-_CHUNK = 1024
 
 
 def _round_half_away(x: float) -> int:
@@ -68,16 +67,15 @@ class DecisionPoint(NamedTuple):
 
 
 def cutoff_distance(cd: CondensedDistances, pct: float) -> float:
-    """Percentile cut-off over the sorted pairwise distances.
+    """Percentile cut-off: the k-th smallest of the pairwise distances.
 
-    The 1-based index is round-half-away-from-zero of pct/100 times the
-    number of pairs, clamped into the valid range.
+    k is round-half-away-from-zero of pct/100 times the number of pairs,
+    clamped into the valid range.
     """
-    if pct <= 0:
-        raise ParameterError("pct must be > 0, got %r" % (pct,))
-    m = len(cd.u)
-    k = min(max(_round_half_away(pct / 100.0 * m), 1), m)
-    return float(cd.u[k - 1])
+    _check_positive("pct", pct)
+    m = cd.n * (cd.n - 1) // 2
+    k = min(max(_round_half_away(min(pct / 100.0 * m, m)), 1), m)
+    return cd.kth_smallest(k)
 
 
 def local_density(cd: CondensedDistances, d_c: float) -> np.ndarray:
@@ -88,8 +86,7 @@ def local_density(cd: CondensedDistances, d_c: float) -> np.ndarray:
     n = cd.n
     rho = np.empty(n, dtype=np.float64)
     inv = 1.0 / d_c
-    for a in range(0, n, _CHUNK):
-        b = min(a + _CHUNK, n)
+    for a, b in _row_blocks(n, n):
         block = sq[a:b] * inv
         np.square(block, out=block)
         np.negative(block, out=block)

@@ -8,6 +8,8 @@ are raised by the CLI layer itself.
 
 from __future__ import annotations
 
+import math
+
 
 class VdpcError(Exception):
     """Base class for all library errors."""
@@ -35,3 +37,9 @@ class StageError(VdpcError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"{stage}: {message}")
         self.stage = stage
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Raise ParameterError unless ``value`` is a finite number > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ParameterError("%s must be a finite number > 0, got %s" % (name, value))

@@ -27,7 +27,7 @@ from .baselines import (
 )
 from .dataset import CondensedDistances, Dataset, pairwise_distances
 from .density import DensityProfile, cutoff_distance, density_profile
-from .errors import ParameterError, StageError
+from .errors import ParameterError, StageError, _check_positive
 
 __all__ = [
     "VdpcParams",
@@ -68,10 +68,8 @@ class VdpcParams:
     num: int = 10
 
     def __post_init__(self):
-        if self.pct <= 0:
-            raise ParameterError("pct must be > 0")
-        if self.delta_t <= 0:
-            raise ParameterError("delta_t must be > 0")
+        _check_positive("pct", self.pct)
+        _check_positive("delta_t", self.delta_t)
         if self.num < 1:
             raise ParameterError("num must be >= 1")
 

@@ -19,6 +19,16 @@ def distance_matrix(points) -> list[list[float]]:
     return [[euclidean(points[i], points[j]) for j in range(n)] for i in range(n)]
 
 
+def naive_cutoff(distances, pct: float) -> float:
+    """The d_c percentile by a full sort of the pairwise distances: the
+    k-th smallest, k = pct/100 * M rounded half away from zero and
+    clamped into 1..M."""
+    ordered = sorted(distances)
+    m = len(ordered)
+    k = min(max(math.floor(pct / 100 * m + 0.5), 1), m)
+    return ordered[k - 1]
+
+
 def naive_rho(points, d_c: float) -> list[float]:
     """Gaussian-kernel density, self excluded, via a double loop."""
     n = len(points)

@@ -101,6 +101,11 @@ class TestDbscan:
         with pytest.raises(ParameterError):
             DbscanParams(eps=1.0, minpts=0)
 
+    def test_non_finite_eps_rejected(self):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ParameterError, match="eps must be a finite"):
+                DbscanParams(eps=bad, minpts=3)
+
     def test_hand_example(self):
         # one dense line of 4 (spacing .5), a far dense pair, one outlier
         pts = [[0, 0], [0.5, 0], [1.0, 0], [1.5, 0], [10, 0], [10.5, 0], [30, 0]]

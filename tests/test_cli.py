@@ -200,6 +200,14 @@ class TestExitCodes:
                        "--delta-t", "1e9", "--output-dir", str(tmp_path))
         assert code == 3
 
+    def test_non_finite_pct_is_parameter_error(self, tmp_path, capsys):
+        for bad in ("nan", "inf"):
+            code = run_cli("run", "--dataset", "flame", "--pct", bad,
+                           "--delta-t", "5.5", "--output-dir", str(tmp_path))
+            assert code == 3
+            err = capsys.readouterr().err
+            assert "pct must be a finite number > 0, got %s" % bad in err
+
     def test_unknown_suite_is_usage_error(self, capsys):
         assert run_cli("bench", "--suite", "bogus") == 1
 
@@ -308,6 +316,15 @@ class TestSweep:
             failed = pct == "0" or num == "0"
             assert (ari == "nan" and nmi == "nan") == failed
         assert float(rows[3][3]) == 1.0
+
+    def test_nan_pct_cells_become_nan_rows(self, tmp_path, capsys):
+        code = run_cli("sweep", "--dataset", "flame", "--pct", "nan,5",
+                       "--delta-t", "5.5", "--output-dir", str(tmp_path))
+        assert code == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert rows == [["nan", "5.5", "10", "nan", "nan"],
+                        ["5", "5.5", "10", "1", "1"]]
 
     def test_combo_rows_equal_library_runs(self, tmp_path, capsys):
         run_cli("sweep", "--dataset", "pathbased", "--pct", "0.4,1",

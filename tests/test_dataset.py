@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
+import vdpc.dataset
 from vdpc import (
     CondensedDistances,
     DataError,
     Dataset,
+    VdpcParams,
+    cutoff_distance,
     load_condensed_matrix,
     load_points_csv,
     pairwise_distances,
+    vdpc_run,
 )
+
+from conftest import BEST_PARAMS
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -118,6 +124,54 @@ class TestCondensedDistances:
             CondensedDistances(n=3, d=np.array([1.0, np.nan, 1.0]))
 
 
+class TestDistanceMatrix:
+    def point_sets(self, datasets):
+        rng = np.random.default_rng(3)
+        sets = [ds.points for ds in datasets.values()]
+        for dim in (1, 2, 3, 7, 16, 64):
+            n = int(rng.integers(2, 90))
+            sets.append(rng.normal(size=(n, dim)) * 10.0 ** int(rng.integers(-3, 4)))
+        return sets
+
+    @pytest.mark.parametrize("block_cells", [None, 500])
+    def test_bitwise_equal_to_squareform_pdist(self, datasets, monkeypatch,
+                                               block_cells):
+        if block_cells is not None:  # many row blocks, some of one row
+            monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", block_cells)
+        for pts in self.point_sets(datasets):
+            cd = pairwise_distances(Dataset(points=pts))
+            assert cd.square.tobytes() == squareform(pdist(pts)).tobytes()
+            assert cd.d.tobytes() == pdist(pts).tobytes()
+            assert cd.max_distance == pdist(pts).max()
+
+    def test_one_copy_of_the_distances(self, datasets):
+        ds = datasets["aggregation"]
+        cd = pairwise_distances(ds)
+        cutoff_distance(cd, 2)
+        assert len(cd.d) == ds.n * (ds.n - 1) // 2  # built on demand, not kept
+        held = [v for v in vars(cd).values() if isinstance(v, np.ndarray)]
+        assert sum(v.nbytes for v in held) == 8 * ds.n ** 2
+        assert not hasattr(cd, "u")
+
+    def test_no_full_sort_of_the_distances(self, datasets, monkeypatch):
+        ds = datasets["flame"]
+        m = ds.n * (ds.n - 1) // 2
+        for name in ("sort", "argsort"):
+            original = getattr(np, name)
+
+            def guarded(a, *args, _original=original, **kwargs):
+                assert np.size(a) < m, "a sort over all pairwise distances"
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, guarded)
+        vdpc_run(ds, VdpcParams(*BEST_PARAMS["flame"]))
+
+    def test_matrix_larger_than_memory_is_refused(self):
+        ds = Dataset(points=np.arange(2_000_000.0).reshape(-1, 1))
+        with pytest.raises(DataError, match="32000000000000 bytes.*use fewer points"):
+            pairwise_distances(ds)
+
+
 class TestLoadCondensedMatrix:
     def test_round_trip(self, tmp_path):
         d = np.array([1.0, 2.5, 3.25])
@@ -131,3 +185,13 @@ class TestLoadCondensedMatrix:
         path.write_text("1 2 3 4\n")
         with pytest.raises(DataError):
             load_condensed_matrix(path, n=3)
+
+    def test_round_trips_through_d(self, tmp_path):
+        pts = np.random.default_rng(4).normal(size=(30, 3))
+        ref = pdist(pts)
+        path = tmp_path / "m.txt"
+        path.write_text("\n".join(repr(v) for v in ref.tolist()))
+        cd = load_condensed_matrix(path, n=30)
+        assert cd.d.tobytes() == ref.tobytes()
+        assert cd.square.tobytes() == squareform(ref).tobytes()
+        assert cd.max_distance == ref.max()

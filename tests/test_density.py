@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
+import vdpc.dataset
 from vdpc import (
     CondensedDistances,
     Dataset,
@@ -14,7 +16,7 @@ from vdpc import (
 )
 
 from conftest import random_points
-from oracles import naive_delta, naive_rho
+from oracles import naive_cutoff, naive_delta, naive_rho
 
 
 def profile_of(points, pct):
@@ -53,6 +55,55 @@ class TestCutoffDistance:
             cutoff_distance(cd, 0)
         with pytest.raises(ParameterError):
             cutoff_distance(cd, -3)
+
+    def test_rejects_non_finite_pct(self):
+        cd = self.cd([1.0, 2.0, 3.0])
+        for pct in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ParameterError, match="finite"):
+                cutoff_distance(cd, pct)
+
+
+def cutoff_cases(datasets):
+    """(name, points): the bundled sets, then sets full of equal distances."""
+    rng = np.random.default_rng(31)
+    cases = [(name, ds.points) for name, ds in datasets.items()]
+    cases.append(("duplicates", rng.normal(size=(6, 2))[rng.integers(0, 6, 80)]))
+    cases.append(("grid", np.array([(x, y) for x in range(12) for y in range(12)],
+                                   dtype=float)))
+    cases.append(("two points", np.array([[0.0, 0.0], [3.0, 4.0]])))
+    cases.append(("one site", np.ones((5, 2))))
+    return cases
+
+
+class TestCutoffSelection:
+    """cutoff_distance against the sort-based oracle, bit for bit, with the
+    default blocks (one block for these sizes) and with blocks of a few
+    rows and four buckets, which put the values of a tie-heavy set into a
+    few shared buckets."""
+
+    @pytest.mark.parametrize("blocks", ["default", "small"])
+    def test_equals_sorted_oracle(self, datasets, monkeypatch, blocks):
+        if blocks == "small":
+            monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 3000)
+            monkeypatch.setattr(vdpc.dataset, "_BUCKETS", 4)
+        for name, pts in cutoff_cases(datasets):
+            cd = pairwise_distances(Dataset(points=pts))
+            ordered = sorted(pdist(pts).tolist())
+            m = len(ordered)
+            for pct in (100 / m, 0.4, 2, 50, 100, 150):
+                got = cutoff_distance(cd, pct)
+                assert got == naive_cutoff(ordered, pct), (name, pct)
+            assert cutoff_distance(cd, 100 / m) == ordered[0]
+
+    def test_second_call_is_memoised(self, distances, monkeypatch):
+        cd = distances["flame"]
+        first = cutoff_distance(cd, 5)
+
+        def select_again(k):
+            raise AssertionError("selection ran again for k=%d" % k)
+
+        monkeypatch.setattr(cd, "_select", select_again)
+        assert cutoff_distance(cd, 5) == first
 
 
 class TestLocalDensity:

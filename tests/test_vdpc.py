@@ -44,6 +44,13 @@ class TestParams:
         with pytest.raises(ParameterError):
             VdpcParams(pct=1, delta_t=1, num=0)
 
+    def test_non_finite_params_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError, match="pct must be a finite"):
+                VdpcParams(pct=bad, delta_t=1.0)
+            with pytest.raises(ParameterError, match="delta_t must be a finite"):
+                VdpcParams(pct=1, delta_t=bad)
+
     def test_ablation_validation(self):
         with pytest.raises(ParameterError):
             AblationOptions(k_rule="cube")
