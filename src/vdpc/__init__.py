@@ -23,7 +23,6 @@ from .dataset import (
     pairwise_distances,
 )
 from .density import (
-    DecisionPoint,
     DensityProfile,
     cutoff_distance,
     decision_graph,
@@ -53,7 +52,6 @@ __all__ = [
     "DataError",
     "Dataset",
     "DbscanParams",
-    "DecisionPoint",
     "DensityLevels",
     "DensityProfile",
     "ParameterError",

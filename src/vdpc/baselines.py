@@ -16,7 +16,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .dataset import CondensedDistances, _row_blocks
 from .density import DensityProfile
-from .errors import ParameterError, StageError, _check_positive
+from .errors import ParameterError, StageError, _check_count, _check_positive
 
 __all__ = [
     "DbscanParams",
@@ -36,8 +36,7 @@ class DbscanParams:
 
     def __post_init__(self):
         _check_positive("eps", self.eps)
-        if self.minpts < 1:
-            raise ParameterError("minpts must be >= 1")
+        _check_count("minpts", self.minpts)
 
 
 def relabel_contiguous(labels: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .baselines import DbscanParams, dbscan, dpc_assign, dpc_select_centers, snnc
 from .dataset import Dataset, load_points_csv, pairwise_distances
-from .density import decision_graph, density_profile
+from .density import _shared_profile, decision_graph, density_profile
 from .errors import DataError, VdpcError
 from .metrics import adjusted_rand_index, normalized_mutual_information
 from .vdpc import (
@@ -174,28 +174,21 @@ PARAMS = {
 ABLATIONS = tuple(f.name for f in dataclasses.fields(AblationOptions))
 
 
-def run_algorithm(cd, algorithm: str, params: dict, profiles: dict | None = None):
+def run_algorithm(cd, algorithm: str, params: dict):
     """Cluster ``cd`` with one algorithm, named and parameterized as in the
     bench manifest (vdpc's ``num`` and ablation keys may be left out).
 
-    ``profiles`` caches density profiles by ``pct`` across calls on the
-    same distances.  Returns (labels, profile or None, VdpcResult or None).
+    vdpc and dpc share the density profiles kept on ``cd``.  Returns
+    (labels, profile or None, VdpcResult or None).
     """
-    profiles = {} if profiles is None else profiles
-
-    def profile(pct):
-        if pct not in profiles:
-            profiles[pct] = density_profile(cd, pct)
-        return profiles[pct]
-
     if algorithm == "vdpc":
         vp = VdpcParams(pct=params["pct"], delta_t=params["delta_t"],
                         num=params.get("num", 10))
         options = AblationOptions(**{k: params[k] for k in ABLATIONS if k in params})
-        result = vdpc_run(cd, vp, options, profile(vp.pct))
+        result = vdpc_run(cd, vp, options)
         return result.labels, result.profile, result
     if algorithm == "dpc":
-        dp = profile(params["pct"])
+        dp = _shared_profile(cd, params["pct"])
         centers = dpc_select_centers(dp, params["rho_min"], params["delta_min"])
         return dpc_assign(dp, centers), dp, None
     if algorithm == "dbscan":
@@ -282,13 +275,12 @@ def cmd_sweep(args) -> int:
     ds = _load_dataset(args)
     cd = pairwise_distances(ds)
     ablation = {n: getattr(args, n) for n in ABLATIONS}
-    profiles: dict = {}
     rows: list[list] = []
     nan = float("nan")
     for pct, delta_t, num in itertools.product(args.pct, args.delta_t, args.num):
         params = dict(pct=pct, delta_t=delta_t, num=num, **ablation)
         try:
-            ari, nmi = _score(ds, run_algorithm(cd, "vdpc", params, profiles)[0])
+            ari, nmi = _score(ds, run_algorithm(cd, "vdpc", params)[0])
         except VdpcError:
             ari = nmi = None
         rows.append([pct, delta_t, num, nan if ari is None else ari,
@@ -304,9 +296,8 @@ def _bench_dataset(name: str, cells: list[dict]) -> dict[int, tuple]:
     they share its distances and its density profiles."""
     ds = load_bundled(name)
     cd = pairwise_distances(ds)
-    profiles: dict = {}
     return {
-        i: _score(ds, run_algorithm(cd, c["algorithm"], c["params"], profiles)[0])
+        i: _score(ds, run_algorithm(cd, c["algorithm"], c["params"])[0])
         for i, c in enumerate(cells) if c["dataset"] == name
     }
 

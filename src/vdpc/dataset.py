@@ -2,10 +2,10 @@
 
 A dataset is an (N, D) array of feature vectors with optional integer
 ground-truth labels.  Its Euclidean distances are held once, as a
-symmetric N-by-N float64 matrix filled by row blocks of ``cdist``; the
-condensed upper-triangular form is derived from it on demand.  Order
-statistics of the distances, such as the d_c percentile, are found by
-an exact blocked selection, never by sorting all N(N-1)/2 of them.
+symmetric N-by-N float64 matrix filled by row blocks of ``cdist``, or
+read from a condensed upper-triangular vector.  Order statistics of the
+distances, such as the d_c percentile, are found by an exact blocked
+selection, never by sorting all N(N-1)/2 of them.
 """
 
 from __future__ import annotations
@@ -78,9 +78,9 @@ class Dataset:
 class CondensedDistances:
     """Pairwise Euclidean distances of ``n`` points.
 
-    ``square`` is the one stored copy: the symmetric n-by-n matrix with a
-    zero diagonal.  ``d`` is the condensed form, dist(i, j) for i < j at
-    index i*n - i*(i+1)/2 + (j-i-1), built from ``square`` on each access.
+    The constructor takes the condensed form ``d``: dist(i, j) for i < j
+    at index i*n - i*(i+1)/2 + (j-i-1).  ``square`` is the one stored
+    copy, the symmetric n-by-n matrix with a zero diagonal.
     """
 
     def __init__(self, n: int, d: np.ndarray):
@@ -97,35 +97,12 @@ class CondensedDistances:
         _require_memory(n)
         self._hold(squareform(d, checks=False), top)
 
-    @classmethod
-    def _of_square(cls, square: np.ndarray, max_distance: float):
-        """Wrap a checked symmetric matrix without copying it."""
-        cd = cls.__new__(cls)
-        cd._hold(square, max_distance)
-        return cd
-
     def _hold(self, square: np.ndarray, max_distance: float) -> None:
+        """Keep a checked symmetric matrix without copying it."""
         self.n = len(square)
         self.square = _readonly(square)
         self.max_distance = max_distance
-        self._kth: dict[int, float] = {}  # kth_smallest results by k
-
-    @property
-    def d(self) -> np.ndarray:
-        """Condensed upper-triangular copy of the distances."""
-        return squareform(self.square, checks=False)
-
-    def index(self, i: int, j: int) -> int:
-        """Condensed index of the (i, j) pair, i != j."""
-        if i == j:
-            raise IndexError("diagonal entries are not stored")
-        if i > j:
-            i, j = j, i
-        return i * self.n - i * (i + 1) // 2 + (j - i - 1)
-
-    def dist(self, i: int, j: int) -> float:
-        """Symmetric distance accessor; dist(i, i) = 0 by convention."""
-        return float(self.square[i, j])
+        self._profiles: dict = {}  # density profiles by cut-off rank
 
     def kth_smallest(self, k: int) -> float:
         """Exact k-th smallest (1-based) of the n(n-1)/2 distances i < j.
@@ -135,16 +112,11 @@ class CondensedDistances:
         second pass collects the one bucket that holds the k-th, and
         ``np.partition`` finishes it.  Both passes bucket with the same
         ``_bucket`` call, so no value can change bucket between them.
-        Ties only make that bucket larger.  Results are kept by k.
+        Ties only make that bucket larger.
         """
         m = self.n * (self.n - 1) // 2
         if not 1 <= k <= m:
             raise IndexError("k=%d outside 1..%d" % (k, m))
-        if k not in self._kth:
-            self._kth[k] = self._select(k)
-        return self._kth[k]
-
-    def _select(self, k: int) -> float:
         if self.max_distance == 0.0:
             return 0.0
         scale = _BUCKETS / self.max_distance
@@ -211,7 +183,9 @@ def pairwise_distances(ds: Dataset) -> CondensedDistances:
     for a, b in _row_blocks(n, n):
         cdist(pts[a:b], pts, out=sq[a:b])
         top = max(top, _checked_max(sq[a:b]))
-    return CondensedDistances._of_square(sq, top)
+    cd = CondensedDistances.__new__(CondensedDistances)
+    cd._hold(sq, top)
+    return cd
 
 
 def load_points_csv(
@@ -281,7 +255,8 @@ def load_condensed_matrix(path: str | Path, n: int) -> CondensedDistances:
     """Parse a plain-number file holding n(n-1)/2 pairwise distances.
 
     Values may be separated by any mix of whitespace and commas and are
-    taken as distances directly, in row-major upper-triangular order.
+    taken as distances directly, in row-major upper-triangular order;
+    ``CondensedDistances`` checks their count and values.
     """
     path = Path(path)
     if not path.is_file():
@@ -292,9 +267,4 @@ def load_condensed_matrix(path: str | Path, n: int) -> CondensedDistances:
         values = np.array([float(t) for t in tokens], dtype=np.float64)
     except ValueError:
         raise DataError(f"{path}: non-numeric entry") from None
-    expected = n * (n - 1) // 2
-    if values.size != expected:
-        raise DataError(
-            f"{path}: expected {expected} values for n={n}, got {values.size}"
-        )
     return CondensedDistances(n=n, d=values)

@@ -1,18 +1,19 @@
 """Density analytics: cut-off distance, local density, delta, decision graph.
 
-The cut-off distance d_c is a percentile of the pairwise distances,
-found by an exact selection over the distance matrix, not a sort.
-Local density is a Gaussian-kernel sum over all other points.  Delta
-is each point's distance to its nearest neighbor of strictly higher
-density under a fixed total order (descending density, ties by
-ascending index); the density argmax instead receives the maximum
-pairwise distance.
+The cut-off distance d_c is the k-th smallest pairwise distance, k the
+rank of a percentile, found by an exact selection, not a sort.  Local
+density is a Gaussian-kernel sum over all other points.  Delta is each
+point's distance to its nearest neighbor of strictly higher density
+under a fixed total order (descending density, ties by ascending
+index); the density argmax instead receives the maximum pairwise
+distance.  A profile depends only on the distances and k, so
+``_shared_profile`` keeps one per k on the distances object.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .errors import ParameterError, _check_positive
 
 __all__ = [
     "DensityProfile",
-    "DecisionPoint",
     "cutoff_distance",
     "local_density",
     "delta_and_neighbors",
@@ -60,22 +60,17 @@ class DensityProfile:
         return pos
 
 
-class DecisionPoint(NamedTuple):
-    index: int
-    rho: float
-    delta: float
+def _rank(n: int, pct: float) -> int:
+    """Rank of the pct cut-off among the m = n(n-1)/2 pairwise distances:
+    pct/100 * m rounded half away from zero, clamped into 1..m."""
+    _check_positive("pct", pct)
+    m = n * (n - 1) // 2
+    return min(max(_round_half_away(min(pct / 100.0 * m, m)), 1), m)
 
 
 def cutoff_distance(cd: CondensedDistances, pct: float) -> float:
-    """Percentile cut-off: the k-th smallest of the pairwise distances.
-
-    k is round-half-away-from-zero of pct/100 times the number of pairs,
-    clamped into the valid range.
-    """
-    _check_positive("pct", pct)
-    m = cd.n * (cd.n - 1) // 2
-    k = min(max(_round_half_away(min(pct / 100.0 * m, m)), 1), m)
-    return cd.kth_smallest(k)
+    """Percentile cut-off: the ``_rank(n, pct)``-th smallest distance."""
+    return cd.kth_smallest(_rank(cd.n, pct))
 
 
 def local_density(cd: CondensedDistances, d_c: float) -> np.ndarray:
@@ -127,17 +122,40 @@ def delta_and_neighbors(
     return delta, nneigh, order
 
 
+def _zero_cutoff_message(cd: CondensedDistances, pct: float) -> str:
+    """Why d_c is 0 at ``pct``, and the smallest pct (four digits, rounded
+    up) whose cut-off rank passes all the zero distances."""
+    n, m = cd.n, cd.n * (cd.n - 1) // 2
+    zeros = (sum(int(np.count_nonzero(cd.square[a:b] == 0)) for a, b in _row_blocks(n, n)) - n) // 2
+    if zeros == m:
+        return "d_c is 0: every pairwise distance is zero"
+    start = 100.0 * (zeros + 0.5) / m  # rank zeros + 1 begins here
+    scale = 10.0 ** (3 - math.floor(math.log10(start)))
+    fix = next(p for p in (math.ceil(start * scale + j) / scale for j in (0, 1))
+               if _rank(n, p) > zeros)  # j = 1 when rounding fell short
+    return ("d_c is 0 at pct=%g: %.4g%% of the %d pairwise distances are zero; "
+            "use pct >= %g" % (pct, 100.0 * zeros / m, m, fix))
+
+
 def density_profile(cd: CondensedDistances, pct: float) -> DensityProfile:
     """Compute d_c, rho, delta and the total order in one pass."""
     d_c = cutoff_distance(cd, pct)
+    if d_c == 0:
+        raise ParameterError(_zero_cutoff_message(cd, pct))
     rho = local_density(cd, d_c)
     delta, nneigh, order = delta_and_neighbors(cd, rho)
     return DensityProfile(rho=rho, delta=delta, nneigh=nneigh, d_c=d_c, order=order)
 
 
-def decision_graph(profile: DensityProfile) -> list[DecisionPoint]:
+def _shared_profile(cd: CondensedDistances, pct: float) -> DensityProfile:
+    """``density_profile(cd, pct)``, computed once per cut-off rank of
+    these distances: every pct of the same rank gets the same object."""
+    k = _rank(cd.n, pct)
+    if k not in cd._profiles:
+        cd._profiles[k] = density_profile(cd, pct)
+    return cd._profiles[k]
+
+
+def decision_graph(profile: DensityProfile) -> list[tuple[int, float, float]]:
     """One (index, rho, delta) triple per point, unfiltered."""
-    return [
-        DecisionPoint(i, float(profile.rho[i]), float(profile.delta[i]))
-        for i in range(profile.n)
-    ]
+    return list(zip(range(profile.n), profile.rho.tolist(), profile.delta.tolist()))

@@ -9,6 +9,7 @@ are raised by the CLI layer itself.
 from __future__ import annotations
 
 import math
+import numbers
 
 
 class VdpcError(Exception):
@@ -43,3 +44,9 @@ def _check_positive(name: str, value: float) -> None:
     """Raise ParameterError unless ``value`` is a finite number > 0."""
     if not (math.isfinite(value) and value > 0):
         raise ParameterError("%s must be a finite number > 0, got %s" % (name, value))
+
+
+def _check_count(name: str, value: int) -> None:
+    """Raise ParameterError unless ``value`` is an integer >= 1."""
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ParameterError("%s must be an integer >= 1, got %s" % (name, value))

@@ -26,8 +26,8 @@ from .baselines import (
     relabel_contiguous,
 )
 from .dataset import CondensedDistances, Dataset, pairwise_distances
-from .density import DensityProfile, cutoff_distance, density_profile
-from .errors import ParameterError, StageError, _check_positive
+from .density import DensityProfile, _shared_profile
+from .errors import ParameterError, StageError, _check_count, _check_positive
 
 __all__ = [
     "VdpcParams",
@@ -38,7 +38,6 @@ __all__ = [
     "select_representatives",
     "compute_levels",
     "partition_points",
-    "inherit_levels",
     "asnnc",
     "split_boundary",
     "reassign_boundary",
@@ -70,8 +69,7 @@ class VdpcParams:
     def __post_init__(self):
         _check_positive("pct", self.pct)
         _check_positive("delta_t", self.delta_t)
-        if self.num < 1:
-            raise ParameterError("num must be >= 1")
+        _check_count("num", self.num)
 
 
 @dataclass(frozen=True)
@@ -208,12 +206,6 @@ def compute_levels(rep_rhos: np.ndarray, num: int) -> DensityLevels:
 def partition_points(rho: np.ndarray, levels: DensityLevels) -> np.ndarray:
     """Per-point level by density value (midpoint split inside gaps)."""
     return np.array([levels.level_of(v) for v in np.asarray(rho)], dtype=np.int64)
-
-
-def inherit_levels(initial: np.ndarray, rep_level: np.ndarray) -> np.ndarray:
-    """Per-point level inherited from the point's initial-cluster
-    representative (the default assignment)."""
-    return rep_level[initial]
 
 
 def _rule_count(n: int, rule: str) -> int:
@@ -440,29 +432,18 @@ def vdpc_run(
     data: Dataset | CondensedDistances,
     params: VdpcParams,
     options: AblationOptions = AblationOptions(),
-    profile: DensityProfile | None = None,
 ) -> VdpcResult:
     """Run the full pipeline and return labels plus stage snapshots.
 
-    ``profile`` may carry ``density_profile(cd, params.pct)`` computed
-    earlier, so that runs differing only in ``delta_t``, ``num`` or the
-    options share it; a profile of other distances or another cut-off
-    distance is rejected.
+    Runs on the same distances that differ only in ``delta_t``, ``num``
+    or the options share one density profile (``_shared_profile``).
     """
     cd = data if isinstance(data, CondensedDistances) else pairwise_distances(data)
-    if profile is None:
-        profile = density_profile(cd, params.pct)
-    elif profile.n != cd.n or profile.d_c != cutoff_distance(cd, params.pct):
-        raise ParameterError(
-            "the density profile was not computed from these distances at "
-            "pct=%g" % params.pct
-        )
+    profile = _shared_profile(cd, params.pct)
     reps = select_representatives(profile, params.delta_t)
     initial = dpc_assign(profile, reps)
     levels = compute_levels(profile.rho[reps], params.num)
-    rep_level = np.array(
-        [levels.level_of(profile.rho[r]) for r in reps], dtype=np.int64
-    )
+    rep_level = partition_points(profile.rho[reps], levels)
 
     if levels.numl == 1:
         return VdpcResult(
@@ -476,8 +457,8 @@ def vdpc_run(
             pre_noise_labels=initial.copy(),
         )
 
-    if options.level_assignment == "inherit":
-        point_level = inherit_levels(initial, rep_level)
+    if options.level_assignment == "inherit":  # the representative's level
+        point_level = rep_level[initial]
     else:
         point_level = partition_points(profile.rho, levels)
 

@@ -106,6 +106,12 @@ class TestDbscan:
             with pytest.raises(ParameterError, match="eps must be a finite"):
                 DbscanParams(eps=bad, minpts=3)
 
+    def test_minpts_must_be_a_whole_count(self):
+        for bad in (float("nan"), float("inf"), float("-inf"), 2.5, 0):
+            with pytest.raises(ParameterError, match="minpts must be an integer >= 1"):
+                DbscanParams(eps=1.0, minpts=bad)
+        assert DbscanParams(eps=1.0, minpts=np.int64(3)).minpts == 3
+
     def test_hand_example(self):
         # one dense line of 4 (spacing .5), a far dense pair, one outlier
         pts = [[0, 0], [0.5, 0], [1.0, 0], [1.5, 0], [10, 0], [10.5, 0], [30, 0]]

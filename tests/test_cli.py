@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +15,10 @@ from vdpc import (
     VdpcParams,
     adjusted_rand_index,
     normalized_mutual_information,
+    pairwise_distances,
     vdpc_run,
 )
-from vdpc.cli import load_bundled, load_manifest, main
+from vdpc.cli import load_bundled, load_manifest, main, run_algorithm
 
 
 def run_cli(*argv):
@@ -137,6 +140,13 @@ class TestRun:
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert metrics["ari"] == 1.0
         assert (tmp_path / "decision_graph.csv").exists()
+
+    def test_dpc_and_vdpc_share_a_profile(self):
+        cd = pairwise_distances(load_bundled("flame"))
+        _, first, _ = run_algorithm(cd, "vdpc", {"pct": 5, "delta_t": 5.5})
+        _, shared, _ = run_algorithm(
+            cd, "dpc", {"pct": 5, "rho_min": 1.0, "delta_min": 5.0})
+        assert shared is first
 
     def test_snnc(self, tmp_path):
         assert run_cli("run", "--dataset", "flame", "--algorithm", "snnc",
@@ -364,3 +374,13 @@ class TestDecisionGraphCommand:
                        "--output-dir", str(tmp_path))
         assert code == 0
         assert (tmp_path / "decision_graph.csv").exists()
+
+
+class TestPackage:
+    def test_every_exported_name_resolves(self):
+        modules = [vdpc] + [importlib.import_module("vdpc." + m.name)
+                            for m in pkgutil.iter_modules(vdpc.__path__)]
+        for mod in modules:
+            for name in getattr(mod, "__all__", ()):
+                assert hasattr(mod, name), "%s.__all__ names missing %r" % (
+                    mod.__name__, name)

@@ -96,19 +96,12 @@ class TestCondensedDistances:
         pts = rng.normal(size=(12, 3))
         cd = pairwise_distances(Dataset(points=pts))
         ref = pdist(pts)
-        np.testing.assert_allclose(cd.d, ref, atol=0)
         np.testing.assert_allclose(cd.square, squareform(ref), atol=0)
 
-    def test_index_and_dist(self):
-        pts = np.array([[0.0, 0], [3, 0], [0, 4]])
-        cd = pairwise_distances(Dataset(points=pts))
-        assert cd.dist(0, 1) == 3.0
-        assert cd.dist(1, 0) == 3.0
-        assert cd.dist(0, 2) == 4.0
-        assert cd.dist(1, 2) == 5.0
-        assert cd.dist(2, 2) == 0.0
+    def test_condensed_input_layout(self):
         # condensed layout: (0,1) -> 0, (0,2) -> 1, (1,2) -> 2
-        assert [cd.index(0, 1), cd.index(0, 2), cd.index(1, 2)] == [0, 1, 2]
+        cd = CondensedDistances(n=3, d=np.array([3.0, 4.0, 5.0]))
+        np.testing.assert_array_equal(cd.square, [[0, 3, 4], [3, 0, 5], [4, 5, 0]])
 
     def test_max_distance(self):
         pts = np.array([[0.0, 0], [1, 0], [10, 0]])
@@ -141,17 +134,16 @@ class TestDistanceMatrix:
         for pts in self.point_sets(datasets):
             cd = pairwise_distances(Dataset(points=pts))
             assert cd.square.tobytes() == squareform(pdist(pts)).tobytes()
-            assert cd.d.tobytes() == pdist(pts).tobytes()
             assert cd.max_distance == pdist(pts).max()
 
     def test_one_copy_of_the_distances(self, datasets):
         ds = datasets["aggregation"]
         cd = pairwise_distances(ds)
         cutoff_distance(cd, 2)
-        assert len(cd.d) == ds.n * (ds.n - 1) // 2  # built on demand, not kept
         held = [v for v in vars(cd).values() if isinstance(v, np.ndarray)]
         assert sum(v.nbytes for v in held) == 8 * ds.n ** 2
-        assert not hasattr(cd, "u")
+        for gone in ("u", "d", "index", "dist"):
+            assert not hasattr(cd, gone)
 
     def test_no_full_sort_of_the_distances(self, datasets, monkeypatch):
         ds = datasets["flame"]
@@ -178,7 +170,7 @@ class TestLoadCondensedMatrix:
         path = tmp_path / "m.txt"
         path.write_text("1.0, 2.5\n3.25\n")
         cd = load_condensed_matrix(path, n=3)
-        np.testing.assert_allclose(cd.d, d)
+        np.testing.assert_allclose(cd.square, squareform(d))
 
     def test_wrong_count(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -192,6 +184,5 @@ class TestLoadCondensedMatrix:
         path = tmp_path / "m.txt"
         path.write_text("\n".join(repr(v) for v in ref.tolist()))
         cd = load_condensed_matrix(path, n=30)
-        assert cd.d.tobytes() == ref.tobytes()
         assert cd.square.tobytes() == squareform(ref).tobytes()
         assert cd.max_distance == ref.max()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
@@ -95,16 +97,6 @@ class TestCutoffSelection:
                 assert got == naive_cutoff(ordered, pct), (name, pct)
             assert cutoff_distance(cd, 100 / m) == ordered[0]
 
-    def test_second_call_is_memoised(self, distances, monkeypatch):
-        cd = distances["flame"]
-        first = cutoff_distance(cd, 5)
-
-        def select_again(k):
-            raise AssertionError("selection ran again for k=%d" % k)
-
-        monkeypatch.setattr(cd, "_select", select_again)
-        assert cutoff_distance(cd, 5) == first
-
 
 class TestLocalDensity:
     def test_matches_double_loop_oracle(self):
@@ -178,7 +170,7 @@ class TestDelta:
                 continue
             j = nneigh[i]
             assert rank[j] < rank[i]
-            assert abs(cd.dist(i, j) - delta[i]) < 1e-12
+            assert abs(cd.square[i, j] - delta[i]) < 1e-12
 
 
 class TestDensityProfile:
@@ -192,11 +184,35 @@ class TestDensityProfile:
         profile = density_profile(distances["compound"], 1.9)
         rows = decision_graph(profile)
         assert len(rows) == 399
-        assert rows[17].index == 17
-        assert rows[17].rho == profile.rho[17]
-        assert rows[17].delta == profile.delta[17]
+        assert rows[17] == (17, profile.rho[17], profile.delta[17])
 
     def test_compound_has_many_high_delta_points(self, distances):
         # representative count at the best-performing threshold
         profile = density_profile(distances["compound"], 1.9)
         assert int((profile.delta >= 1.39).sum()) == 68
+
+    def test_zero_cutoff_names_the_smallest_working_pct(self):
+        rng = np.random.default_rng(5)
+        # 40 coincident points among 80: 780 of the 3160 pairs are zero
+        sets = [np.vstack([rng.normal(size=(40, 2)), np.zeros((40, 2))])]
+        sets += [rng.normal(size=(s, 2))[rng.integers(0, s, 60)] for s in (3, 5, 9)]
+        cds = [pairwise_distances(Dataset(points=pts)) for pts in sets]
+        # 31 zeros of 45 pairs: rank 32 starts at exactly 70%, which rounds
+        # back to rank 31 in floating point
+        cds.append(CondensedDistances(n=10, d=np.r_[np.zeros(31), np.ones(14)]))
+        messages = []
+        for cd in cds:
+            with pytest.raises(ParameterError, match="pairwise distances are zero") as err:
+                density_profile(cd, 2)
+            messages.append(str(err.value))
+            fix = float(re.search(r"use pct >= (\S+)$", messages[-1]).group(1))
+            assert density_profile(cd, fix).d_c > 0
+            with pytest.raises(ParameterError):  # one unit less in the fourth digit
+                density_profile(cd, fix - 10.0 ** (np.floor(np.log10(fix)) - 3))
+        assert "24.68% of the 3160 pairwise distances" in messages[0]
+        assert messages[-1].endswith("use pct >= 70.01")
+
+    def test_all_points_coincide(self):
+        cd = pairwise_distances(Dataset(points=np.ones((5, 2))))
+        with pytest.raises(ParameterError, match="every pairwise distance is zero"):
+            density_profile(cd, 50)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import vdpc.density
 from vdpc import (
     AblationOptions,
     Dataset,
@@ -20,7 +21,6 @@ from vdpc import (
 from vdpc.vdpc import (
     assign_noise,
     derive_adbscan_params,
-    inherit_levels,
     microcluster_postprocess,
     partition_points,
     select_representatives,
@@ -43,6 +43,12 @@ class TestParams:
             VdpcParams(pct=1, delta_t=0)
         with pytest.raises(ParameterError):
             VdpcParams(pct=1, delta_t=1, num=0)
+
+    def test_num_must_be_a_whole_count(self):
+        for bad in (math.nan, math.inf, -math.inf, 2.5, 0):
+            with pytest.raises(ParameterError, match="num must be an integer >= 1"):
+                VdpcParams(pct=1, delta_t=1, num=bad)
+        assert VdpcParams(pct=1, delta_t=1, num=np.int64(3)).num == 3
 
     def test_non_finite_params_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
@@ -147,13 +153,6 @@ class TestRepresentatives:
         profile = density_profile(cd_of(pts), 10)
         with pytest.raises(ParameterError):
             select_representatives(profile, 1e12)
-
-    def test_inherit_levels_copies_representative_level(self):
-        initial = np.array([0, 0, 1, 1, 2])
-        rep_level = np.array([1, 2, 2])
-        np.testing.assert_array_equal(
-            inherit_levels(initial, rep_level), [1, 1, 2, 2, 2]
-        )
 
 
 class TestSplitBoundary:
@@ -375,24 +374,33 @@ class TestVdpcRun:
             if i not in moved:
                 assert result.point_level[i] == levels.level_of(rho[i])
 
-    def test_shared_profile_gives_the_same_result(self, distances):
-        cd = distances["compound"]
-        profile = density_profile(cd, 1.9)
-        for delta_t, num in ((1.39, 10), (1.0, 5), (2.0, 15)):
-            params = VdpcParams(1.9, delta_t, num)
-            shared = vdpc_run(cd, params, AblationOptions(), profile)
-            fresh = vdpc_run(cd, params)
-            assert shared.profile is profile
-            np.testing.assert_array_equal(shared.labels, fresh.labels)
-            np.testing.assert_array_equal(shared.pre_noise_labels,
-                                          fresh.pre_noise_labels)
+    def test_runs_share_one_profile_per_rank(self, datasets):
+        cd = pairwise_distances(datasets["flame"])
+        first = vdpc_run(cd, VdpcParams(5, 5.5)).profile
+        assert vdpc_run(cd, VdpcParams(5, 3.0, 5)).profile is first
+        # 5 and 5.001 percent of 28,680 pairs both round to rank 1,434
+        assert vdpc_run(cd, VdpcParams(5.001, 5.5)).profile is first
 
-    def test_mismatched_profile_rejected(self, distances):
-        profile = density_profile(distances["compound"], 1.9)
-        with pytest.raises(ParameterError):
-            vdpc_run(distances["compound"], VdpcParams(5, 1.39), profile=profile)
-        with pytest.raises(ParameterError):
-            vdpc_run(distances["flame"], VdpcParams(1.9, 1.39), profile=profile)
+    def test_other_rank_gets_its_own_profile(self, datasets):
+        cd = pairwise_distances(datasets["flame"])
+        at5 = vdpc_run(cd, VdpcParams(5, 5.5)).profile
+        at4 = vdpc_run(cd, VdpcParams(4, 5.5)).profile
+        fresh = density_profile(pairwise_distances(datasets["flame"]), 4)
+        assert at4 is not at5 and at4.d_c != at5.d_c
+        for name in ("rho", "delta", "nneigh", "order"):
+            assert getattr(at4, name).tobytes() == getattr(fresh, name).tobytes()
+        assert at4.d_c == fresh.d_c
+
+    def test_repeat_run_computes_no_profile(self, datasets, monkeypatch):
+        cd = pairwise_distances(datasets["compound"])
+        first = vdpc_run(cd, VdpcParams(1.9, 1.39))
+
+        def computed(*args):
+            raise AssertionError("density_profile ran again")
+
+        monkeypatch.setattr(vdpc.density, "density_profile", computed)
+        again = vdpc_run(cd, VdpcParams(1.9, 1.0, 5))
+        assert again.profile is first.profile
 
     def test_low_noise_is_what_the_low_level_left_unlabeled(self, distances):
         result = vdpc_run(distances["pathbased"], VdpcParams(0.4, 3.5),
