@@ -7,6 +7,7 @@ only ever present in DBSCAN output.
 
 from __future__ import annotations
 
+import logging
 from collections import deque
 from dataclasses import dataclass
 
@@ -14,7 +15,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .dataset import CondensedDistances, _row_blocks
+from .dataset import CondensedDistances
 from .density import DensityProfile
 from .errors import ParameterError, StageError, _check_count, _check_positive
 
@@ -26,6 +27,8 @@ __all__ = [
     "dbscan",
     "snnc",
 ]
+
+log = logging.getLogger("vdpc")
 
 @dataclass(frozen=True)
 class DbscanParams:
@@ -95,7 +98,7 @@ def dpc_assign(profile: DensityProfile, centers: np.ndarray) -> np.ndarray:
 
 
 def _dbscan_labels(
-    sq: np.ndarray, pts: np.ndarray, eps: float, minpts: int
+    cd: CondensedDistances, pts: np.ndarray, eps: float, minpts: int
 ) -> np.ndarray:
     """Breadth-first DBSCAN expansion over the ascending point set ``pts``.
 
@@ -106,10 +109,12 @@ def _dbscan_labels(
     (-1).  ``labels[i]`` is the label of ``pts[i]``.
     """
     m = len(pts)
-    counts = np.empty(m, dtype=np.int64)
-    for a, b in _row_blocks(m, m):
-        counts[a:b] = (sq[pts[a:b, None], pts] < eps).sum(axis=1)
-    core = counts >= minpts  # the diagonal zero already counts the point
+    nb = cd.eps_neighbors(pts, eps)
+    log.debug(
+        "dbscan on %d points: Eps=%r MinPts=%d, %d pairs within Eps (%s source)",
+        m, eps, minpts, (int(nb.counts.sum()) - m) // 2, nb.source,
+    )
+    core = nb.counts >= minpts
     labels = np.full(m, -1, dtype=np.int64)
     cid = 0
     for seed in np.flatnonzero(core):
@@ -118,7 +123,7 @@ def _dbscan_labels(
         labels[seed] = cid
         queue = deque([seed])
         while queue:
-            near = np.flatnonzero(sq[pts[queue.popleft()], pts] < eps)
+            near = nb.near(queue.popleft())
             new = near[labels[near] < 0]
             labels[new] = cid
             queue.extend(new[core[new]])
@@ -129,7 +134,7 @@ def _dbscan_labels(
 def dbscan(cd: CondensedDistances, params: DbscanParams) -> np.ndarray:
     """Density-reachability clustering with strict neighborhoods over the
     whole dataset; noise is -1 (see ``_dbscan_labels`` for the rules)."""
-    return _dbscan_labels(cd.square, np.arange(cd.n), params.eps, params.minpts)
+    return _dbscan_labels(cd, np.arange(cd.n), params.eps, params.minpts)
 
 
 def _knn_sets(

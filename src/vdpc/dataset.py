@@ -5,7 +5,10 @@ ground-truth labels.  Its Euclidean distances are held once, as a
 symmetric N-by-N float64 matrix filled by row blocks of ``cdist``, or
 read from a condensed upper-triangular vector.  Order statistics of the
 distances, such as the d_c percentile, are found by an exact blocked
-selection, never by sorting all N(N-1)/2 of them.
+selection, never by sorting all N(N-1)/2 of them.  DBSCAN's strict
+ε-neighbourhoods come from a k-d tree over the coordinates when they are
+sparse, in O(pairs) memory, and from the matrix rows otherwise; the
+matrix decides every pair, so both give the same neighbours.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, squareform
 
 from .errors import DataError
@@ -30,6 +35,9 @@ __all__ = [
 ]
 
 _BLOCK_CELLS = 1 << 18  # matrix cells per block in the row-block loops
+_SPARSE_SHARE = 32  # the k-d tree finds ε-neighbours up to m²/32 ordered pairs
+_TREE_MAX_DIM = 5  # and only up to 5 coordinates; past that the scan is faster
+_MARGIN = 1 + 2.0**-20  # tree radius over eps (see ``_tree_neighbors``)
 _BUCKETS = 1 << 16  # histogram buckets of ``kth_smallest``
 
 
@@ -75,12 +83,23 @@ class Dataset:
         return self.points.shape[1]
 
 
+class EpsNeighbors(NamedTuple):
+    """Strict ε-neighbourhoods inside a point subset, self included."""
+
+    counts: np.ndarray  # neighbourhood size of each position
+    near: Callable[[int], np.ndarray]  # one position's neighbours, ascending
+    source: str  # "tree" or "matrix"
+
+
 class CondensedDistances:
     """Pairwise Euclidean distances of ``n`` points.
 
     The constructor takes the condensed form ``d``: dist(i, j) for i < j
     at index i*n - i*(i+1)/2 + (j-i-1).  ``square`` is the one stored
-    copy, the symmetric n-by-n matrix with a zero diagonal.
+    copy, the symmetric n-by-n matrix with a zero diagonal.  ``points``
+    holds the coordinates the matrix was computed from, times the exact
+    power of two ``scale`` (see ``pairwise_distances``), or None when
+    the distances were given directly.
     """
 
     def __init__(self, n: int, d: np.ndarray):
@@ -97,12 +116,74 @@ class CondensedDistances:
         _require_memory(n)
         self._hold(squareform(d, checks=False), top)
 
-    def _hold(self, square: np.ndarray, max_distance: float) -> None:
+    def _hold(
+        self,
+        square: np.ndarray,
+        max_distance: float,
+        points: np.ndarray | None = None,
+        scale: float = 1.0,
+    ) -> None:
         """Keep a checked symmetric matrix without copying it."""
         self.n = len(square)
         self.square = _readonly(square)
         self.max_distance = max_distance
+        self.points = points
+        self.scale = scale
         self._profiles: dict = {}  # density profiles by cut-off rank
+
+    def eps_neighbors(self, pts: np.ndarray, eps: float) -> EpsNeighbors:
+        """Strict ε-neighbourhoods inside the ascending point subset ``pts``.
+
+        ``counts[i]`` is the number of positions j, i itself included,
+        with ``square[pts[i], pts[j]] < eps``, and ``near(i)`` lists them
+        in ascending order.  A k-d tree over the coordinates proposes the
+        pairs when at most m²/``_SPARSE_SHARE`` ordered pairs lie within
+        reach and the points have at most ``_TREE_MAX_DIM`` coordinates;
+        otherwise, or without coordinates, the matrix rows are scanned.
+        The matrix decides every pair either way, so both sources give
+        the same answer bitwise.
+        """
+        r = eps * self.scale * _MARGIN
+        if (
+            self.points is not None
+            and self.points.shape[1] <= _TREE_MAX_DIM
+            and r * r >= np.finfo(np.float64).tiny
+        ):
+            tree = cKDTree(self.points[pts])
+            if tree.count_neighbors(tree, r) * _SPARSE_SHARE <= len(pts) ** 2:
+                return self._tree_neighbors(tree, r, pts, eps)
+        return self._matrix_neighbors(pts, eps)
+
+    def _tree_neighbors(
+        self, tree: cKDTree, r: float, pts: np.ndarray, eps: float
+    ) -> EpsNeighbors:
+        # The tree and ``cdist`` round their distances differently, by a
+        # few ulps.  The tree's radius r is eps (in scaled units) widened
+        # by 2^-20, which only has to cover that difference, so every pair
+        # the matrix puts below eps is proposed; the matrix then keeps
+        # exactly those.  r² is a normal float, so the squared distances
+        # the tree compares keep their relative precision.
+        m = len(pts)
+        ij = tree.query_pairs(r, output_type="ndarray")
+        ij = ij[self.square[pts[ij[:, 0]], pts[ij[:, 1]]] < eps]
+        own = np.arange(m)
+        rows = np.concatenate([ij[:, 0], ij[:, 1], own])
+        cols = np.concatenate([ij[:, 1], ij[:, 0], own])
+        rows, indices = np.divmod(np.sort(rows * m + cols), m)
+        indptr = np.zeros(m + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+        return EpsNeighbors(
+            np.diff(indptr), lambda i: indices[indptr[i] : indptr[i + 1]], "tree"
+        )
+
+    def _matrix_neighbors(self, pts: np.ndarray, eps: float) -> EpsNeighbors:
+        sq, m = self.square, len(pts)
+        counts = np.empty(m, dtype=np.int64)
+        for a, b in _row_blocks(m, m):
+            counts[a:b] = (sq[pts[a:b, None], pts] < eps).sum(axis=1)
+        return EpsNeighbors(
+            counts, lambda i: np.flatnonzero(sq[pts[i], pts] < eps), "matrix"
+        )
 
     def kth_smallest(self, k: int) -> float:
         """Exact k-th smallest (1-based) of the n(n-1)/2 distances i < j.
@@ -173,18 +254,39 @@ def _require_memory(n: int) -> None:
         )
 
 
+def _power_of_two_scale(pts: np.ndarray) -> float:
+    """1, or the power of two s that brings the largest coordinate
+    magnitude from outside [2^-256, 2^256] into [1, 2) (s is at most
+    2^1023, the largest finite power, so subnormal magnitudes end up
+    below 1)."""
+    big = float(np.abs(pts).max())
+    if big == 0.0 or 2.0**-256 <= big <= 2.0**256:
+        return 1.0
+    return math.ldexp(1.0, min(1 - math.frexp(big)[1], 1023))
+
+
 def pairwise_distances(ds: Dataset) -> CondensedDistances:
     """Euclidean distances of a dataset.  The matrix is filled by row
-    blocks of ``cdist``, bitwise equal to ``squareform(pdist(points))``."""
-    pts, n = ds.points, ds.n
+    blocks of ``cdist``, bitwise equal to ``squareform(pdist(points))``.
+
+    Coordinates too large or too small for their squares are first
+    multiplied by an exact power of two s, and each block by 1/s, so the
+    matrix is in input units and equals s⁻¹ times the scaled distances.
+    """
+    n = ds.n
     _require_memory(n)
+    s = _power_of_two_scale(ds.points)
+    pts = ds.points if s == 1.0 else _readonly(ds.points * s)
     sq = np.empty((n, n))
     top = 0.0
     for a, b in _row_blocks(n, n):
         cdist(pts[a:b], pts, out=sq[a:b])
+        if s != 1.0:
+            with np.errstate(over="ignore"):  # _checked_max reports it
+                sq[a:b] *= 1.0 / s
         top = max(top, _checked_max(sq[a:b]))
     cd = CondensedDistances.__new__(CondensedDistances)
-    cd._hold(sq, top)
+    cd._hold(sq, top, pts, s)
     return cd
 
 

@@ -347,7 +347,7 @@ def adbscan_level(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """DBSCAN restricted to one level; returns (clusters, noise)."""
     pts = np.sort(np.asarray(level_points))
-    labels = _dbscan_labels(cd.square, pts, derivation.eps, derivation.minpts)
+    labels = _dbscan_labels(cd, pts, derivation.eps, derivation.minpts)
     clusters = [pts[labels == c] for c in range(labels.max(initial=-1) + 1)]
     return clusters, pts[labels < 0]
 

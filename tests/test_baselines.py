@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,20 @@ class TestDbscan:
         # pair within eps: neighborhood size 2 (self + other)
         labels = dbscan(cd_of(pts), DbscanParams(eps=1.0, minpts=2))
         np.testing.assert_array_equal(labels, [0, 0, -1])
+
+    def test_each_call_logs_its_neighbourhoods(self, caplog):
+        pts = [[0, 0], [0.5, 0], [1.0, 0], [1.5, 0], [10, 0], [10.5, 0], [30, 0]]
+        with caplog.at_level(logging.DEBUG, logger="vdpc"):
+            dbscan(cd_of(pts), DbscanParams(eps=0.75, minpts=3))
+            # 200 points on a line, 3 in reach of each: sparse enough
+            dbscan(cd_of([[0.0, x] for x in range(200)]),
+                   DbscanParams(eps=1.5, minpts=3))
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("vdpc", logging.DEBUG, "dbscan on 7 points: Eps=0.75 MinPts=3, "
+             "4 pairs within Eps (matrix source)"),
+            ("vdpc", logging.DEBUG, "dbscan on 200 points: Eps=1.5 MinPts=3, "
+             "199 pairs within Eps (tree source)"),
+        ]
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(11)

@@ -234,6 +234,20 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "decision-graph" in proc.stdout
 
+    def test_decision_log_stays_off_the_console(self, tmp_path):
+        # compound's run logs its DBSCAN level at debug level
+        src = str(Path(vdpc.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vdpc.cli", "run", "--dataset", "compound",
+             "--pct", "1.9", "--delta-t", "1.39", "--output-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines() == [
+            "dataset,algorithm,clusters,ari,nmi", "compound,vdpc,6,1,1"]
+
 
 class TestBench:
     def test_appendix_b_suite_passes(self, tmp_path, capsys):

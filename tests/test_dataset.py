@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist, squareform
 
 import vdpc.dataset
@@ -7,15 +10,19 @@ from vdpc import (
     CondensedDistances,
     DataError,
     Dataset,
+    DbscanParams,
     VdpcParams,
     cutoff_distance,
+    dbscan,
     load_condensed_matrix,
     load_points_csv,
     pairwise_distances,
     vdpc_run,
 )
 
-from conftest import BEST_PARAMS
+from vdpc.baselines import _dbscan_labels
+
+from conftest import BEST_PARAMS, random_points
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -140,7 +147,10 @@ class TestDistanceMatrix:
         ds = datasets["aggregation"]
         cd = pairwise_distances(ds)
         cutoff_distance(cd, 2)
-        held = [v for v in vars(cd).values() if isinstance(v, np.ndarray)]
+        # the coordinates are a reference to the dataset's, not a copy
+        assert cd.scale == 1.0 and np.shares_memory(cd.points, ds.points)
+        held = [v for v in vars(cd).values()
+                if isinstance(v, np.ndarray) and v is not cd.points]
         assert sum(v.nbytes for v in held) == 8 * ds.n ** 2
         for gone in ("u", "d", "index", "dist"):
             assert not hasattr(cd, gone)
@@ -186,3 +196,162 @@ class TestLoadCondensedMatrix:
         cd = load_condensed_matrix(path, n=30)
         assert cd.square.tobytes() == squareform(ref).tobytes()
         assert cd.max_distance == ref.max()
+
+
+def both_sources(cd, pts, eps):
+    """The ε-neighbourhoods of ``pts`` from the tree and from the matrix,
+    each forced, checked equal bitwise; returns the tree's."""
+    r = eps * cd.scale * vdpc.dataset._MARGIN
+    tree = cd._tree_neighbors(cKDTree(cd.points[pts]), r, pts, eps)
+    matrix = cd._matrix_neighbors(pts, eps)
+    assert tree.counts.tobytes() == matrix.counts.tobytes()
+    for i in range(len(pts)):
+        assert tree.near(i).tobytes() == matrix.near(i).astype(np.intp).tobytes()
+    return tree
+
+
+def assert_same_labels(cd, eps, minpts_values, monkeypatch):
+    """``_dbscan_labels`` over all points is bitwise the same with the
+    tree forced and with the matrix forced."""
+    pts = np.arange(cd.n)
+    monkeypatch.setattr(vdpc.dataset, "_TREE_MAX_DIM", 1 << 30)
+    labels = {}
+    for source, share in (("tree", 1), ("matrix", math.inf)):
+        monkeypatch.setattr(vdpc.dataset, "_SPARSE_SHARE", share)
+        assert cd.eps_neighbors(pts, eps).source == source
+        labels[source] = [_dbscan_labels(cd, pts, eps, minpts).tobytes()
+                          for minpts in minpts_values]
+    monkeypatch.undo()
+    assert labels["tree"] == labels["matrix"]
+
+
+class NoPairs(cKDTree):
+    def query_pairs(self, *args, **kwargs):
+        raise AssertionError("the tree was asked for pairs")
+
+
+class TestEpsNeighbors:
+    def test_sources_agree_on_bundled_sets(self, distances, monkeypatch):
+        rng = np.random.default_rng(5)
+        for cd in distances.values():
+            upper = cd.square[np.triu_indices(cd.n, 1)]
+            half = np.sort(rng.choice(cd.n, cd.n // 2, replace=False))
+            for q in (0.002, 0.01, 0.05, 0.2):
+                # a quantile that is a distance: pairs at exactly eps tie
+                eps = float(np.quantile(upper, q, method="lower"))
+                for pts in (np.arange(cd.n), half):
+                    both_sources(cd, pts, eps)
+                assert_same_labels(cd, eps, (1, 3, 6, 12), monkeypatch)
+
+    @pytest.mark.parametrize("eps", [1.0, math.sqrt(2.0)])
+    def test_ties_at_eps_are_excluded_on_a_grid(self, eps, monkeypatch):
+        pts = np.array([(x, y) for x in range(12) for y in range(12)], float)
+        cd = pairwise_distances(Dataset(points=pts))
+        nb = both_sources(cd, np.arange(144), eps)
+        # at eps = 1 only the point itself; at sqrt(2) its axis neighbours
+        # join, and the diagonal ones, at exactly sqrt(2), do not
+        edge = (pts == 0) | (pts == 11)
+        want = 1 if eps == 1.0 else 5 - edge.sum(axis=1)
+        np.testing.assert_array_equal(nb.counts, want)
+        assert_same_labels(cd, eps, (1, 3, 5), monkeypatch)
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 64])
+    def test_sources_agree_in_any_dimension(self, dim, monkeypatch):
+        rng = np.random.default_rng(dim)
+        pts = random_points(rng, 160, dim)
+        cd = pairwise_distances(Dataset(points=pts))
+        upper = cd.square[np.triu_indices(cd.n, 1)]
+        # quantiles tie with a pair; one ulp above a distance keeps the
+        # pair, whose tree distance may round either side of eps
+        eps_values = [float(np.quantile(upper, q, method="lower"))
+                      for q in (0.005, 0.03, 0.1)]
+        eps_values += [float(np.nextafter(d, np.inf))
+                       for d in rng.choice(np.sort(upper)[: len(upper) // 10], 20)]
+        for eps in eps_values:
+            both_sources(cd, np.arange(cd.n), eps)
+        for eps in eps_values[:3]:
+            assert_same_labels(cd, eps, (4,), monkeypatch)
+
+    def test_precomputed_distances_never_use_the_tree(self, datasets, tmp_path,
+                                                      monkeypatch):
+        ds = datasets["flame"]
+        path = tmp_path / "d.txt"
+        path.write_text("\n".join(map(repr, pdist(ds.points).tolist())))
+        want = dbscan(pairwise_distances(ds), DbscanParams(1.0, 4))
+        monkeypatch.setattr(vdpc.dataset, "cKDTree", NoPairs)
+        cd = load_condensed_matrix(path, ds.n)
+        assert cd.points is None
+        assert cd.eps_neighbors(np.arange(ds.n), 1.0).source == "matrix"
+        np.testing.assert_array_equal(dbscan(cd, DbscanParams(1.0, 4)), want)
+
+    def test_dense_eps_never_uses_the_tree(self, distances, monkeypatch):
+        monkeypatch.setattr(vdpc.dataset, "cKDTree", NoPairs)
+        for cd in distances.values():
+            for eps in (cd.max_distance, 2 * cd.max_distance):
+                labels = dbscan(cd, DbscanParams(eps, 2))
+                assert labels.min() == 0  # no noise once eps spans the set
+
+    def test_sparse_bundled_level_uses_the_tree(self, datasets, monkeypatch):
+        cd = pairwise_distances(datasets["pathbased"])
+        params = VdpcParams(0.4, 4.2)
+        want = vdpc_run(cd, params)
+
+        def no_scan(*args):
+            raise AssertionError("the matrix rows were scanned")
+
+        monkeypatch.setattr(CondensedDistances, "_matrix_neighbors", no_scan)
+        got = vdpc_run(pairwise_distances(datasets["pathbased"]), params)
+        assert got.derivations  # the level went through DBSCAN
+        assert got.labels.tobytes() == want.labels.tobytes()
+
+    def test_many_coordinates_use_the_matrix(self):
+        pts = random_points(np.random.default_rng(0), 200, 64)
+        cd = pairwise_distances(Dataset(points=pts))
+        eps = float(np.quantile(cd.square, 0.02))  # sparse, but 64-D
+        assert cd.eps_neighbors(np.arange(cd.n), eps).source == "matrix"
+
+
+    def test_radius_too_small_to_square_uses_the_matrix(self, distances):
+        cd = distances["flame"]
+        nb = cd.eps_neighbors(np.arange(cd.n), 1e-160)  # eps² underflows
+        assert nb.source == "matrix"
+        np.testing.assert_array_equal(nb.counts, 1)
+
+
+class TestPowerOfTwoScale:
+    @pytest.mark.parametrize("e", [600, -600])
+    @pytest.mark.parametrize("name", ["flame", "pathbased"])
+    def test_scaled_points_give_scaled_distances_and_equal_labels(
+            self, datasets, name, e):
+        ds, f = datasets[name], 2.0 ** e
+        cd = pairwise_distances(ds)
+        cd_f = pairwise_distances(Dataset(points=ds.points * f))
+        assert cd_f.scale != 1.0
+        assert cd_f.square.tobytes() == (cd.square * f).tobytes()
+        assert cd_f.max_distance == cd.max_distance * f
+        pct, delta_t = BEST_PARAMS[name]
+        want = vdpc_run(cd, VdpcParams(pct, delta_t))
+        got = vdpc_run(cd_f, VdpcParams(pct, delta_t * f))
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.profile.rho.tobytes() == want.profile.rho.tobytes()
+        assert got.profile.d_c == want.profile.d_c * f
+        assert [d.eps for _, d in got.derivations] == [
+            d.eps * f for _, d in want.derivations]
+        eps = float(np.quantile(cd.square, 0.02, method="lower"))
+        assert cd_f.eps_neighbors(np.arange(ds.n), eps * f).source == "tree"
+        np.testing.assert_array_equal(
+            dbscan(cd_f, DbscanParams(eps * f, 4)), dbscan(cd, DbscanParams(eps, 4)))
+
+    def test_tiny_coordinates_no_longer_underflow(self, datasets):
+        ds = datasets["flame"]
+        cd = pairwise_distances(Dataset(points=ds.points * 1e-200))
+        assert np.count_nonzero(cd.square) == np.count_nonzero(
+            pairwise_distances(ds).square)
+
+    def test_ordinary_coordinates_are_not_scaled(self):
+        for big in (2.0 ** -256, 1.0, 2.0 ** 256):
+            pts = np.array([[0.0, 0.0], [big, big / 2]])
+            assert pairwise_distances(Dataset(points=pts)).scale == 1.0
+        for big in (2.0 ** -257, 2.0 ** 257):
+            pts = np.array([[0.0, 0.0], [big, big / 2]])
+            assert pairwise_distances(Dataset(points=pts)).scale != 1.0
