@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .dataset import CondensedDistances
+from .dataset import CondensedDistances, _row_blocks
 from .density import DensityProfile
 from .errors import ParameterError, StageError, _check_count, _check_positive
 
@@ -50,15 +50,9 @@ def relabel_contiguous(labels: np.ndarray) -> np.ndarray:
     """
     labels = np.asarray(labels)
     out = np.full(len(labels), -1, dtype=np.int64)
-    next_id = 0
-    seen: dict[int, int] = {}
-    for i, lab in enumerate(labels):
-        if lab < 0:
-            continue
-        if lab not in seen:
-            seen[int(lab)] = next_id
-            next_id += 1
-        out[i] = seen[int(lab)]
+    kept = labels >= 0
+    _, first, inverse = np.unique(labels[kept], return_index=True, return_inverse=True)
+    out[kept] = np.argsort(np.argsort(first))[inverse]  # ids by first occurrence
     return out
 
 
@@ -66,7 +60,10 @@ def dpc_select_centers(
     profile: DensityProfile, rho_min: float, delta_min: float
 ) -> np.ndarray:
     """Points inside the decision-graph rectangle rho >= rho_min,
-    delta >= delta_min."""
+    delta >= delta_min.  A NaN threshold is refused; +-inf are valid."""
+    for name, value in (("rho_min", rho_min), ("delta_min", delta_min)):
+        if np.isnan(value):
+            raise ParameterError("%s must be a number, got nan" % name)
     sel = np.where((profile.rho >= rho_min) & (profile.delta >= delta_min))[0]
     if len(sel) == 0:
         raise ParameterError(
@@ -75,26 +72,37 @@ def dpc_select_centers(
     return sel
 
 
+def _roots(parent: np.ndarray) -> np.ndarray:
+    """The end of each point's parent chain, by pointer jumping.
+
+    ``parent[i]`` is the next point of i's chain and ``parent[r] == r``
+    at its end; the chains must be free of other cycles.
+    """
+    while True:
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            return parent
+        parent = up
+
+
 def dpc_assign(profile: DensityProfile, centers: np.ndarray) -> np.ndarray:
-    """Each center seeds a cluster; all other points inherit the label of
-    their nearest denser neighbor, visited densest-first."""
+    """Each center seeds a cluster, numbered in ascending index order; every
+    other point takes the label of the first center on its chain of
+    nearest denser neighbors."""
     centers = np.asarray(centers)
     if len(centers) == 0:
         raise ParameterError("centers must be non-empty")
     labels = np.full(profile.n, -1, dtype=np.int64)
-    for cid, c in enumerate(np.sort(centers)):
-        labels[c] = cid
-    for i in profile.order:
-        if labels[i] < 0:
-            j = profile.nneigh[i]
-            if j < 0:
-                raise StageError(
-                    "density-peak-assignment",
-                    "the density argmax is not a center; every non-empty "
-                    "decision-graph rectangle contains it",
-                )
-            labels[i] = labels[j]
-    return labels
+    labels[np.sort(centers)] = np.arange(len(centers))
+    if labels[profile.order[0]] < 0:
+        raise StageError(
+            "density-peak-assignment",
+            "the density argmax is not a center; every non-empty "
+            "decision-graph rectangle contains it",
+        )
+    parent = profile.nneigh.copy()
+    parent[centers] = centers
+    return labels[_roots(parent)]
 
 
 def _dbscan_labels(
@@ -142,14 +150,13 @@ def _knn_sets(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row/column arrays of the k nearest neighbors of each query point,
     excluding the point itself, distance ties broken by ascending index."""
-    rows = np.empty(len(points) * k, dtype=np.int64)
-    cols = np.empty(len(points) * k, dtype=np.int64)
-    for r, i in enumerate(points):
-        near = np.argsort(sq[i], kind="stable")
-        near = near[near != i][:k]
-        rows[r * k : (r + 1) * k] = r
-        cols[r * k : (r + 1) * k] = near
-    return rows, cols
+    m = len(points)
+    cols = np.empty((m, k), dtype=np.int64)
+    for a, b in _row_blocks(m, len(sq)):
+        block = sq[points[a:b]]
+        block[np.arange(b - a), points[a:b]] = np.inf  # self sorts last
+        cols[a:b] = np.argsort(block, axis=1, kind="stable")[:, :k]
+    return np.repeat(np.arange(m), k), cols.ravel()
 
 
 def _shared_neighbor_components(
@@ -179,6 +186,7 @@ def snnc(cd: CondensedDistances, k: int) -> np.ndarray:
     components, so unconnected points become singleton clusters.
     """
     n = cd.n
+    _check_count("k", k)
     if not 1 <= k <= n - 1:
         raise ParameterError("k must be in [1, %d], got %d" % (n - 1, k))
     comp = _shared_neighbor_components(cd.square, np.arange(n), k)

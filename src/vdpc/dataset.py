@@ -8,7 +8,8 @@ distances, such as the d_c percentile, are found by an exact blocked
 selection, never by sorting all N(N-1)/2 of them.  DBSCAN's strict
 ε-neighbourhoods come from a k-d tree over the coordinates when they are
 sparse, in O(pairs) memory, and from the matrix rows otherwise; the
-matrix decides every pair, so both give the same neighbours.
+matrix decides every pair, so both give the same neighbours.  The level
+stages ask one question of a point set, its nearest member (``nearest``).
 """
 
 from __future__ import annotations
@@ -184,6 +185,26 @@ class CondensedDistances:
         return EpsNeighbors(
             counts, lambda i: np.flatnonzero(sq[pts[i], pts] < eps), "matrix"
         )
+
+    def nearest(
+        self, rows: np.ndarray, cols: np.ndarray, rank: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Position in ``cols`` of the nearest column to each of ``rows``,
+        ties to the lower position.
+
+        With a total order ``rank`` (0 = first), a row only considers the
+        columns ranked before it, unless no column is; then it considers
+        all of them.  ``cols`` must not be empty.
+        """
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        out = np.empty(len(rows), dtype=np.intp)
+        for a, b in _row_blocks(len(rows), len(cols)):
+            block = self.square[rows[a:b, None], cols]
+            if rank is not None:
+                later = rank[cols] >= rank[rows[a:b, None]]
+                block[later & ~later.all(axis=1, keepdims=True)] = np.inf
+            out[a:b] = block.argmin(axis=1)  # the first of equal minima
+        return out
 
     def kth_smallest(self, k: int) -> float:
         """Exact k-th smallest (1-based) of the n(n-1)/2 distances i < j.

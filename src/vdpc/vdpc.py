@@ -21,6 +21,7 @@ import numpy as np
 
 from .baselines import (
     _dbscan_labels,
+    _roots,
     _shared_neighbor_components,
     dpc_assign,
     relabel_contiguous,
@@ -106,22 +107,6 @@ class DensityLevels:
     intervals: tuple[tuple[float, float], ...]
     numl: int
 
-    def level_of(self, value: float) -> int:
-        """1-based level of a density value: interval membership first,
-        then nearer side of a gap by midpoint, extremes clamp."""
-        for p, (lo, hi) in enumerate(self.intervals, start=1):
-            if lo - _EDGE <= value <= hi + _EDGE:
-                return p
-        if value < self.intervals[0][0]:
-            return 1
-        if value > self.intervals[-1][1]:
-            return self.numl
-        for p in range(self.numl - 1):
-            lo, hi = self.intervals[p][1], self.intervals[p + 1][0]
-            if lo < value < hi:
-                return p + 1 if value < (lo + hi) / 2.0 else p + 2
-        return self.numl
-
 
 @dataclass(frozen=True)
 class ADbscanDerivation:
@@ -186,26 +171,24 @@ def compute_levels(rep_rhos: np.ndarray, num: int) -> DensityLevels:
         raise ParameterError("need at least one representative density")
     lo, hi = float(r[0]), float(r[-1])
     w = (hi - lo) / num
-    gaps: list[tuple[float, float]] = []
+    at = np.array([], dtype=np.int64)  # gap i lies between r[i] and r[i + 1]
     if w > 0:
         seg = np.minimum(((r - lo) / w).astype(np.int64), num - 1)
-        for i in range(len(r) - 1):
-            if seg[i + 1] - seg[i] >= 3 and r[i + 1] >= 2.0 * r[i]:
-                gaps.append((float(r[i]), float(r[i + 1])))
-    intervals: list[tuple[float, float]] = []
-    start = lo
-    for glo, ghi in gaps:
-        intervals.append((start, glo))
-        start = ghi
-    intervals.append((start, hi))
-    return DensityLevels(
-        w=w, gaps=tuple(gaps), intervals=tuple(intervals), numl=len(gaps) + 1
-    )
+        at = np.flatnonzero((np.diff(seg) >= 3) & (r[1:] >= 2.0 * r[:-1]))
+    glo, ghi = r[at].tolist(), r[at + 1].tolist()
+    return DensityLevels(w=w, gaps=tuple(zip(glo, ghi)), numl=len(at) + 1,
+                         intervals=tuple(zip([lo, *ghi], [*glo, hi])))
 
 
 def partition_points(rho: np.ndarray, levels: DensityLevels) -> np.ndarray:
-    """Per-point level by density value (midpoint split inside gaps)."""
-    return np.array([levels.level_of(v) for v in np.asarray(rho)], dtype=np.int64)
+    """1-based level of each density value: the first interval that holds
+    it within ``_EDGE``; otherwise the nearer side of its gap, split at
+    the gap midpoint, with values beyond the extremes clamped."""
+    lo, hi = np.array(levels.intervals).T
+    v = np.asarray(rho, dtype=np.float64)
+    inside = (lo - _EDGE <= v[:, None]) & (v[:, None] <= hi + _EDGE)
+    by_gap = np.searchsorted((hi[:-1] + lo[1:]) / 2.0, v, side="right") + 1
+    return np.where(inside.any(axis=1), inside.argmax(axis=1) + 1, by_gap)
 
 
 def _rule_count(n: int, rule: str) -> int:
@@ -276,13 +259,9 @@ def reassign_boundary(
             len(boundary),
         )
         return initial, point_level
-    sq = cd.square
-    high_levels = rep_level[rep_level >= 2]
-    for b in boundary:
-        pick = int(np.argmin(sq[b, high]))  # argmin ties to the lower index
-        r = high[pick]
-        initial[b] = initial[r]
-        point_level[b] = high_levels[pick]
+    pick = cd.nearest(boundary, high)
+    initial[boundary] = initial[high[pick]]
+    point_level[boundary] = rep_level[rep_level >= 2][pick]
     return initial, point_level
 
 
@@ -370,15 +349,12 @@ def microcluster_postprocess(
     n_micro = int(micro.sum())
     if n_micro == 0 or n_micro >= len(clusters) / 2.0:
         return clusters
-    sq = cd.square
-    keep = [c for c, m in zip(clusters, micro) if not m]
-    keep_centers = np.array([c for c, m in zip(centers, micro) if not m])
-    merged = [list(c) for c in keep]
-    for c, m in zip(clusters, micro):
-        if m:
-            for p in c:
-                merged[int(np.argmin(sq[p, keep_centers]))].append(int(p))
-    return [np.array(sorted(c), dtype=np.int64) for c in merged]
+    keep = np.flatnonzero(~micro)
+    pts = np.concatenate(clusters)
+    owner = np.repeat(np.arange(len(clusters)), [len(c) for c in clusters])
+    moved = micro[owner]
+    owner[moved] = keep[cd.nearest(pts[moved], np.array(centers)[keep])]
+    return [np.sort(pts[owner == c]) for c in keep]
 
 
 def assign_noise(
@@ -390,42 +366,29 @@ def assign_noise(
     """Paint leftover noise onto already-labeled points, densest first.
 
     Each noise point takes the label of its nearest labeled point of
-    strictly higher density under the total order; when none exists it
-    takes its nearest labeled point.  Points labeled earlier in this
-    pass are visible to later ones.
+    strictly higher density under the total order (ties to the lowest
+    index); when none exists it takes its nearest labeled point.  Points
+    labeled earlier in this pass are visible to later ones.  ``noise``
+    holds distinct unlabeled points.
+
+    Painting densest first makes each noise point's label that of its
+    nearest denser point among the labeled and the noise points, so the
+    labels are read off the ends of those parent chains.
     """
     labels = labels.copy()
     if len(noise) == 0:
         return labels
-    if not np.any(labels >= 0):
+    labeled = np.flatnonzero(labels >= 0)
+    if len(labeled) == 0:
         raise StageError("noise-assignment", "no labeled cluster exists")
     rank = profile.rank
-    sq = cd.square
-    for i in sorted(noise.tolist(), key=lambda t: rank[t]):
-        labeled = np.where(labels >= 0)[0]
-        denser = labeled[rank[labeled] < rank[i]]
-        candidates = denser if len(denser) else labeled
-        labels[i] = labels[candidates[np.argmin(sq[i, candidates])]]
+    cols = np.union1d(labeled, noise)
+    parent = np.arange(len(labels))
+    parent[noise] = cols[cd.nearest(noise, cols, rank)]
+    top = noise[rank[noise] == rank[cols].min()]  # nothing denser exists
+    parent[top] = labeled[cd.nearest(top, labeled)]
+    labels[noise] = labels[_roots(parent)[noise]]
     return labels
-
-
-def _paint_level_noise(
-    cd: CondensedDistances,
-    noise: np.ndarray,
-    level_centers: list[tuple[int, int]],
-    labels: np.ndarray,
-    rank: np.ndarray,
-) -> None:
-    """Attach level noise to the level's nearest denser cluster center
-    (fallback: nearest center), densest noise first; mutates labels."""
-    sq = cd.square
-    cpts = np.array([c for c, _ in level_centers])
-    cids = np.array([l for _, l in level_centers])
-    for i in sorted(noise.tolist(), key=lambda t: rank[t]):
-        denser = rank[cpts] < rank[i]
-        cand_pts = cpts[denser] if denser.any() else cpts
-        cand_ids = cids[denser] if denser.any() else cids
-        labels[i] = cand_ids[np.argmin(sq[i, cand_pts])]
 
 
 def vdpc_run(
@@ -479,7 +442,6 @@ def vdpc_run(
 
     labels = np.full(cd.n, -1, dtype=np.int64)
     next_id = 0
-    rank = profile.rank
 
     # lowest level: cluster, keep the big clusters, dissolve the rest
     low_clusters, low_noise, _ = cluster_level(
@@ -502,13 +464,14 @@ def vdpc_run(
         if derivation is not None:
             derivations.append((p, derivation))
         clusters = microcluster_postprocess(cd, clusters, profile.rho)
-        level_centers: list[tuple[int, int]] = []
-        for c in clusters:
-            labels[c] = next_id
-            level_centers.append((int(c[np.argmax(profile.rho[c])]), next_id))
-            next_id += 1
-        if len(noise) and level_centers:
-            _paint_level_noise(cd, noise, level_centers, labels, rank)
+        for j, c in enumerate(clusters):
+            labels[c] = next_id + j
+        if len(noise) and clusters:
+            # each noise point joins the nearest denser cluster center
+            # (fallback: the nearest center), ties to the first cluster
+            centers = [c[np.argmax(profile.rho[c])] for c in clusters]
+            labels[noise] = next_id + cd.nearest(noise, centers, profile.rank)
+        next_id += len(clusters)
 
     # the low-level noise and the noise of levels without clusters
     pre_noise = labels.copy()

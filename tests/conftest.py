@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from vdpc import pairwise_distances
 from vdpc.cli import load_bundled
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic and quick.
+settings.register_profile(
+    "vdpc", derandomize=True, deadline=None, max_examples=25, database=None
+)
+settings.load_profile("vdpc")
 
 BUNDLED = ("flame", "aggregation", "r15", "compound", "jain", "pathbased")
 

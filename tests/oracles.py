@@ -3,11 +3,16 @@
 Everything here is deliberately written in plain Python with explicit
 loops over points and pairs — no shared code paths with the package —
 so agreement between the two is meaningful evidence of correctness.
+The ``loop_*`` functions at the end are the package's former per-point
+loops for the level stages, kept as the references that its array forms
+must match bitwise; they read a square distance matrix ``sq``.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def euclidean(p, q) -> float:
@@ -199,3 +204,144 @@ def same_partition(a, b) -> bool:
     return {frozenset(s) for s in groups_a.values()} == {
         frozenset(s) for s in groups_b.values()
     }
+
+
+# -- the per-point loops of the level stages ------------------------------
+
+_EDGE = 1e-12  # the package's tolerance for densities on interval edges
+
+
+def loop_relabel_contiguous(labels) -> list[int]:
+    """Ids 0..k-1 in order of first occurrence, noise (< 0) kept as -1."""
+    out = [-1] * len(labels)
+    seen: dict = {}
+    for i, lab in enumerate(labels):
+        if lab < 0:
+            continue
+        if lab not in seen:
+            seen[lab] = len(seen)
+        out[i] = seen[lab]
+    return out
+
+
+def loop_dpc_assign(order, nneigh, centers) -> list[int]:
+    """Centers numbered in ascending index order; every other point, in
+    the total order, copies its nearest denser neighbor's label."""
+    labels = [-1] * len(order)
+    for cid, c in enumerate(sorted(centers)):
+        labels[c] = cid
+    for i in order:
+        if labels[i] < 0:
+            j = nneigh[i]
+            if j < 0:
+                raise ValueError("the density argmax is not a center")
+            labels[i] = labels[j]
+    return labels
+
+
+def loop_compute_levels(rep_rhos, num: int):
+    """(gaps, intervals) of the segment-occupancy rule."""
+    r = sorted(float(v) for v in rep_rhos)
+    lo, hi = r[0], r[-1]
+    w = (hi - lo) / num
+    gaps = []
+    if w > 0:
+        seg = [min(int((v - lo) / w), num - 1) for v in r]
+        for i in range(len(r) - 1):
+            if seg[i + 1] - seg[i] >= 3 and r[i + 1] >= 2.0 * r[i]:
+                gaps.append((r[i], r[i + 1]))
+    intervals = []
+    start = lo
+    for glo, ghi in gaps:
+        intervals.append((start, glo))
+        start = ghi
+    intervals.append((start, hi))
+    return tuple(gaps), tuple(intervals)
+
+
+def loop_level_of(intervals, value: float) -> int:
+    """1-based level of a density value: interval membership first,
+    then nearer side of a gap by midpoint, extremes clamp."""
+    numl = len(intervals)
+    for p, (lo, hi) in enumerate(intervals, start=1):
+        if lo - _EDGE <= value <= hi + _EDGE:
+            return p
+    if value < intervals[0][0]:
+        return 1
+    if value > intervals[-1][1]:
+        return numl
+    for p in range(numl - 1):
+        lo, hi = intervals[p][1], intervals[p + 1][0]
+        if lo < value < hi:
+            return p + 1 if value < (lo + hi) / 2.0 else p + 2
+    return numl
+
+
+def loop_knn_sets(sq, points, k: int) -> list[list[int]]:
+    """The k nearest of each query point in order, self excluded,
+    distance ties by ascending index."""
+    out = []
+    for i in points:
+        near = np.argsort(sq[i], kind="stable")
+        out.append([int(j) for j in near[near != i][:k]])
+    return out
+
+
+def loop_reassign_boundary(sq, boundary, reps, rep_level, initial, point_level):
+    """Each boundary point joins the initial cluster and the level of its
+    nearest representative of level >= 2, ties to the lower position."""
+    initial, point_level = np.array(initial), np.array(point_level)
+    high = reps[rep_level >= 2]
+    if len(boundary) == 0 or len(high) == 0:
+        return initial, point_level
+    high_levels = rep_level[rep_level >= 2]
+    for b in boundary:
+        pick = int(np.argmin(sq[b, high]))
+        initial[b] = initial[high[pick]]
+        point_level[b] = high_levels[pick]
+    return initial, point_level
+
+
+def loop_microcluster_postprocess(sq, clusters, rho):
+    """Micro-cluster points, one at a time, join the nearest kept center."""
+    if not clusters:
+        return clusters
+    centers = [int(c[np.argmax(rho[c])]) for c in clusters]
+    center_rho = rho[centers]
+    micro = center_rho < center_rho.mean()
+    n_micro = int(micro.sum())
+    if n_micro == 0 or n_micro >= len(clusters) / 2.0:
+        return clusters
+    keep = [c for c, m in zip(clusters, micro) if not m]
+    keep_centers = np.array([c for c, m in zip(centers, micro) if not m])
+    merged = [list(c) for c in keep]
+    for c, m in zip(clusters, micro):
+        if m:
+            for p in c:
+                merged[int(np.argmin(sq[p, keep_centers]))].append(int(p))
+    return [np.array(sorted(c), dtype=np.int64) for c in merged]
+
+
+def loop_paint_level_noise(sq, noise, level_centers, labels, rank) -> None:
+    """Level noise, densest first, takes the id of its nearest denser
+    (center, id) pair, else of its nearest; mutates ``labels``."""
+    cpts = np.array([c for c, _ in level_centers])
+    cids = np.array([lab for _, lab in level_centers])
+    for i in sorted(noise, key=lambda t: rank[t]):
+        denser = rank[cpts] < rank[i]
+        cand_pts = cpts[denser] if denser.any() else cpts
+        cand_ids = cids[denser] if denser.any() else cids
+        labels[i] = cand_ids[np.argmin(sq[i, cand_pts])]
+
+
+def loop_assign_noise(sq, noise, labels, rank):
+    """Noise, densest first, copies the label of its nearest denser
+    labeled point, else of its nearest labeled point; points painted
+    earlier are labeled for the later ones."""
+    labels = np.array(labels)
+    for i in sorted(noise, key=lambda t: rank[t]):
+        labeled = np.where(labels >= 0)[0]
+        denser = labeled[rank[labeled] < rank[i]]
+        candidates = denser if len(denser) else labeled
+        labels[i] = labels[candidates[np.argmin(sq[i, candidates])]]
+    return labels

@@ -38,6 +38,12 @@ class TestRelabelContiguous:
         labels = np.array([0, 0, 1, 2, 1])
         np.testing.assert_array_equal(relabel_contiguous(labels), labels)
 
+    def test_float_labels_compare_by_value(self):
+        np.testing.assert_array_equal(relabel_contiguous([2.5, 2.5, 1.0]), [0, 0, 1])
+        np.testing.assert_array_equal(
+            relabel_contiguous(np.array([-1.0, 0.5, 3.0, 0.5])), [-1, 0, 1, 0]
+        )
+
 
 class TestDpc:
     def two_blobs(self):
@@ -53,6 +59,17 @@ class TestDpc:
         assert len(centers) == 2
         sel = (profile.rho >= 1.0) & (profile.delta >= 3.0)
         np.testing.assert_array_equal(centers, np.where(sel)[0])
+
+    def test_nan_threshold_rejected_infinite_kept(self):
+        profile = density_profile(cd_of(self.two_blobs()), 10)
+        with pytest.raises(ParameterError, match="rho_min must be a number, got nan"):
+            dpc_select_centers(profile, float("nan"), 3.0)
+        with pytest.raises(ParameterError, match="delta_min must be a number, got nan"):
+            dpc_select_centers(profile, 1.0, float("nan"))
+        everything = dpc_select_centers(profile, -np.inf, -np.inf)
+        np.testing.assert_array_equal(everything, np.arange(profile.n))
+        with pytest.raises(ParameterError, match="no centers selected"):
+            dpc_select_centers(profile, np.inf, 3.0)
 
     def test_select_centers_empty_rectangle(self):
         pts = self.two_blobs()
@@ -190,3 +207,10 @@ class TestSnnc:
             snnc(cd_of(pts), 0)
         with pytest.raises(ParameterError):
             snnc(cd_of(pts), 5)
+
+    def test_k_must_be_a_whole_count(self):
+        cd = cd_of(np.zeros((5, 2)) + np.arange(5)[:, None])
+        for bad in (2.5, float("nan"), 0):
+            with pytest.raises(ParameterError, match="k must be an integer >= 1"):
+                snnc(cd, bad)
+        assert len(snnc(cd, np.int64(2))) == 5

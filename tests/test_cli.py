@@ -218,6 +218,17 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "pct must be a finite number > 0, got %s" % bad in err
 
+    def test_nan_dpc_threshold_is_named(self, tmp_path, capsys):
+        for flag, name in (("--rho-min", "rho_min"), ("--delta-min", "delta_min")):
+            argv = {"--rho-min": "1", "--delta-min": "1", flag: "nan"}
+            code = run_cli("run", "--dataset", "flame", "--algorithm", "dpc",
+                           "--pct", "2", *[a for kv in argv.items() for a in kv],
+                           "--output-dir", str(tmp_path))
+            assert code == 3
+            err = capsys.readouterr().err
+            assert "%s must be a number, got nan" % name in err
+            assert "no centers selected" not in err
+
     def test_unknown_suite_is_usage_error(self, capsys):
         assert run_cli("bench", "--suite", "bogus") == 1
 

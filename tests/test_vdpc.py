@@ -28,7 +28,7 @@ from vdpc.vdpc import (
 )
 
 from conftest import BEST_PARAMS, random_points
-from oracles import euclidean, naive_snnc, same_partition
+from oracles import euclidean, loop_level_of, naive_snnc, same_partition
 
 
 def cd_of(points):
@@ -108,8 +108,13 @@ class TestComputeLevels:
 
 
 class TestLevelOf:
+    """The level ``partition_points`` gives each density value."""
+
     def levels(self):
         return compute_levels(np.array([1.0, 2.0, 8.0, 9.0]), num=10)
+
+    def level_of(self, *values):
+        return partition_points(np.array(values), self.levels()).tolist()
 
     def test_structure(self):
         levels = self.levels()
@@ -117,27 +122,26 @@ class TestLevelOf:
         assert levels.intervals == ((1.0, 2.0), (8.0, 9.0))
 
     def test_interval_membership_and_edges(self):
-        levels = self.levels()
-        assert levels.level_of(1.5) == 1
-        assert levels.level_of(2.0) == 1
-        assert levels.level_of(8.0) == 2
+        assert self.level_of(1.5, 2.0, 8.0) == [1, 1, 2]
+        # within _EDGE of an edge counts as inside, before the midpoint
+        # rule: here the gap (2e-13, 1e-12) is narrower than _EDGE
+        tiny = compute_levels(np.array([1e-13, 2e-13, 1e-12]), num=10)
+        assert tiny.intervals == ((1e-13, 2e-13), (1e-12, 1e-12))
+        assert partition_points(np.array([9e-13]), tiny).tolist() == [1]
 
     def test_gap_splits_at_midpoint(self):
-        levels = self.levels()  # gap (2, 8), midpoint 5
-        assert levels.level_of(4.9) == 1
-        assert levels.level_of(5.1) == 2
+        # gap (2, 8), midpoint 5: the midpoint itself goes up
+        assert self.level_of(4.9, 5.0, 5.1) == [1, 2, 2]
 
     def test_extremes_clamp(self):
-        levels = self.levels()
-        assert levels.level_of(0.1) == 1
-        assert levels.level_of(99.0) == 2
+        assert self.level_of(0.1, 99.0) == [1, 2]
 
     def test_partition_points_matches_level_of(self):
         levels = self.levels()
-        rho = np.array([0.5, 1.7, 4.0, 6.0, 8.5, 20.0])
+        rho = np.array([0.5, 1.7, 4.0, 5.0, 6.0, 8.5, 20.0, np.nan])
         np.testing.assert_array_equal(
             partition_points(rho, levels),
-            [levels.level_of(v) for v in rho],
+            [loop_level_of(levels.intervals, v) for v in rho],
         )
 
 
@@ -372,7 +376,7 @@ class TestVdpcRun:
         moved = set(result.boundary_points.tolist())
         for i in range(distances["compound"].n):
             if i not in moved:
-                assert result.point_level[i] == levels.level_of(rho[i])
+                assert result.point_level[i] == loop_level_of(levels.intervals, rho[i])
 
     def test_runs_share_one_profile_per_rank(self, datasets):
         cd = pairwise_distances(datasets["flame"])
