@@ -155,7 +155,17 @@ def _knn_sets(
     for a, b in _row_blocks(m, len(sq)):
         block = sq[points[a:b]]
         block[np.arange(b - a), points[a:b]] = np.inf  # self sorts last
-        cols[a:b] = np.argsort(block, axis=1, kind="stable")[:, :k]
+        # The k smallest by (distance, index): every value below the k-th,
+        # then the lowest-indexed values equal to it, up to k of them.
+        kth = np.partition(block, k - 1, axis=1)[:, k - 1 : k]
+        keep = block < kth
+        tied = block == kth
+        room = k - keep.sum(axis=1, keepdims=True)
+        keep |= tied & (np.cumsum(tied, axis=1) <= room)
+        near = np.nonzero(keep)[1].reshape(b - a, k)  # ascending index
+        by_dist = np.argsort(np.take_along_axis(block, near, axis=1), axis=1,
+                             kind="stable")
+        cols[a:b] = np.take_along_axis(near, by_dist, axis=1)
     return np.repeat(np.arange(m), k), cols.ravel()
 
 

@@ -4,12 +4,14 @@ A dataset is an (N, D) array of feature vectors with optional integer
 ground-truth labels.  Its Euclidean distances are held once, as a
 symmetric N-by-N float64 matrix filled by row blocks of ``cdist``, or
 read from a condensed upper-triangular vector.  Order statistics of the
-distances, such as the d_c percentile, are found by an exact blocked
-selection, never by sorting all N(N-1)/2 of them.  DBSCAN's strict
-ε-neighbourhoods come from a k-d tree over the coordinates when they are
-sparse, in O(pairs) memory, and from the matrix rows otherwise; the
-matrix decides every pair, so both give the same neighbours.  The level
-stages ask one question of a point set, its nearest member (``nearest``).
+distances, such as the d_c percentile, are found by an exact selection
+inside a bracket drawn from a fixed-seed sample, in one counting pass
+over row blocks as a rule, never by sorting all N(N-1)/2 of them.
+DBSCAN's strict ε-neighbourhoods come from a k-d tree over the
+coordinates when they are sparse, in O(pairs) memory, and from the
+matrix rows otherwise; the matrix decides every pair, so both give the
+same neighbours.  The level stages ask one question of a point set, its
+nearest member (``nearest``).
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ _BLOCK_CELLS = 1 << 18  # matrix cells per block in the row-block loops
 _SPARSE_SHARE = 32  # the k-d tree finds ε-neighbours up to m²/32 ordered pairs
 _TREE_MAX_DIM = 5  # and only up to 5 coordinates; past that the scan is faster
 _MARGIN = 1 + 2.0**-20  # tree radius over eps (see ``_tree_neighbors``)
-_BUCKETS = 1 << 16  # histogram buckets of ``kth_smallest``
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -209,27 +210,37 @@ class CondensedDistances:
     def kth_smallest(self, k: int) -> float:
         """Exact k-th smallest (1-based) of the n(n-1)/2 distances i < j.
 
-        A selection, not a sort: one pass over row blocks of the strict
-        upper triangle counts the distances per bucket of [0, max], a
-        second pass collects the one bucket that holds the k-th, and
-        ``np.partition`` finishes it.  Both passes bucket with the same
-        ``_bucket`` call, so no value can change bucket between them.
-        Ties only make that bucket larger.
+        A sampled selection, not a sort (Floyd and Rivest, 1975): the
+        sorted distances of about m^(2/3) pairs drawn with a fixed seed
+        give a bracket [lo, hi] around rank k (``_bracket``).  One pass
+        over row blocks of the strict upper triangle counts the distances
+        below lo and keeps those in [lo, hi], and ``np.partition``
+        finishes among them.  If the k-th distance is not in the bracket,
+        the bracket is widened fourfold and the pass repeated; it ends at
+        the whole triangle, so the answer is always exact and only the
+        time depends on the sample.
         """
         m = self.n * (self.n - 1) // 2
         if not 1 <= k <= m:
             raise IndexError("k=%d outside 1..%d" % (k, m))
         if self.max_distance == 0.0:
             return 0.0
-        scale = _BUCKETS / self.max_distance
-        counts = np.zeros(_BUCKETS + 1, dtype=np.int64)
-        for v in self._upper_blocks():
-            counts += np.bincount(_bucket(v, scale).ravel(), minlength=_BUCKETS + 1)
-        through = np.cumsum(counts)
-        b = int(np.searchsorted(through, k))  # first bucket reaching rank k
-        k -= int(through[b] - counts[b])
-        held = np.concatenate([v[_bucket(v, scale) == b] for v in self._upper_blocks()])
-        return float(np.partition(held, k - 1)[k - 1])
+        sample = _sample_distances(self.square, m)
+        width = 4.0
+        while True:
+            lo, hi = _bracket(sample, k, m, width)
+            below, parts = 0, []
+            for v in self._upper_blocks():
+                low = v < lo
+                below += int(np.count_nonzero(low))
+                inside = v <= hi
+                inside ^= low  # lo <= v <= hi, as v < lo implies v <= hi
+                parts.append(v[inside])
+            held = np.concatenate(parts)
+            j = k - below  # rank of the k-th among the held distances
+            if 1 <= j <= len(held):
+                return float(np.partition(held, j - 1)[j - 1])
+            width *= 4.0
 
     def _upper_blocks(self):
         """The strict upper triangle, by row blocks: the part of each block
@@ -247,10 +258,35 @@ def _row_blocks(rows: int, cols: int) -> list[tuple[int, int]]:
     return [(a, min(a + step, rows)) for a in range(0, rows, step)]
 
 
-def _bucket(v: np.ndarray, scale: float) -> np.ndarray:
-    """Histogram bucket of each distance, int(v * scale) with
-    scale = _BUCKETS / max: monotone in v, and at most _BUCKETS."""
-    return (v * scale).astype(np.intp)
+def _sample_size(m: int) -> int:
+    """Pairs drawn by ``_sample_distances`` out of m: about m^(2/3)."""
+    return math.ceil(m ** (2.0 / 3.0))
+
+
+def _sample_distances(sq: np.ndarray, m: int) -> np.ndarray:
+    """Sorted distances of S = ``_sample_size(m)`` pairs i < j of the
+    matrix, drawn with replacement by a fixed-seed local generator; empty
+    when m <= 4S, where a bracket could not save a pass."""
+    s = _sample_size(m)
+    if m <= 4 * s:
+        return np.empty(0)
+    rng = np.random.default_rng(0)
+    i = rng.integers(0, len(sq), s)
+    j = rng.integers(0, len(sq) - 1, s)
+    j += j >= i  # any other point, uniformly
+    return np.sort(sq[i, j])
+
+
+def _bracket(sample: np.ndarray, k: int, m: int, width: float) -> tuple[float, float]:
+    """Values at sample ranks r -/+ width*sqrt(S), r = (k - 1/2)/m * S, the
+    expected place of the k-th of m distances in the sorted sample of S;
+    -inf or +inf where a rank falls outside the sample."""
+    s = len(sample)
+    r, w = (k - 0.5) / m * s, width * math.sqrt(s)
+    a, b = math.floor(r - w), math.ceil(r + w)
+    lo = float(sample[a]) if 0 <= a < s else -math.inf
+    hi = float(sample[b]) if b < s else math.inf
+    return lo, hi
 
 
 def _checked_max(v: np.ndarray) -> float:
@@ -303,9 +339,13 @@ def pairwise_distances(ds: Dataset) -> CondensedDistances:
     for a, b in _row_blocks(n, n):
         cdist(pts[a:b], pts, out=sq[a:b])
         if s != 1.0:
-            with np.errstate(over="ignore"):  # _checked_max reports it
+            with np.errstate(over="ignore"):  # reported just below
                 sq[a:b] *= 1.0 / s
-        top = max(top, _checked_max(sq[a:b]))
+        # Distances of finite coordinates are never NaN or negative, but
+        # the 1/s rescale can overflow to +inf.
+        top = max(top, float(sq[a:b].max()))
+        if not math.isfinite(top):
+            raise DataError("distances contain non-finite values")
     cd = CondensedDistances.__new__(CondensedDistances)
     cd._hold(sq, top, pts, s)
     return cd

@@ -106,19 +106,18 @@ def delta_and_neighbors(
     sq = cd.square
     order = np.lexsort((np.arange(n), -np.asarray(rho)))
     delta = np.empty(n, dtype=np.float64)
-    nneigh = np.full(n, -1, dtype=np.int64)
+    nneigh = np.empty(n, dtype=np.int64)
     best_dist = np.full(n, np.inf)
     best_idx = np.full(n, -1, dtype=np.int64)
-    delta[order[0]] = cd.max_distance
-    for pos in range(n):
-        i = order[pos]
-        if pos > 0:
-            delta[i] = best_dist[i]
-            nneigh[i] = best_idx[i]
+    improved = np.empty(n, dtype=bool)
+    for i in order.tolist():
+        delta[i] = best_dist[i]
+        nneigh[i] = best_idx[i]
         row = sq[i]
-        improved = row < best_dist
-        best_dist[improved] = row[improved]
-        best_idx[improved] = i
+        np.less(row, best_dist, out=improved)
+        np.copyto(best_dist, row, where=improved)
+        np.copyto(best_idx, i, where=improved)
+    delta[order[0]] = cd.max_distance  # nneigh stays -1 there
     return delta, nneigh, order
 
 

@@ -224,6 +224,23 @@ def loop_relabel_contiguous(labels) -> list[int]:
     return out
 
 
+def loop_delta_and_neighbors(sq, rho, max_distance: float):
+    """(delta, nneigh, order): the total order is descending rho, ties by
+    ascending index; each point takes the nearest point ranked before it,
+    ties to the earliest in the order, and the first point takes
+    ``max_distance`` and no neighbour (-1)."""
+    n = len(rho)
+    order = sorted(range(n), key=lambda i: (-rho[i], i))
+    delta, nneigh = [0.0] * n, [-1] * n
+    delta[order[0]] = max_distance
+    for pos in range(1, n):
+        i = order[pos]
+        for j in order[:pos]:
+            if nneigh[i] < 0 or sq[i][j] < delta[i]:
+                delta[i], nneigh[i] = sq[i][j], j
+    return delta, nneigh, order
+
+
 def loop_dpc_assign(order, nneigh, centers) -> list[int]:
     """Centers numbered in ascending index order; every other point, in
     the total order, copies its nearest denser neighbor's label."""

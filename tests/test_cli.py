@@ -205,6 +205,13 @@ class TestExitCodes:
         assert run_cli("run", "--dataset", str(bad), "--pct", "2",
                        "--delta-t", "1", "--output-dir", str(tmp_path)) == 2
 
+    def test_overflowing_distances_are_a_data_error(self, tmp_path, capsys):
+        csv = tmp_path / "far.csv"
+        csv.write_text("-1e308,0\n1e308,0\n0,1\n")
+        assert run_cli("run", "--dataset", str(csv), "--pct", "2",
+                       "--delta-t", "1", "--output-dir", str(tmp_path)) == 2
+        assert "distances contain non-finite values" in capsys.readouterr().err
+
     def test_pipeline_error(self, tmp_path, capsys):
         code = run_cli("run", "--dataset", "flame", "--pct", "5",
                        "--delta-t", "1e9", "--output-dir", str(tmp_path))

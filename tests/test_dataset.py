@@ -348,6 +348,13 @@ class TestPowerOfTwoScale:
         assert np.count_nonzero(cd.square) == np.count_nonzero(
             pairwise_distances(ds).square)
 
+    def test_overflowing_distances_are_a_data_error(self):
+        # The coordinates are finite, but the distance between the first
+        # two is 2e308, which overflows once the rescale is undone.
+        pts = np.array([[-1e308, 0.0], [1e308, 0.0], [0.0, 1.0]])
+        with pytest.raises(DataError, match="^distances contain non-finite values$"):
+            pairwise_distances(Dataset(points=pts))
+
     def test_ordinary_coordinates_are_not_scaled(self):
         for big in (2.0 ** -256, 1.0, 2.0 ** 256):
             pts = np.array([[0.0, 0.0], [big, big / 2]])

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -79,15 +80,15 @@ def cutoff_cases(datasets):
 
 class TestCutoffSelection:
     """cutoff_distance against the sort-based oracle, bit for bit, with the
-    default blocks (one block for these sizes) and with blocks of a few
-    rows and four buckets, which put the values of a tie-heavy set into a
-    few shared buckets."""
+    default blocks and sample (one block for these sizes) and with blocks
+    of a few rows and a sample of m/5 pairs, which draws a sample and a
+    bracket even for the sets of a few points."""
 
     @pytest.mark.parametrize("blocks", ["default", "small"])
     def test_equals_sorted_oracle(self, datasets, monkeypatch, blocks):
         if blocks == "small":
             monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 3000)
-            monkeypatch.setattr(vdpc.dataset, "_BUCKETS", 4)
+            monkeypatch.setattr(vdpc.dataset, "_sample_size", lambda m: max(1, m // 5))
         for name, pts in cutoff_cases(datasets):
             cd = pairwise_distances(Dataset(points=pts))
             ordered = sorted(pdist(pts).tolist())
@@ -96,6 +97,47 @@ class TestCutoffSelection:
                 got = cutoff_distance(cd, pct)
                 assert got == naive_cutoff(ordered, pct), (name, pct)
             assert cutoff_distance(cd, 100 / m) == ordered[0]
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_missed_bracket_is_widened(self, datasets, monkeypatch, side):
+        # The first bracket holds only the smallest or only the largest
+        # sampled distance, so the k-th is outside it and a second pass
+        # with a fourfold wider bracket has to find it.
+        bracket, widths = vdpc.dataset._bracket, []
+
+        def narrow_first(sample, k, m, width):
+            widths.append(width)
+            if len(widths) == 1:
+                x = sample[0] if side == "below" else sample[-1]
+                return float(x), float(x)
+            return bracket(sample, k, m, width)
+
+        monkeypatch.setattr(vdpc.dataset, "_bracket", narrow_first)
+        pts = datasets["flame"].points
+        cd = pairwise_distances(Dataset(points=pts))
+        ordered = sorted(pdist(pts).tolist())
+        assert cutoff_distance(cd, 50) == naive_cutoff(ordered, 50)
+        assert widths == [4.0, 16.0]
+
+    @pytest.mark.parametrize("ends", ["both", "lower", "upper"])
+    def test_bracket_ending_at_the_kth_holds_it(self, monkeypatch, ends):
+        # On a grid the median distance is shared by many pairs; a bracket
+        # with an end at that value holds all of them, so one pass does.
+        pts = np.array([(x, y) for x in range(12) for y in range(12)], dtype=float)
+        ordered = sorted(pdist(pts).tolist())
+        k = len(ordered) // 2
+        kth = ordered[k - 1]
+        ends = {"both": (kth, kth), "lower": (kth, math.inf),
+                "upper": (-math.inf, kth)}[ends]
+        widths = []
+
+        def fixed(sample, k, m, width):
+            widths.append(width)
+            return ends if len(widths) == 1 else (-math.inf, math.inf)
+
+        monkeypatch.setattr(vdpc.dataset, "_bracket", fixed)
+        assert pairwise_distances(Dataset(points=pts)).kth_smallest(k) == kth
+        assert widths == [4.0]
 
 
 class TestLocalDensity:

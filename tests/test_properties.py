@@ -1,4 +1,5 @@
-"""The array forms of the level stages against their per-point loops.
+"""The array forms of the level stages and of the density layer's δ and
+d_c selection against their per-point loops and a full sort.
 
 Inputs are tie-heavy on purpose: points on a small integer grid (so many
 distances are equal and many points coincide) and densities drawn from a
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import vdpc.dataset
 from vdpc import (
     Dataset,
     DensityProfile,
@@ -32,6 +34,7 @@ from vdpc.vdpc import (
 from oracles import (
     loop_assign_noise,
     loop_compute_levels,
+    loop_delta_and_neighbors,
     loop_dpc_assign,
     loop_knn_sets,
     loop_level_of,
@@ -75,6 +78,28 @@ def profile_of(rho, nneigh=None):
        | st.lists(st.sampled_from([-1.0, 0.5, 1.0, 2.5]), max_size=12))
 def test_relabel_contiguous(labels):
     assert relabel_contiguous(labels).tolist() == loop_relabel_contiguous(labels)
+
+
+# the default sample, and one of m/5 pairs, which brackets even small sets
+@pytest.mark.parametrize("sample_size", [None, lambda m: max(1, m // 5)],
+                         ids=["default", "fifth"])
+@given(st.data())
+def test_kth_smallest(sample_size, data):
+    cd, _, _ = data.draw(grid(max_points=24))
+    ordered = np.sort(cd.square[np.triu_indices(cd.n, 1)]).tolist()
+    with pytest.MonkeyPatch.context() as mp:
+        if sample_size is not None:
+            mp.setattr(vdpc.dataset, "_sample_size", sample_size)
+        got = [cd.kth_smallest(k) for k in range(1, len(ordered) + 1)]
+    assert got == ordered
+
+
+@given(st.data())
+def test_delta_and_neighbors(data):
+    cd, rho, _ = data.draw(grid())
+    delta, nneigh, order = delta_and_neighbors(cd, rho)
+    want = loop_delta_and_neighbors(cd.square.tolist(), rho.tolist(), cd.max_distance)
+    assert (delta.tolist(), nneigh.tolist(), order.tolist()) == want
 
 
 @given(st.data())
