@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .dataset import CondensedDistances, _row_blocks
+from .dataset import CondensedDistances
 from .density import DensityProfile
 from .errors import ParameterError, StageError, _check_count, _check_positive
 
@@ -145,16 +145,13 @@ def dbscan(cd: CondensedDistances, params: DbscanParams) -> np.ndarray:
     return _dbscan_labels(cd, np.arange(cd.n), params.eps, params.minpts)
 
 
-def _knn_sets(
-    sq: np.ndarray, points: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column arrays of the k nearest neighbors of each query point,
-    excluding the point itself, distance ties broken by ascending index."""
-    m = len(points)
-    cols = np.empty((m, k), dtype=np.int64)
-    for a, b in _row_blocks(m, len(sq)):
-        block = sq[points[a:b]]
-        block[np.arange(b - a), points[a:b]] = np.inf  # self sorts last
+def _knn_sets(cd: CondensedDistances, points: np.ndarray, k: int) -> np.ndarray:
+    """The k nearest neighbors of each query point, self excluded and
+    distance ties broken by ascending index; each row of the (m, k)
+    result lists them in ascending index order."""
+    cols = np.empty((len(points), k), dtype=np.int64)
+    for r, block in cd.blocks(points):
+        block[np.arange(len(block)), points[r]] = np.inf  # self ranks last
         # The k smallest by (distance, index): every value below the k-th,
         # then the lowest-indexed values equal to it, up to k of them.
         kth = np.partition(block, k - 1, axis=1)[:, k - 1 : k]
@@ -162,29 +159,23 @@ def _knn_sets(
         tied = block == kth
         room = k - keep.sum(axis=1, keepdims=True)
         keep |= tied & (np.cumsum(tied, axis=1) <= room)
-        near = np.nonzero(keep)[1].reshape(b - a, k)  # ascending index
-        by_dist = np.argsort(np.take_along_axis(block, near, axis=1), axis=1,
-                             kind="stable")
-        cols[a:b] = np.take_along_axis(near, by_dist, axis=1)
-    return np.repeat(np.arange(m), k), cols.ravel()
+        cols[r] = np.nonzero(keep)[1].reshape(-1, k)
+    return cols
 
 
 def _shared_neighbor_components(
-    sq: np.ndarray, points: np.ndarray, k: int
+    cd: CondensedDistances, points: np.ndarray, k: int
 ) -> np.ndarray:
     """Connected components of the graph joining points that share more
     than one of their k nearest neighbors; returns per-point component ids."""
     m = len(points)
-    if m == 1:
-        return np.zeros(1, dtype=np.int64)
-    rows, cols = _knn_sets(sq, points, k)
     member = csr_matrix(
-        (np.ones(len(rows), dtype=np.int64), (rows, cols)),
-        shape=(m, sq.shape[0]),
+        (np.ones(m * k, dtype=np.int64), _knn_sets(cd, points, k).ravel(),
+         np.arange(0, m * k + 1, k)),
+        shape=(m, cd.n),
     )
     shared = member @ member.T  # shared-neighbor counts between queries
-    adjacency = shared > 1
-    _, comp = connected_components(adjacency, directed=False)
+    _, comp = connected_components(shared > 1, directed=False)
     return comp
 
 
@@ -199,5 +190,5 @@ def snnc(cd: CondensedDistances, k: int) -> np.ndarray:
     _check_count("k", k)
     if not 1 <= k <= n - 1:
         raise ParameterError("k must be in [1, %d], got %d" % (n - 1, k))
-    comp = _shared_neighbor_components(cd.square, np.arange(n), k)
+    comp = _shared_neighbor_components(cd, np.arange(n), k)
     return relabel_contiguous(comp)

@@ -35,15 +35,7 @@ from .dataset import Dataset, load_points_csv, pairwise_distances
 from .density import _shared_profile, decision_graph, density_profile
 from .errors import DataError, VdpcError
 from .metrics import adjusted_rand_index, normalized_mutual_information
-from .vdpc import (
-    COMBOS,
-    EPS_RULES,
-    K_RULES,
-    LEVEL_ASSIGNMENTS,
-    AblationOptions,
-    VdpcParams,
-    vdpc_run,
-)
+from .vdpc import ABLATION_CHOICES, AblationOptions, VdpcParams, vdpc_run
 
 __all__ = ["main"]
 
@@ -435,11 +427,9 @@ def _add_common_output(p: _Parser) -> None:
 
 
 def _add_ablation_args(p: _Parser) -> None:
-    p.add_argument("--k-rule", choices=K_RULES, default="sqrt")
-    p.add_argument("--eps-rule", choices=EPS_RULES, default="sqrt")
-    p.add_argument("--combo", choices=COMBOS, default="snnc+dbscan")
-    p.add_argument("--level-assignment", choices=LEVEL_ASSIGNMENTS,
-                   default="inherit")
+    for f in dataclasses.fields(AblationOptions):
+        p.add_argument("--" + f.name.replace("_", "-"),
+                       choices=ABLATION_CHOICES[f.name], default=f.default)
 
 
 def build_parser() -> _Parser:

@@ -3,15 +3,16 @@
 A dataset is an (N, D) array of feature vectors with optional integer
 ground-truth labels.  Its Euclidean distances are held once, as a
 symmetric N-by-N float64 matrix filled by row blocks of ``cdist``, or
-read from a condensed upper-triangular vector.  Order statistics of the
-distances, such as the d_c percentile, are found by an exact selection
-inside a bracket drawn from a fixed-seed sample, in one counting pass
-over row blocks as a rule, never by sorting all N(N-1)/2 of them.
-DBSCAN's strict ε-neighbourhoods come from a k-d tree over the
-coordinates when they are sparse, in O(pairs) memory, and from the
-matrix rows otherwise; the matrix decides every pair, so both give the
-same neighbours.  The level stages ask one question of a point set, its
-nearest member (``nearest``).
+read from a condensed upper-triangular vector.  Stages read it through
+``CondensedDistances`` in three shapes: row blocks from the one block
+reader, ``blocks`` (the d_c selection, ρ, the aSNNC neighbour sets);
+the nearest member of a point set (``nearest``, for the level stages);
+and DBSCAN's strict ε-neighbourhoods (``eps_neighbors``), from a k-d
+tree over the coordinates when they are sparse, in O(pairs) memory,
+else from the matrix rows, which decide every pair either way.  The d_c
+percentile comes from an exact selection inside a bracket drawn from a
+fixed-seed sample, in one counting pass over row blocks as a rule,
+never from sorting all N(N-1)/2 distances.
 """
 
 from __future__ import annotations
@@ -179,13 +180,29 @@ class CondensedDistances:
         )
 
     def _matrix_neighbors(self, pts: np.ndarray, eps: float) -> EpsNeighbors:
-        sq, m = self.square, len(pts)
-        counts = np.empty(m, dtype=np.int64)
-        for a, b in _row_blocks(m, m):
-            counts[a:b] = (sq[pts[a:b, None], pts] < eps).sum(axis=1)
+        sq, counts = self.square, np.empty(len(pts), dtype=np.int64)
+        for r, block in self.blocks(pts, pts):
+            counts[r] = (block < eps).sum(axis=1)
         return EpsNeighbors(
             counts, lambda i: np.flatnonzero(sq[pts[i], pts] < eps), "matrix"
         )
+
+    def blocks(self, rows: np.ndarray | None = None, cols: np.ndarray | None = None):
+        """The matrix by row blocks of at most ``_BLOCK_CELLS`` cells (one
+        row at least): ``(r, block)`` for consecutive slices r of ``rows``,
+        ``block`` being ``square[rows[r]]`` restricted to ``cols``; all
+        rows and columns by default.  With no arguments a block is a
+        read-only view of the matrix, else one fancy-index copy that the
+        caller may overwrite."""
+        sq = self.square
+        size = self.n if rows is None else len(rows)
+        step = max(1, _BLOCK_CELLS // max(self.n if cols is None else len(cols), 1))
+        for a in range(0, size, step):
+            r = slice(a, min(a + step, size))
+            if rows is None:
+                yield r, sq[r] if cols is None else sq[r, cols]
+            else:
+                yield r, sq[rows[r]] if cols is None else sq[rows[r, None], cols]
 
     def nearest(
         self, rows: np.ndarray, cols: np.ndarray, rank: np.ndarray | None = None
@@ -199,12 +216,11 @@ class CondensedDistances:
         """
         rows, cols = np.asarray(rows), np.asarray(cols)
         out = np.empty(len(rows), dtype=np.intp)
-        for a, b in _row_blocks(len(rows), len(cols)):
-            block = self.square[rows[a:b, None], cols]
+        for r, block in self.blocks(rows, cols):
             if rank is not None:
-                later = rank[cols] >= rank[rows[a:b, None]]
+                later = rank[cols] >= rank[rows[r, None]]
                 block[later & ~later.all(axis=1, keepdims=True)] = np.inf
-            out[a:b] = block.argmin(axis=1)  # the first of equal minima
+            out[r] = block.argmin(axis=1)  # the first of equal minima
         return out
 
     def kth_smallest(self, k: int) -> float:
@@ -214,48 +230,48 @@ class CondensedDistances:
         sorted distances of about m^(2/3) pairs drawn with a fixed seed
         give a bracket [lo, hi] around rank k (``_bracket``).  One pass
         over row blocks of the strict upper triangle counts the distances
-        below lo and keeps those in [lo, hi], and ``np.partition``
-        finishes among them.  If the k-th distance is not in the bracket,
-        the bracket is widened fourfold and the pass repeated; it ends at
-        the whole triangle, so the answer is always exact and only the
-        time depends on the sample.
+        below lo, equal to lo and equal to hi, and keeps those strictly
+        between, so a bracket end shared by many pairs costs no memory;
+        ``np.partition`` finishes among the kept ones.  If the k-th
+        distance is not in the bracket, the bracket is widened fourfold
+        and the pass repeated; it ends at the whole triangle, so the
+        answer is always exact and only the time depends on the sample.
         """
         m = self.n * (self.n - 1) // 2
         if not 1 <= k <= m:
             raise IndexError("k=%d outside 1..%d" % (k, m))
-        if self.max_distance == 0.0:
-            return 0.0
         sample = _sample_distances(self.square, m)
         width = 4.0
         while True:
             lo, hi = _bracket(sample, k, m, width)
-            below, parts = 0, []
+            below = at_lo = at_hi = 0
+            parts = []
             for v in self._upper_blocks():
                 low = v < lo
                 below += int(np.count_nonzero(low))
                 inside = v <= hi
                 inside ^= low  # lo <= v <= hi, as v < lo implies v <= hi
-                parts.append(v[inside])
+                v = v[inside]
+                at_lo += int(np.count_nonzero(v == lo))
+                at_hi += int(np.count_nonzero(v == hi)) if hi != lo else 0
+                parts.append(v[(lo < v) & (v < hi)])
             held = np.concatenate(parts)
-            j = k - below  # rank of the k-th among the held distances
+            j = k - below  # rank of the k-th among the distances in [lo, hi]
+            if 1 <= j <= at_lo:
+                return lo
+            j -= at_lo  # its rank among the held ones, strictly inside
             if 1 <= j <= len(held):
                 return float(np.partition(held, j - 1)[j - 1])
+            if 1 <= j - len(held) <= at_hi:
+                return hi
             width *= 4.0
 
     def _upper_blocks(self):
         """The strict upper triangle, by row blocks: the part of each block
         right of its diagonal square, then the triangle inside that square."""
-        sq = self.square
-        for a, b in _row_blocks(self.n, self.n):
-            yield sq[a:b, b:]
-            yield sq[a:b, a:b][~np.tri(b - a, dtype=bool)]
-
-
-def _row_blocks(rows: int, cols: int) -> list[tuple[int, int]]:
-    """(start, stop) row ranges of at most ``_BLOCK_CELLS`` cells (one row
-    at least) covering ``rows`` rows of ``cols`` columns."""
-    step = max(1, _BLOCK_CELLS // max(cols, 1))
-    return [(a, min(a + step, rows)) for a in range(0, rows, step)]
+        for r, block in self.blocks():
+            yield block[:, r.stop :]
+            yield block[:, r][~np.tri(r.stop - r.start, dtype=bool)]
 
 
 def _sample_size(m: int) -> int:
@@ -336,7 +352,9 @@ def pairwise_distances(ds: Dataset) -> CondensedDistances:
     pts = ds.points if s == 1.0 else _readonly(ds.points * s)
     sq = np.empty((n, n))
     top = 0.0
-    for a, b in _row_blocks(n, n):
+    step = max(1, _BLOCK_CELLS // n)  # as in ``CondensedDistances.blocks``
+    for a in range(0, n, step):
+        b = min(a + step, n)
         cdist(pts[a:b], pts, out=sq[a:b])
         if s != 1.0:
             with np.errstate(over="ignore"):  # reported just below
@@ -384,19 +402,17 @@ def load_points_csv(
                     f"got {len(cells)}"
                 )
             try:
-                rows.append([float(c) for c in cells])
+                row = [float(c) for c in cells]
             except ValueError:
                 raise DataError(
                     f"{path}: line {lineno}: non-numeric cell"
                 ) from None
+            if not all(map(math.isfinite, row)):
+                raise DataError(f"{path}: line {lineno}: non-finite value")
+            rows.append(row)
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 data rows, got {len(rows)}")
     arr = np.asarray(rows, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.where(~np.isfinite(arr).all(axis=1))[0][0])
-        raise DataError(
-            f"{path}: line {bad + 1 + int(has_header)}: non-finite value"
-        )
     gt = None
     if label_column is not None:
         col = label_column if label_column >= 0 else arr.shape[1] + label_column

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CondensedDistances, _readonly, _row_blocks
+from .dataset import CondensedDistances, _readonly
 from .errors import ParameterError, _check_positive
 
 __all__ = [
@@ -77,16 +77,14 @@ def local_density(cd: CondensedDistances, d_c: float) -> np.ndarray:
     """Gaussian-kernel local density, self excluded, ascending-j order."""
     if d_c <= 0:
         raise ParameterError("d_c must be > 0 (degenerate kernel)")
-    sq = cd.square
-    n = cd.n
-    rho = np.empty(n, dtype=np.float64)
+    rho = np.empty(cd.n, dtype=np.float64)
     inv = 1.0 / d_c
-    for a, b in _row_blocks(n, n):
-        block = sq[a:b] * inv
+    for r, view in cd.blocks():
+        block = view * inv
         np.square(block, out=block)
         np.negative(block, out=block)
         np.exp(block, out=block)
-        rho[a:b] = block.sum(axis=1) - 1.0  # remove the self term exp(0)
+        rho[r] = block.sum(axis=1) - 1.0  # remove the self term exp(0)
     return rho
 
 
@@ -125,7 +123,7 @@ def _zero_cutoff_message(cd: CondensedDistances, pct: float) -> str:
     """Why d_c is 0 at ``pct``, and the smallest pct (four digits, rounded
     up) whose cut-off rank passes all the zero distances."""
     n, m = cd.n, cd.n * (cd.n - 1) // 2
-    zeros = (sum(int(np.count_nonzero(cd.square[a:b] == 0)) for a, b in _row_blocks(n, n)) - n) // 2
+    zeros = (sum(int(np.count_nonzero(block == 0)) for _, block in cd.blocks()) - n) // 2
     if zeros == m:
         return "d_c is 0: every pairwise distance is zero"
     start = 100.0 * (zeros + 0.5) / m  # rank zeros + 1 begins here

@@ -53,10 +53,12 @@ log = logging.getLogger("vdpc")
 
 _EDGE = 1e-12  # tolerance for density values sitting on interval edges
 
-K_RULES = ("sqrt", "ln")
-EPS_RULES = ("sqrt", "ln")
-COMBOS = ("snnc+dbscan", "snnc+snnc", "dbscan+dbscan", "dbscan+snnc")
-LEVEL_ASSIGNMENTS = ("inherit", "midpoint")
+ABLATION_CHOICES = {  # the allowed values of each ``AblationOptions`` field
+    "k_rule": ("sqrt", "ln"),
+    "eps_rule": ("sqrt", "ln"),
+    "combo": ("snnc+dbscan", "snnc+snnc", "dbscan+dbscan", "dbscan+snnc"),
+    "level_assignment": ("inherit", "midpoint"),
+}
 
 
 @dataclass(frozen=True)
@@ -83,9 +85,7 @@ class AblationOptions:
     level_assignment: str = "inherit"
 
     def __post_init__(self):
-        for name, choices in (("k_rule", K_RULES), ("eps_rule", EPS_RULES),
-                              ("combo", COMBOS),
-                              ("level_assignment", LEVEL_ASSIGNMENTS)):
+        for name, choices in ABLATION_CHOICES.items():
             if getattr(self, name) not in choices:
                 raise ParameterError("%s must be one of %s" % (name, choices))
 
@@ -211,7 +211,7 @@ def asnnc(
     if m == 0:
         return []
     k = min(_rule_count(m, k_rule), cd.n - 1)
-    comp = _shared_neighbor_components(cd.square, low_points, k)
+    comp = _shared_neighbor_components(cd, low_points, k)
     return [low_points[comp == c] for c in range(comp.max() + 1)]
 
 

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +80,14 @@ class TestLoadPointsCsv:
         with pytest.raises(DataError):
             load_points_csv(write(tmp_path, "0,0\nnan,1\n"))
 
+    @pytest.mark.parametrize("header", ["x,y\n", ""])
+    def test_non_finite_reports_its_line(self, tmp_path, header):
+        # blank lines before the bad row still count as lines
+        path = write(tmp_path, header + "0,0\n\n\n1,1\n2,inf\n")
+        line = 5 + bool(header)
+        with pytest.raises(DataError, match="line %d: non-finite value" % line):
+            load_points_csv(path, has_header=bool(header))
+
     def test_arrays_are_readonly(self, tmp_path):
         ds = load_points_csv(write(tmp_path, "0,0\n1,1\n"))
         with pytest.raises(ValueError):
@@ -122,6 +132,60 @@ class TestCondensedDistances:
             CondensedDistances(n=3, d=np.array([1.0, -2.0, 1.0]))
         with pytest.raises(DataError):
             CondensedDistances(n=3, d=np.array([1.0, np.nan, 1.0]))
+
+
+class TestBlocks:
+    """``CondensedDistances.blocks`` against direct indexing of ``square``."""
+
+    @pytest.mark.parametrize("block_cells", [1, 3000])
+    def test_blocks_join_into_direct_indexing(self, monkeypatch, block_cells):
+        monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(5)
+        cd = pairwise_distances(Dataset(points=rng.normal(size=(150, 2))))
+        sq = cd.square
+        rows, cols = rng.permutation(150)[:100], rng.permutation(150)[:40]
+        for args, want in (((), sq), ((rows,), sq[rows]),
+                           ((rows, cols), sq[np.ix_(rows, cols)])):
+            parts = list(cd.blocks(*args))
+            step = max(1, block_cells // want.shape[1])  # as many rows as fit
+            assert [(r.start, r.stop) for r, _ in parts] == [
+                (a, min(a + step, len(want))) for a in range(0, len(want), step)]
+            for r, block in parts:
+                assert len(block) == 1 or block.size <= block_cells
+                assert block.shape == (r.stop - r.start, want.shape[1])
+            assert np.concatenate([b for _, b in parts]).tobytes() == want.tobytes()
+        assert list(cd.blocks(rows[:0])) == []
+        assert list(cd.blocks(rows[:0], cols)) == []
+
+    def test_only_row_selections_may_be_written(self):
+        rng = np.random.default_rng(6)
+        cd = pairwise_distances(Dataset(points=rng.normal(size=(20, 2))))
+        before = cd.square.copy()
+        for _, block in cd.blocks():
+            assert np.shares_memory(block, cd.square)
+            with pytest.raises(ValueError):
+                block[0, 0] = -1.0
+        rows = np.array([3, 0, 7])
+        for args in ((rows,), (rows, rows)):
+            for _, block in cd.blocks(*args):
+                block[...] = -1.0
+        assert cd.square.tobytes() == before.tobytes()
+
+
+def test_private_dataset_names_stay_in_dataset():
+    # The matrix layout and its row-block rule are ``dataset``'s to know;
+    # other modules read the distances through ``CondensedDistances``.
+    leaks = []
+    for path in sorted(Path(vdpc.dataset.__file__).parent.glob("*.py")):
+        if path.name == "dataset.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                "dataset", "vdpc.dataset"
+            ):
+                leaks += [(path.name, a.name) for a in node.names
+                          if a.name.startswith("_") and a.name != "_readonly"]
+    assert leaks == []
 
 
 class TestDistanceMatrix:

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,49 @@ class TestCutoffSelection:
         monkeypatch.setattr(vdpc.dataset, "_bracket", fixed)
         assert pairwise_distances(Dataset(points=pts)).kth_smallest(k) == kth
         assert widths == [4.0]
+
+
+    @pytest.mark.parametrize("sites", [1, 2], ids=["all-zero", "two-site"])
+    def test_tied_bracket_ends_equal_sorted_oracle(self, monkeypatch, sites):
+        # Every bracket whose ends are distance values or -/+inf, at every
+        # rank: the k-th may equal lo, hi, or both when lo == hi.  A
+        # bracket that holds the k-th finds it in one pass.
+        pts = np.repeat([[0.0, 0.0], [3.0, 4.0]][:sites], 6, axis=0)
+        cd = pairwise_distances(Dataset(points=pts))
+        ordered = sorted(pdist(pts).tolist())
+        ends = [-math.inf, *sorted(set(ordered)), math.inf]
+        bracket = vdpc.dataset._bracket
+        for lo, hi in ((a, b) for a in ends for b in ends if a <= b):
+            for k in range(1, len(ordered) + 1):
+                widths = []
+
+                def fixed(sample, k, m, width):
+                    widths.append(width)
+                    first = len(widths) == 1
+                    return (lo, hi) if first else bracket(sample, k, m, width)
+
+                monkeypatch.setattr(vdpc.dataset, "_bracket", fixed)
+                kth = ordered[k - 1]
+                assert cd.kth_smallest(k) == kth, (lo, hi, k)
+                assert (widths == [4.0]) == (lo <= kth <= hi), (lo, hi, k)
+
+    def test_tied_bracket_ends_are_counted_not_held(self):
+        # 3,000 points at two sites: about half of the distances are 0 and
+        # half are 5, so the sampled bracket ends on a value shared by
+        # millions of pairs, which must be counted, not copied (the
+        # matrix is 72 MB).
+        pts = np.repeat([[0.0, 0.0], [3.0, 4.0]], 1500, axis=0)
+        cd = pairwise_distances(Dataset(points=pts))
+        m, zeros = 3000 * 2999 // 2, 1500 * 1499
+        tracemalloc.start()
+        try:
+            got = [cd.kth_smallest(k)
+                   for k in (1, zeros, zeros + 1, round(0.6 * m), m)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == [0.0, 0.0, 5.0, 5.0, 5.0]
+        assert peak < 5e6
 
 
 class TestLocalDensity:
