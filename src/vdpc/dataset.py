@@ -3,16 +3,16 @@
 A dataset is an (N, D) array of feature vectors with optional integer
 ground-truth labels.  Its Euclidean distances are held once, as a
 symmetric N-by-N float64 matrix filled by row blocks of ``cdist``, or
-read from a condensed upper-triangular vector.  Stages read it through
-``CondensedDistances`` in three shapes: row blocks from the one block
-reader, ``blocks`` (the d_c selection, ρ, the aSNNC neighbour sets);
-the nearest member of a point set (``nearest``, for the level stages);
-and DBSCAN's strict ε-neighbourhoods (``eps_neighbors``), from a k-d
-tree over the coordinates when they are sparse, in O(pairs) memory,
-else from the matrix rows, which decide every pair either way.  The d_c
-percentile comes from an exact selection inside a bracket drawn from a
-fixed-seed sample, in one counting pass over row blocks as a rule,
-never from sorting all N(N-1)/2 distances.
+read from a condensed upper-triangular vector.  The matrix is private
+to ``CondensedDistances``, read through four methods: row blocks
+(``blocks``: d_c, ρ, aSNNC); one point's row (``row``: δ, aDBSCAN's
+Eps and MinPts); a point's nearest member of a set (``nearest``); and
+DBSCAN's strict ε-neighbourhoods (``eps_neighbors``), from a k-d tree
+over sparse coordinates, in O(pairs) memory, else from the matrix
+rows, which decide every pair either way.  The d_c percentile comes
+from an exact selection inside a bracket drawn from a fixed-seed
+sample, in one counting pass over row blocks as a rule, never from
+sorting all N(N-1)/2 distances.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ class Dataset:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2:
             raise DataError("points must be a 2-D array of feature vectors")
+        if pts.shape[1] == 0:
+            raise DataError("points need at least one coordinate")
         if len(pts) < 2:
             raise DataError("a dataset needs at least 2 points")
         if not np.all(np.isfinite(pts)):
@@ -98,11 +100,11 @@ class CondensedDistances:
     """Pairwise Euclidean distances of ``n`` points.
 
     The constructor takes the condensed form ``d``: dist(i, j) for i < j
-    at index i*n - i*(i+1)/2 + (j-i-1).  ``square`` is the one stored
-    copy, the symmetric n-by-n matrix with a zero diagonal.  ``points``
-    holds the coordinates the matrix was computed from, times the exact
-    power of two ``scale`` (see ``pairwise_distances``), or None when
-    the distances were given directly.
+    at index i*n - i*(i+1)/2 + (j-i-1).  The one stored copy is the
+    symmetric n-by-n matrix with a zero diagonal, which only the methods
+    below read.  ``points`` holds the coordinates it was computed from,
+    times the exact power of two ``scale`` (see ``pairwise_distances``),
+    or None when the distances were given directly.
     """
 
     def __init__(self, n: int, d: np.ndarray):
@@ -128,7 +130,7 @@ class CondensedDistances:
     ) -> None:
         """Keep a checked symmetric matrix without copying it."""
         self.n = len(square)
-        self.square = _readonly(square)
+        self._square = _readonly(square)
         self.max_distance = max_distance
         self.points = points
         self.scale = scale
@@ -138,7 +140,7 @@ class CondensedDistances:
         """Strict ε-neighbourhoods inside the ascending point subset ``pts``.
 
         ``counts[i]`` is the number of positions j, i itself included,
-        with ``square[pts[i], pts[j]] < eps``, and ``near(i)`` lists them
+        with dist(pts[i], pts[j]) < eps, and ``near(i)`` lists them
         in ascending order.  A k-d tree over the coordinates proposes the
         pairs when at most m²/``_SPARSE_SHARE`` ordered pairs lie within
         reach and the points have at most ``_TREE_MAX_DIM`` coordinates;
@@ -168,7 +170,7 @@ class CondensedDistances:
         # the tree compares keep their relative precision.
         m = len(pts)
         ij = tree.query_pairs(r, output_type="ndarray")
-        ij = ij[self.square[pts[ij[:, 0]], pts[ij[:, 1]]] < eps]
+        ij = ij[self._square[pts[ij[:, 0]], pts[ij[:, 1]]] < eps]
         own = np.arange(m)
         rows = np.concatenate([ij[:, 0], ij[:, 1], own])
         cols = np.concatenate([ij[:, 1], ij[:, 0], own])
@@ -180,21 +182,21 @@ class CondensedDistances:
         )
 
     def _matrix_neighbors(self, pts: np.ndarray, eps: float) -> EpsNeighbors:
-        sq, counts = self.square, np.empty(len(pts), dtype=np.int64)
+        counts = np.empty(len(pts), dtype=np.int64)
         for r, block in self.blocks(pts, pts):
             counts[r] = (block < eps).sum(axis=1)
         return EpsNeighbors(
-            counts, lambda i: np.flatnonzero(sq[pts[i], pts] < eps), "matrix"
+            counts, lambda i: np.flatnonzero(self.row(pts[i], pts) < eps), "matrix"
         )
 
     def blocks(self, rows: np.ndarray | None = None, cols: np.ndarray | None = None):
         """The matrix by row blocks of at most ``_BLOCK_CELLS`` cells (one
         row at least): ``(r, block)`` for consecutive slices r of ``rows``,
-        ``block`` being ``square[rows[r]]`` restricted to ``cols``; all
+        ``block`` being the matrix rows ``rows[r]`` at ``cols``; all
         rows and columns by default.  With no arguments a block is a
         read-only view of the matrix, else one fancy-index copy that the
         caller may overwrite."""
-        sq = self.square
+        sq = self._square
         size = self.n if rows is None else len(rows)
         step = max(1, _BLOCK_CELLS // max(self.n if cols is None else len(cols), 1))
         for a in range(0, size, step):
@@ -203,6 +205,11 @@ class CondensedDistances:
                 yield r, sq[r] if cols is None else sq[r, cols]
             else:
                 yield r, sq[rows[r]] if cols is None else sq[rows[r, None], cols]
+
+    def row(self, i: int, cols: np.ndarray | None = None) -> np.ndarray:
+        """Point i's distances to ``cols``, all points by default: a
+        read-only view with no ``cols``, else one fancy-index copy."""
+        return self._square[i] if cols is None else self._square[i, cols]
 
     def nearest(
         self, rows: np.ndarray, cols: np.ndarray, rank: np.ndarray | None = None
@@ -240,7 +247,7 @@ class CondensedDistances:
         m = self.n * (self.n - 1) // 2
         if not 1 <= k <= m:
             raise IndexError("k=%d outside 1..%d" % (k, m))
-        sample = _sample_distances(self.square, m)
+        sample = _sample_distances(self._square, m)
         width = 4.0
         while True:
             lo, hi = _bracket(sample, k, m, width)
@@ -386,7 +393,7 @@ def load_points_csv(
         raise DataError(f"no such file: {path}")
     rows: list[list[float]] = []
     width = None
-    with path.open("r", encoding="utf-8") as f:
+    with path.open("r", encoding="utf-8-sig") as f:
         for lineno, line in enumerate(f, start=1):
             if lineno == 1 and has_header:
                 continue
@@ -423,6 +430,11 @@ def load_points_csv(
         labels = arr[:, col]
         if np.any(labels != np.round(labels)):
             raise DataError(f"{path}: label column holds non-integer values")
+        if np.any(np.abs(labels) > 2.0**53):  # past it float64 skips integers
+            raise DataError(
+                f"{path}: label column {label_column} holds a label beyond "
+                "±2^53, which a float cannot hold exactly"
+            )
         gt = labels.astype(np.int64)
         arr = np.delete(arr, col, axis=1)
         if arr.shape[1] == 0:

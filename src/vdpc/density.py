@@ -30,10 +30,6 @@ __all__ = [
 ]
 
 
-def _round_half_away(x: float) -> int:
-    return int(np.floor(x + 0.5)) if x >= 0 else int(np.ceil(x - 0.5))
-
-
 @dataclass(frozen=True)
 class DensityProfile:
     """Per-point density statistics shared by every algorithm."""
@@ -65,7 +61,7 @@ def _rank(n: int, pct: float) -> int:
     pct/100 * m rounded half away from zero, clamped into 1..m."""
     _check_positive("pct", pct)
     m = n * (n - 1) // 2
-    return min(max(_round_half_away(min(pct / 100.0 * m, m)), 1), m)
+    return min(max(math.floor(min(pct / 100.0 * m, m) + 0.5), 1), m)
 
 
 def cutoff_distance(cd: CondensedDistances, pct: float) -> float:
@@ -101,7 +97,6 @@ def delta_and_neighbors(
     n = cd.n
     if len(rho) != n:
         raise ParameterError("rho length does not match distance matrix")
-    sq = cd.square
     order = np.lexsort((np.arange(n), -np.asarray(rho)))
     delta = np.empty(n, dtype=np.float64)
     nneigh = np.empty(n, dtype=np.int64)
@@ -111,7 +106,7 @@ def delta_and_neighbors(
     for i in order.tolist():
         delta[i] = best_dist[i]
         nneigh[i] = best_idx[i]
-        row = sq[i]
+        row = cd.row(i)
         np.less(row, best_dist, out=improved)
         np.copyto(best_dist, row, where=improved)
         np.copyto(best_idx, i, where=improved)

@@ -73,6 +73,8 @@ class VdpcParams:
         _check_positive("pct", self.pct)
         _check_positive("delta_t", self.delta_t)
         _check_count("num", self.num)
+        if self.num > 2**53:  # float64 segment arithmetic needs num exact
+            raise ParameterError("num must be at most 2**53, got %d" % self.num)
 
 
 @dataclass(frozen=True)
@@ -288,25 +290,25 @@ def derive_adbscan_params(
         raise StageError(stage, "level needs at least 2 points")
     if len(reps_in_level) == 0:
         raise StageError(stage, "level has no representative")
-    sq = cd.square
     reps_in_level = np.asarray(reps_in_level)
     x_low = int(reps_in_level[np.argmin(rho[reps_in_level])])
     x_high = int(reps_in_level[np.argmax(rho[reps_in_level])])
     members_low = pts[initial[pts] == initial[x_low]]
     members_high = pts[initial[pts] == initial[x_high]]
-    x_far = int(members_low[np.argmax(sq[x_low, members_low])])
+    x_far = int(members_low[np.argmax(cd.row(x_low, members_low))])
     lo, hi = interval
     in_interval = int(
         ((rho[members_low] >= lo - _EDGE) & (rho[members_low] <= hi + _EDGE)).sum()
     )
     others = pts[pts != x_far]
     idx = min(_rule_count(max(in_interval, 1), eps_rule), len(others))
-    sim = np.sort(sq[x_far, others], kind="stable")
+    far = cd.row(x_far)
+    sim = np.sort(far[others], kind="stable")
     eps = float(sim[idx - 1])
     if eps <= 0:
         raise StageError(stage, "derived radius is zero (coincident points)")
-    minpts_low = int((sq[x_far, members_low] < eps).sum())
-    minpts_high = int((sq[x_high, members_high] < eps).sum())
+    minpts_low = int((far[members_low] < eps).sum())
+    minpts_high = int((cd.row(x_high, members_high) < eps).sum())
     minpts = math.ceil((minpts_low + minpts_high) / 2.0)
     return ADbscanDerivation(
         x_low=x_low,

@@ -211,6 +211,12 @@ def same_partition(a, b) -> bool:
 _EDGE = 1e-12  # the package's tolerance for densities on interval edges
 
 
+def full_matrix(cd) -> np.ndarray:
+    """The square matrix ``sq`` that the ``loop_*`` functions take,
+    joined from the row blocks of the distances ``cd``."""
+    return np.concatenate([block for _, block in cd.blocks()])
+
+
 def loop_relabel_contiguous(labels) -> list[int]:
     """Ids 0..k-1 in order of first occurrence, noise (< 0) kept as -1."""
     out = [-1] * len(labels)

@@ -4,6 +4,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,12 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "pct must be a finite number > 0, got %s" % bad in err
 
+    def test_num_beyond_float_integers_is_parameter_error(self, tmp_path, capsys):
+        code = run_cli("run", "--dataset", "flame", "--pct", "5", "--delta-t",
+                       "5.5", "--num", str(2**63), "--output-dir", str(tmp_path))
+        assert code == 3
+        assert "num must be at most 2**53, got %d" % 2**63 in capsys.readouterr().err
+
     def test_nan_dpc_threshold_is_named(self, tmp_path, capsys):
         for flag, name in (("--rho-min", "rho_min"), ("--delta-min", "delta_min")):
             argv = {"--rho-min": "1", "--delta-min": "1", flag: "nan"}
@@ -358,6 +365,20 @@ class TestSweep:
             failed = pct == "0" or num == "0"
             assert (ari == "nan" and nmi == "nan") == failed
         assert float(rows[3][3]) == 1.0
+
+    def test_num_beyond_float_integers_becomes_nan_row(self, tmp_path, capsys):
+        nums = [10, 2**53, 2**53 + 1, 2**63]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # 2**53 runs without a cast warning
+            code = run_cli("sweep", "--dataset", "compound", "--pct", "2",
+                           "--delta-t", "4.5", "--num", ",".join(map(str, nums)),
+                           "--output-dir", str(tmp_path))
+        assert code == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert [int(r[2]) for r in rows] == nums
+        assert rows[1][3:] == rows[0][3:] != ["nan", "nan"]
+        assert rows[2][3:] == rows[3][3:] == ["nan", "nan"]
 
     def test_nan_pct_cells_become_nan_rows(self, tmp_path, capsys):
         code = run_cli("sweep", "--dataset", "flame", "--pct", "nan,5",

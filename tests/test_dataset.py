@@ -25,6 +25,7 @@ from vdpc import (
 from vdpc.baselines import _dbscan_labels
 
 from conftest import BEST_PARAMS, random_points
+from oracles import full_matrix
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -88,6 +89,19 @@ class TestLoadPointsCsv:
         with pytest.raises(DataError, match="line %d: non-finite value" % line):
             load_points_csv(path, has_header=bool(header))
 
+    def test_labels_beyond_float_integers_are_refused(self, tmp_path):
+        # 1e20 and 2e20 would both cast to -2^63; 2^53 itself is exact
+        path = write(tmp_path, "0,0,%d\n1,1,1\n" % 2**53)
+        assert load_points_csv(path, label_column=2).ground_truth[0] == 2**53
+        path = write(tmp_path, "0,0,1e20\n1,1,2e20\n5,5,1e20\n")
+        with pytest.raises(DataError, match=r"data\.csv: label column -1 .*2\^53"):
+            load_points_csv(path, label_column=-1)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf0,0\n1,1\n")
+        np.testing.assert_array_equal(load_points_csv(path).points, [[0, 0], [1, 1]])
+
     def test_arrays_are_readonly(self, tmp_path):
         ds = load_points_csv(write(tmp_path, "0,0\n1,1\n"))
         with pytest.raises(ValueError):
@@ -98,6 +112,10 @@ class TestDataset:
     def test_ground_truth_length_checked(self):
         with pytest.raises(DataError):
             Dataset(points=np.zeros((3, 2)), ground_truth=np.array([1, 2]))
+
+    def test_points_without_coordinates_are_refused(self):
+        with pytest.raises(DataError, match="at least one coordinate"):
+            Dataset(points=np.zeros((5, 0)))
 
     def test_bundled_fixture_shapes(self, datasets):
         sizes = {"flame": 240, "aggregation": 788, "r15": 600,
@@ -113,12 +131,12 @@ class TestCondensedDistances:
         pts = rng.normal(size=(12, 3))
         cd = pairwise_distances(Dataset(points=pts))
         ref = pdist(pts)
-        np.testing.assert_allclose(cd.square, squareform(ref), atol=0)
+        np.testing.assert_allclose(cd._square, squareform(ref), atol=0)
 
     def test_condensed_input_layout(self):
         # condensed layout: (0,1) -> 0, (0,2) -> 1, (1,2) -> 2
         cd = CondensedDistances(n=3, d=np.array([3.0, 4.0, 5.0]))
-        np.testing.assert_array_equal(cd.square, [[0, 3, 4], [3, 0, 5], [4, 5, 0]])
+        np.testing.assert_array_equal(cd._square, [[0, 3, 4], [3, 0, 5], [4, 5, 0]])
 
     def test_max_distance(self):
         pts = np.array([[0.0, 0], [1, 0], [10, 0]])
@@ -135,14 +153,15 @@ class TestCondensedDistances:
 
 
 class TestBlocks:
-    """``CondensedDistances.blocks`` against direct indexing of ``square``."""
+    """``CondensedDistances.blocks`` and ``row`` against direct indexing
+    of the matrix."""
 
     @pytest.mark.parametrize("block_cells", [1, 3000])
     def test_blocks_join_into_direct_indexing(self, monkeypatch, block_cells):
         monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", block_cells)
         rng = np.random.default_rng(5)
         cd = pairwise_distances(Dataset(points=rng.normal(size=(150, 2))))
-        sq = cd.square
+        sq = cd._square
         rows, cols = rng.permutation(150)[:100], rng.permutation(150)[:40]
         for args, want in (((), sq), ((rows,), sq[rows]),
                            ((rows, cols), sq[np.ix_(rows, cols)])):
@@ -160,21 +179,36 @@ class TestBlocks:
     def test_only_row_selections_may_be_written(self):
         rng = np.random.default_rng(6)
         cd = pairwise_distances(Dataset(points=rng.normal(size=(20, 2))))
-        before = cd.square.copy()
+        before = cd._square.copy()
         for _, block in cd.blocks():
-            assert np.shares_memory(block, cd.square)
+            assert np.shares_memory(block, cd._square)
             with pytest.raises(ValueError):
                 block[0, 0] = -1.0
         rows = np.array([3, 0, 7])
         for args in ((rows,), (rows, rows)):
             for _, block in cd.blocks(*args):
                 block[...] = -1.0
-        assert cd.square.tobytes() == before.tobytes()
+        assert cd._square.tobytes() == before.tobytes()
+
+    def test_rows_equal_blocks_and_only_selections_may_be_written(self, distances):
+        cd = distances["flame"]
+        full = full_matrix(cd)
+        cols = np.array([5, 0, cd.n - 1, 5])
+        for i in range(cd.n):
+            assert cd.row(i).tobytes() == full[i].tobytes()
+            assert cd.row(i, cols).tobytes() == full[i, cols].tobytes()
+        view = cd.row(3)
+        assert np.shares_memory(view, cd._square)
+        with pytest.raises(ValueError):
+            view[0] = -1.0
+        cd.row(3, cols)[...] = -1.0
+        assert full_matrix(cd).tobytes() == full.tobytes()
 
 
 def test_private_dataset_names_stay_in_dataset():
     # The matrix layout and its row-block rule are ``dataset``'s to know;
-    # other modules read the distances through ``CondensedDistances``.
+    # other modules read the distances through ``CondensedDistances``,
+    # never its matrix (``np.square`` is NumPy's, not the matrix).
     leaks = []
     for path in sorted(Path(vdpc.dataset.__file__).parent.glob("*.py")):
         if path.name == "dataset.py":
@@ -185,6 +219,11 @@ def test_private_dataset_names_stay_in_dataset():
             ):
                 leaks += [(path.name, a.name) for a in node.names
                           if a.name.startswith("_") and a.name != "_readonly"]
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("square", "_square")
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id in ("np", "numpy"))):
+                leaks.append((path.name, node.attr, node.lineno))
     assert leaks == []
 
 
@@ -204,7 +243,7 @@ class TestDistanceMatrix:
             monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", block_cells)
         for pts in self.point_sets(datasets):
             cd = pairwise_distances(Dataset(points=pts))
-            assert cd.square.tobytes() == squareform(pdist(pts)).tobytes()
+            assert cd._square.tobytes() == squareform(pdist(pts)).tobytes()
             assert cd.max_distance == pdist(pts).max()
 
     def test_one_copy_of_the_distances(self, datasets):
@@ -244,7 +283,7 @@ class TestLoadCondensedMatrix:
         path = tmp_path / "m.txt"
         path.write_text("1.0, 2.5\n3.25\n")
         cd = load_condensed_matrix(path, n=3)
-        np.testing.assert_allclose(cd.square, squareform(d))
+        np.testing.assert_allclose(cd._square, squareform(d))
 
     def test_wrong_count(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -258,7 +297,7 @@ class TestLoadCondensedMatrix:
         path = tmp_path / "m.txt"
         path.write_text("\n".join(repr(v) for v in ref.tolist()))
         cd = load_condensed_matrix(path, n=30)
-        assert cd.square.tobytes() == squareform(ref).tobytes()
+        assert cd._square.tobytes() == squareform(ref).tobytes()
         assert cd.max_distance == ref.max()
 
 
@@ -298,7 +337,7 @@ class TestEpsNeighbors:
     def test_sources_agree_on_bundled_sets(self, distances, monkeypatch):
         rng = np.random.default_rng(5)
         for cd in distances.values():
-            upper = cd.square[np.triu_indices(cd.n, 1)]
+            upper = full_matrix(cd)[np.triu_indices(cd.n, 1)]
             half = np.sort(rng.choice(cd.n, cd.n // 2, replace=False))
             for q in (0.002, 0.01, 0.05, 0.2):
                 # a quantile that is a distance: pairs at exactly eps tie
@@ -324,7 +363,7 @@ class TestEpsNeighbors:
         rng = np.random.default_rng(dim)
         pts = random_points(rng, 160, dim)
         cd = pairwise_distances(Dataset(points=pts))
-        upper = cd.square[np.triu_indices(cd.n, 1)]
+        upper = full_matrix(cd)[np.triu_indices(cd.n, 1)]
         # quantiles tie with a pair; one ulp above a distance keeps the
         # pair, whose tree distance may round either side of eps
         eps_values = [float(np.quantile(upper, q, method="lower"))
@@ -371,7 +410,7 @@ class TestEpsNeighbors:
     def test_many_coordinates_use_the_matrix(self):
         pts = random_points(np.random.default_rng(0), 200, 64)
         cd = pairwise_distances(Dataset(points=pts))
-        eps = float(np.quantile(cd.square, 0.02))  # sparse, but 64-D
+        eps = float(np.quantile(full_matrix(cd), 0.02))  # sparse, but 64-D
         assert cd.eps_neighbors(np.arange(cd.n), eps).source == "matrix"
 
 
@@ -391,7 +430,7 @@ class TestPowerOfTwoScale:
         cd = pairwise_distances(ds)
         cd_f = pairwise_distances(Dataset(points=ds.points * f))
         assert cd_f.scale != 1.0
-        assert cd_f.square.tobytes() == (cd.square * f).tobytes()
+        assert cd_f._square.tobytes() == (cd._square * f).tobytes()
         assert cd_f.max_distance == cd.max_distance * f
         pct, delta_t = BEST_PARAMS[name]
         want = vdpc_run(cd, VdpcParams(pct, delta_t))
@@ -401,7 +440,7 @@ class TestPowerOfTwoScale:
         assert got.profile.d_c == want.profile.d_c * f
         assert [d.eps for _, d in got.derivations] == [
             d.eps * f for _, d in want.derivations]
-        eps = float(np.quantile(cd.square, 0.02, method="lower"))
+        eps = float(np.quantile(full_matrix(cd), 0.02, method="lower"))
         assert cd_f.eps_neighbors(np.arange(ds.n), eps * f).source == "tree"
         np.testing.assert_array_equal(
             dbscan(cd_f, DbscanParams(eps * f, 4)), dbscan(cd, DbscanParams(eps, 4)))
@@ -409,8 +448,8 @@ class TestPowerOfTwoScale:
     def test_tiny_coordinates_no_longer_underflow(self, datasets):
         ds = datasets["flame"]
         cd = pairwise_distances(Dataset(points=ds.points * 1e-200))
-        assert np.count_nonzero(cd.square) == np.count_nonzero(
-            pairwise_distances(ds).square)
+        assert np.count_nonzero(cd._square) == np.count_nonzero(
+            pairwise_distances(ds)._square)
 
     def test_overflowing_distances_are_a_data_error(self):
         # The coordinates are finite, but the distance between the first

@@ -32,6 +32,7 @@ from vdpc.vdpc import (
 )
 
 from oracles import (
+    full_matrix,
     loop_assign_noise,
     loop_compute_levels,
     loop_delta_and_neighbors,
@@ -86,7 +87,7 @@ def test_relabel_contiguous(labels):
 @given(st.data())
 def test_kth_smallest(sample_size, data):
     cd, _, _ = data.draw(grid(max_points=24))
-    ordered = np.sort(cd.square[np.triu_indices(cd.n, 1)]).tolist()
+    ordered = np.sort(full_matrix(cd)[np.triu_indices(cd.n, 1)]).tolist()
     with pytest.MonkeyPatch.context() as mp:
         if sample_size is not None:
             mp.setattr(vdpc.dataset, "_sample_size", sample_size)
@@ -98,7 +99,8 @@ def test_kth_smallest(sample_size, data):
 def test_delta_and_neighbors(data):
     cd, rho, _ = data.draw(grid())
     delta, nneigh, order = delta_and_neighbors(cd, rho)
-    want = loop_delta_and_neighbors(cd.square.tolist(), rho.tolist(), cd.max_distance)
+    want = loop_delta_and_neighbors(full_matrix(cd).tolist(), rho.tolist(),
+                                    cd.max_distance)
     assert (delta.tolist(), nneigh.tolist(), order.tolist()) == want
 
 
@@ -151,7 +153,7 @@ def test_knn_sets(data):
     points = subset(data.draw, cd.n, min_size=1)
     got = _knn_sets(cd, points, k)
     assert got.shape == (len(points), k)
-    want = loop_knn_sets(cd.square, points, k)
+    want = loop_knn_sets(full_matrix(cd), points, k)
     assert [sorted(row) for row in want] == got.tolist()  # ascending index
 
 
@@ -166,7 +168,7 @@ def test_reassign_boundary(data):
     initial, point_level = ints(0, len(reps) - 1, n), ints(1, 3, n)
     boundary = subset(data.draw, n)
     got = reassign_boundary(cd, boundary, reps, rep_level, initial, point_level)
-    want = loop_reassign_boundary(cd.square, boundary, reps, rep_level, initial,
+    want = loop_reassign_boundary(full_matrix(cd), boundary, reps, rep_level, initial,
                                   point_level)
     assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
@@ -178,7 +180,7 @@ def test_microcluster_postprocess(data):
                                         max_size=cd.n)))
     clusters = [np.flatnonzero(owner == c) for c in range(6) if (owner == c).any()]
     got = microcluster_postprocess(cd, clusters, rho)
-    want = loop_microcluster_postprocess(cd.square, clusters, rho)
+    want = loop_microcluster_postprocess(full_matrix(cd), clusters, rho)
     assert [c.tolist() for c in got] == [c.tolist() for c in want]
 
 
@@ -191,7 +193,7 @@ def test_level_noise_painting(data):
     noise = subset(data.draw, cd.n)
     first = data.draw(st.integers(0, 3))
     want = np.full(cd.n, -1)
-    loop_paint_level_noise(cd.square, noise.tolist(),
+    loop_paint_level_noise(full_matrix(cd), noise.tolist(),
                            [(c, first + j) for j, c in enumerate(centers)], want, rank)
     got = np.full(cd.n, -1)
     got[noise] = first + cd.nearest(noise, centers, rank)
@@ -210,5 +212,5 @@ def test_assign_noise(data):
     chosen = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     noise = np.flatnonzero((labels < 0) & chosen)
     got = assign_noise(cd, noise, labels, profile_of(rho))
-    want = loop_assign_noise(cd.square, noise.tolist(), labels, rank)
+    want = loop_assign_noise(full_matrix(cd), noise.tolist(), labels, rank)
     assert got.tolist() == want.tolist()
