@@ -12,14 +12,19 @@ over sparse coordinates, in O(pairs) memory, else from the matrix
 rows, which decide every pair either way.  The d_c percentile comes
 from an exact selection inside a bracket drawn from a fixed-seed
 sample, in one counting pass over row blocks as a rule, never from
-sorting all N(N-1)/2 distances.
+sorting all N(N-1)/2 distances.  The whole-matrix passes (the ``cdist``
+fill, that count, and ρ through ``map_blocks``) spread their row
+blocks over one thread per core the process may run on; each block is
+computed as on one thread, so no result depends on the core count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -75,9 +80,7 @@ class Dataset:
                     "ground truth length %d does not match %d points"
                     % (gt.size, len(pts))
                 )
-            object.__setattr__(
-                self, "ground_truth", _readonly(gt.astype(np.int64))
-            )
+            object.__setattr__(self, "ground_truth", _readonly(_integer_labels(gt)))
 
     @property
     def n(self) -> int:
@@ -86,6 +89,24 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+
+def _integer_labels(gt: np.ndarray) -> np.ndarray:
+    """Ground-truth labels as int64, refusing any that are not integers,
+    and float labels beyond ±2^53, where float64 skips integers (1e20 and
+    2e20 would both cast to -2^63)."""
+    kind = gt.dtype.kind
+    if kind == "f":
+        if np.any(gt != np.round(gt)):  # NaN and ±inf included
+            raise DataError("ground truth holds non-integer values")
+        if np.any(np.abs(gt) > 2.0**53):
+            raise DataError(
+                "ground truth holds a label beyond ±2^53, which a float "
+                "cannot hold exactly"
+            )
+    elif kind not in "biu" or (kind == "u" and np.any(gt > np.iinfo(np.int64).max)):
+        raise DataError("ground truth must hold integer labels that fit in int64")
+    return gt.astype(np.int64)
 
 
 class EpsNeighbors(NamedTuple):
@@ -206,6 +227,13 @@ class CondensedDistances:
             else:
                 yield r, sq[rows[r]] if cols is None else sq[rows[r, None], cols]
 
+    def map_blocks(self, fn: Callable[[slice, np.ndarray], object]) -> list:
+        """``[fn(r, view) for r, view in self.blocks()]``, in block order,
+        with the blocks spread over a thread pool of one thread per core
+        this process may run on.  ``fn`` may only read shared state or
+        write the rows ``r`` of its own output."""
+        return _map(fn, *zip(*self.blocks()))
+
     def row(self, i: int, cols: np.ndarray | None = None) -> np.ndarray:
         """Point i's distances to ``cols``, all points by default: a
         read-only view with no ``cols``, else one fancy-index copy."""
@@ -251,18 +279,23 @@ class CondensedDistances:
         width = 4.0
         while True:
             lo, hi = _bracket(sample, k, m, width)
-            below = at_lo = at_hi = 0
-            parts = []
-            for v in self._upper_blocks():
-                low = v < lo
-                below += int(np.count_nonzero(low))
-                inside = v <= hi
-                inside ^= low  # lo <= v <= hi, as v < lo implies v <= hi
-                v = v[inside]
-                at_lo += int(np.count_nonzero(v == lo))
-                at_hi += int(np.count_nonzero(v == hi)) if hi != lo else 0
-                parts.append(v[(lo < v) & (v < hi)])
-            held = np.concatenate(parts)
+
+            def count(r: slice, block: np.ndarray):
+                # The strict upper triangle of the block: the part right of
+                # its diagonal square, then the triangle inside that square.
+                tri = ~np.tri(r.stop - r.start, dtype=bool)
+                below = at_lo = at_hi = 0
+                held = []
+                for v in (block[:, r.stop :], block[:, r][tri]):
+                    below += int(np.count_nonzero(v < lo))
+                    at_lo += int(np.count_nonzero(v == lo))
+                    at_hi += int(np.count_nonzero(v == hi)) if hi != lo else 0
+                    held.append(v[(lo < v) & (v < hi)])
+                return below, at_lo, at_hi, held
+
+            counts = self.map_blocks(count)
+            below, at_lo, at_hi = (sum(c[i] for c in counts) for i in range(3))
+            held = np.concatenate([v for c in counts for v in c[3]])
             j = k - below  # rank of the k-th among the distances in [lo, hi]
             if 1 <= j <= at_lo:
                 return lo
@@ -273,12 +306,24 @@ class CondensedDistances:
                 return hi
             width *= 4.0
 
-    def _upper_blocks(self):
-        """The strict upper triangle, by row blocks: the part of each block
-        right of its diagonal square, then the triangle inside that square."""
-        for r, block in self.blocks():
-            yield block[:, r.stop :]
-            yield block[:, r][~np.tri(r.stop - r.start, dtype=bool)]
+
+@functools.cache
+def _pool(pid: int, workers: int) -> ThreadPoolExecutor:
+    """The thread pool of this process for ``workers`` threads, created on
+    first use.  Keyed by process id, because a forked child does not have
+    its parent's threads."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="vdpc-blocks")
+
+
+def _map(fn: Callable, *args) -> list:
+    """``list(map(fn, *args))``, the calls spread over one thread per core
+    this process may run on; inline with one core or one call.  NumPy
+    and ``cdist`` release the interpreter lock on a block, so the blocks
+    of one pass run side by side."""
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if workers < 2 or len(args[0]) < 2:
+        return list(map(fn, *args))
+    return list(_pool(os.getpid(), workers).map(fn, *args))
 
 
 def _sample_size(m: int) -> int:
@@ -358,19 +403,22 @@ def pairwise_distances(ds: Dataset) -> CondensedDistances:
     s = _power_of_two_scale(ds.points)
     pts = ds.points if s == 1.0 else _readonly(ds.points * s)
     sq = np.empty((n, n))
-    top = 0.0
     step = max(1, _BLOCK_CELLS // n)  # as in ``CondensedDistances.blocks``
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        cdist(pts[a:b], pts, out=sq[a:b])
+
+    def fill(a: int) -> float:
+        block = sq[a : a + step]
+        cdist(pts[a : a + step], pts, out=block)
         if s != 1.0:
             with np.errstate(over="ignore"):  # reported just below
-                sq[a:b] *= 1.0 / s
+                block *= 1.0 / s
         # Distances of finite coordinates are never NaN or negative, but
         # the 1/s rescale can overflow to +inf.
-        top = max(top, float(sq[a:b].max()))
+        top = float(block.max())
         if not math.isfinite(top):
             raise DataError("distances contain non-finite values")
+        return top
+
+    top = max(_map(fill, range(0, n, step)))
     cd = CondensedDistances.__new__(CondensedDistances)
     cd._hold(sq, top, pts, s)
     return cd
@@ -427,19 +475,14 @@ def load_points_csv(
             raise DataError(
                 f"{path}: label column {label_column} outside 0..{arr.shape[1] - 1}"
             )
-        labels = arr[:, col]
-        if np.any(labels != np.round(labels)):
-            raise DataError(f"{path}: label column holds non-integer values")
-        if np.any(np.abs(labels) > 2.0**53):  # past it float64 skips integers
-            raise DataError(
-                f"{path}: label column {label_column} holds a label beyond "
-                "±2^53, which a float cannot hold exactly"
-            )
-        gt = labels.astype(np.int64)
+        gt = arr[:, col]
         arr = np.delete(arr, col, axis=1)
         if arr.shape[1] == 0:
             raise DataError(f"{path}: no feature columns left after labels")
-    return Dataset(points=arr, ground_truth=gt, name=name or path.stem)
+    try:
+        return Dataset(points=arr, ground_truth=gt, name=name or path.stem)
+    except DataError as e:  # the points are checked above: a label is at fault
+        raise DataError(f"{path}: label column {label_column} ({e})") from None
 
 
 def load_condensed_matrix(path: str | Path, n: int) -> CondensedDistances:
@@ -452,7 +495,7 @@ def load_condensed_matrix(path: str | Path, n: int) -> CondensedDistances:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such file: {path}")
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
     tokens = [t for t in re.split(r"[\s,]+", text) if t]
     try:
         values = np.array([float(t) for t in tokens], dtype=np.float64)

@@ -75,12 +75,15 @@ def local_density(cd: CondensedDistances, d_c: float) -> np.ndarray:
         raise ParameterError("d_c must be > 0 (degenerate kernel)")
     rho = np.empty(cd.n, dtype=np.float64)
     inv = 1.0 / d_c
-    for r, view in cd.blocks():
+
+    def kernel(r: slice, view: np.ndarray) -> None:
         block = view * inv
         np.square(block, out=block)
         np.negative(block, out=block)
         np.exp(block, out=block)
         rho[r] = block.sum(axis=1) - 1.0  # remove the self term exp(0)
+
+    cd.map_blocks(kernel)
     return rho
 
 

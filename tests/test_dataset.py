@@ -113,6 +113,22 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset(points=np.zeros((3, 2)), ground_truth=np.array([1, 2]))
 
+    def test_ground_truth_must_be_exact_integers(self):
+        pts = np.array([[0.0, 0], [1, 0], [2, 0]])
+        for gt, why in (([1e20, 2e20, 1.0], r"beyond ±2\^53"),
+                        ([1.0, 2.0, 1.5], "non-integer"),
+                        ([1.0, np.nan, 2.0], "non-integer"),
+                        (np.array([2**63, 0, 1], dtype=np.uint64), "int64"),
+                        (["a", "b", "c"], "int64")):
+            with pytest.raises(DataError, match=why):
+                Dataset(points=pts, ground_truth=np.array(gt))
+        kept = (np.array([2.0**53, -(2.0**53), 7.0]),
+                np.array([2**62, -1, 0]), np.array([True, False, True]))
+        for gt in kept:
+            got = Dataset(points=pts, ground_truth=gt).ground_truth
+            assert got.dtype == np.int64
+            assert got.tolist() == [int(v) for v in gt]
+
     def test_points_without_coordinates_are_refused(self):
         with pytest.raises(DataError, match="at least one coordinate"):
             Dataset(points=np.zeros((5, 0)))
@@ -290,6 +306,11 @@ class TestLoadCondensedMatrix:
         path.write_text("1 2 3 4\n")
         with pytest.raises(DataError):
             load_condensed_matrix(path, n=3)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("1.0, 2.5\n3.25\n", encoding="utf-8-sig")
+        assert load_condensed_matrix(path, n=3).kth_smallest(3) == 3.25
 
     def test_round_trips_through_d(self, tmp_path):
         pts = np.random.default_rng(4).normal(size=(30, 3))
