@@ -14,8 +14,9 @@ from an exact selection inside a bracket drawn from a fixed-seed
 sample, in one counting pass over row blocks as a rule, never from
 sorting all N(N-1)/2 distances.  The whole-matrix passes (the ``cdist``
 fill, that count, and ρ through ``map_blocks``) spread their row
-blocks over one thread per core the process may run on; each block is
-computed as on one thread, so no result depends on the core count.
+blocks over one thread per core the process may run on once a pass has
+``_POOL_MIN_BLOCKS`` blocks; each block is computed as on one thread,
+so no result depends on the core count.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ __all__ = [
 ]
 
 _BLOCK_CELLS = 1 << 18  # matrix cells per block in the row-block loops
+# Fewer blocks than this run inline: such a pass takes a few milliseconds,
+# and its thread hand-offs can cost as much on a loaded host.
+_POOL_MIN_BLOCKS = 8
 _SPARSE_SHARE = 32  # the k-d tree finds ε-neighbours up to m²/32 ordered pairs
 _TREE_MAX_DIM = 5  # and only up to 5 coordinates; past that the scan is faster
 _MARGIN = 1 + 2.0**-20  # tree radius over eps (see ``_tree_neighbors``)
@@ -230,8 +234,9 @@ class CondensedDistances:
     def map_blocks(self, fn: Callable[[slice, np.ndarray], object]) -> list:
         """``[fn(r, view) for r, view in self.blocks()]``, in block order,
         with the blocks spread over a thread pool of one thread per core
-        this process may run on.  ``fn`` may only read shared state or
-        write the rows ``r`` of its own output."""
+        this process may run on (inline for a short pass, see ``_map``).
+        ``fn`` may only read shared state or write the rows ``r`` of its
+        own output."""
         return _map(fn, *zip(*self.blocks()))
 
     def row(self, i: int, cols: np.ndarray | None = None) -> np.ndarray:
@@ -317,11 +322,12 @@ def _pool(pid: int, workers: int) -> ThreadPoolExecutor:
 
 def _map(fn: Callable, *args) -> list:
     """``list(map(fn, *args))``, the calls spread over one thread per core
-    this process may run on; inline with one core or one call.  NumPy
-    and ``cdist`` release the interpreter lock on a block, so the blocks
-    of one pass run side by side."""
+    this process may run on; inline with one core or fewer than
+    ``_POOL_MIN_BLOCKS`` calls.  NumPy and ``cdist`` release the
+    interpreter lock on a block, so the blocks of one pass run side by
+    side."""
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if workers < 2 or len(args[0]) < 2:
+    if workers < 2 or len(args[0]) < _POOL_MIN_BLOCKS:
         return list(map(fn, *args))
     return list(_pool(os.getpid(), workers).map(fn, *args))
 

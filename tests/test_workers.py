@@ -4,6 +4,7 @@ no public function of the package may run off the main thread."""
 
 import importlib
 import os
+import sys
 import threading
 import types
 
@@ -40,18 +41,25 @@ def results(pts, ks):
             [cd.kth_smallest(k) for k in ks], local_density(cd, d_c).tobytes())
 
 
+@pytest.mark.parametrize("workers", [2, 8])
 @pytest.mark.parametrize("name", ["flame", "grid"])
-def test_worker_count_never_changes_a_result(monkeypatch, datasets, name):
+def test_worker_count_never_changes_a_result(monkeypatch, datasets, name, workers):
     pts = grid_points() if name == "grid" else datasets["flame"].points
     n = len(pts)
     m = n * (n - 1) // 2
     # every rank of the grid; on flame both ends and 98 ranks between
     ks = range(1, m + 1) if name == "grid" else sorted({1, m, *range(1, m, 293)})
-    monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 7 * n)  # 7 rows a block
+    rows = 3 if name == "grid" else 7  # 11 and 35 blocks
+    monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", rows * n)
     cores(monkeypatch, 1)
     one = results(pts, ks)
-    cores(monkeypatch, 2)
-    two = results(pts, ks)
+    cores(monkeypatch, workers)  # 8: as a rule more threads than cores
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        two = results(pts, ks)
+    finally:
+        sys.setswitchinterval(interval)
     assert one[0] == two[0]
     assert one[1] == two[1]
     assert one[2] == two[2]
@@ -59,6 +67,32 @@ def test_worker_count_never_changes_a_result(monkeypatch, datasets, name):
     if name == "grid":
         assert one[2] == sorted(full_matrix(
             pairwise_distances(Dataset(points=pts)))[np.triu_indices(n, 1)].tolist())
+
+
+def fill_threads(monkeypatch):
+    """The threads that run the ``cdist`` calls of the distance fill."""
+    threads = set()
+    cdist = vdpc.dataset.cdist
+
+    def recorded(*args, **kwargs):
+        threads.add(threading.current_thread())
+        return cdist(*args, **kwargs)
+
+    monkeypatch.setattr(vdpc.dataset, "cdist", recorded)
+    return threads
+
+
+def test_short_passes_stay_on_the_main_thread(monkeypatch):
+    pts = np.random.default_rng(5).normal(size=(80, 2))
+    threads = fill_threads(monkeypatch)
+    cores(monkeypatch, 2)
+    for blocks in (vdpc.dataset._POOL_MIN_BLOCKS - 1, vdpc.dataset._POOL_MIN_BLOCKS):
+        rows = -(-80 // blocks)  # 12 and 10 rows a block
+        monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", rows * 80)
+        threads.clear()
+        pairwise_distances(Dataset(points=pts))
+        pooled = threads != {threading.main_thread()}
+        assert pooled == (blocks == vdpc.dataset._POOL_MIN_BLOCKS)
 
 
 def overflowing_last_block():
@@ -103,14 +137,7 @@ def test_public_functions_run_on_the_main_thread(monkeypatch, tmp_path):
             if (not attr.startswith("_") and isinstance(value, types.FunctionType)
                     and value.__module__.startswith("vdpc.")):
                 monkeypatch.setattr(mod, attr, confined(value))
-    fill_threads = set()
-    cdist = vdpc.dataset.cdist
-
-    def recorded(*args, **kwargs):
-        fill_threads.add(threading.current_thread())
-        return cdist(*args, **kwargs)
-
-    monkeypatch.setattr(vdpc.dataset, "cdist", recorded)
+    threads = fill_threads(monkeypatch)
     monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 399 * 8)  # 50 blocks
     cores(monkeypatch, 2)
     pct, delta_t = BEST_PARAMS["compound"]  # two density levels: aSNNC and aDBSCAN
@@ -120,4 +147,4 @@ def test_public_functions_run_on_the_main_thread(monkeypatch, tmp_path):
     assert code == 0
     assert {"pairwise_distances", "local_density", "asnnc", "adbscan_level"} <= called
     assert off_main == []
-    assert fill_threads - {main_thread}  # the fill did use the pool
+    assert threads - {main_thread}  # the fill did use the pool
