@@ -292,7 +292,14 @@ class CondensedDistances:
                 below = at_lo = at_hi = 0
                 held = []
                 for v in (block[:, r.stop :], block[:, r][tri]):
-                    below += int(np.count_nonzero(v < lo))
+                    low = v < lo
+                    below += int(np.count_nonzero(low))
+                    inside = v <= hi
+                    inside ^= low  # lo <= v <= hi, as v < lo implies v <= hi
+                    # As a rule few are inside; many only when lo or hi is a
+                    # value shared by many pairs, and those stay in place.
+                    if np.count_nonzero(inside) * 8 <= v.size:
+                        v = v[inside]
                     at_lo += int(np.count_nonzero(v == lo))
                     at_hi += int(np.count_nonzero(v == hi)) if hi != lo else 0
                     held.append(v[(lo < v) & (v < hi)])
