@@ -52,20 +52,20 @@ def test_worker_count_never_changes_a_result(monkeypatch, datasets, name, worker
     rows = 3 if name == "grid" else 7  # 11 and 35 blocks
     monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", rows * n)
     cores(monkeypatch, 1)
-    one = results(pts, ks)
+    inline = results(pts, ks)
     cores(monkeypatch, workers)  # 8: as a rule more threads than cores
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
-        two = results(pts, ks)
+        pooled = results(pts, ks)
     finally:
         sys.setswitchinterval(interval)
-    assert one[0] == two[0]
-    assert one[1] == two[1]
-    assert one[2] == two[2]
-    assert one[3] == two[3]
+    assert inline[0] == pooled[0]
+    assert inline[1] == pooled[1]
+    assert inline[2] == pooled[2]
+    assert inline[3] == pooled[3]
     if name == "grid":
-        assert one[2] == sorted(full_matrix(
+        assert inline[2] == sorted(full_matrix(
             pairwise_distances(Dataset(points=pts)))[np.triu_indices(n, 1)].tolist())
 
 
