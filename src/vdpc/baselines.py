@@ -145,24 +145,6 @@ def dbscan(cd: CondensedDistances, params: DbscanParams) -> np.ndarray:
     return _dbscan_labels(cd, np.arange(cd.n), params.eps, params.minpts)
 
 
-def _knn_sets(cd: CondensedDistances, points: np.ndarray, k: int) -> np.ndarray:
-    """The k nearest neighbors of each query point, self excluded and
-    distance ties broken by ascending index; each row of the (m, k)
-    result lists them in ascending index order."""
-    cols = np.empty((len(points), k), dtype=np.int64)
-    for r, block in cd.blocks(points):
-        block[np.arange(len(block)), points[r]] = np.inf  # self ranks last
-        # The k smallest by (distance, index): every value below the k-th,
-        # then the lowest-indexed values equal to it, up to k of them.
-        kth = np.partition(block, k - 1, axis=1)[:, k - 1 : k]
-        keep = block < kth
-        tied = block == kth
-        room = k - keep.sum(axis=1, keepdims=True)
-        keep |= tied & (np.cumsum(tied, axis=1) <= room)
-        cols[r] = np.nonzero(keep)[1].reshape(-1, k)
-    return cols
-
-
 def _shared_neighbor_components(
     cd: CondensedDistances, points: np.ndarray, k: int
 ) -> np.ndarray:
@@ -170,7 +152,7 @@ def _shared_neighbor_components(
     than one of their k nearest neighbors; returns per-point component ids."""
     m = len(points)
     member = csr_matrix(
-        (np.ones(m * k, dtype=np.int64), _knn_sets(cd, points, k).ravel(),
+        (np.ones(m * k, dtype=np.int64), cd.knn(points, k).ravel(),
          np.arange(0, m * k + 1, k)),
         shape=(m, cd.n),
     )

@@ -4,19 +4,20 @@ A dataset is an (N, D) array of feature vectors with optional integer
 ground-truth labels.  Its Euclidean distances are held once, as a
 symmetric N-by-N float64 matrix filled by row blocks of ``cdist``, or
 read from a condensed upper-triangular vector.  The matrix is private
-to ``CondensedDistances``, read through four methods: row blocks
-(``blocks``: d_c, ρ, aSNNC); one point's row (``row``: δ, aDBSCAN's
-Eps and MinPts); a point's nearest member of a set (``nearest``); and
-DBSCAN's strict ε-neighbourhoods (``eps_neighbors``), from a k-d tree
-over sparse coordinates, in O(pairs) memory, else from the matrix
+to ``CondensedDistances``; every query reads it through one of five
+methods: ``map_blocks`` (read-only row blocks of the whole matrix: d_c,
+ρ, the zero count); ``row`` (one point's row: δ, aDBSCAN's Eps and
+MinPts); ``nearest`` (each point's nearest member of a set: boundary,
+micro-cluster and noise steps); ``knn`` (k nearest neighbours: aSNNC);
+and ``eps_neighbors`` (DBSCAN's strict ε-neighbourhoods), from a k-d
+tree over sparse coordinates, in O(pairs) memory, else from the matrix
 rows, which decide every pair either way.  The d_c percentile comes
 from an exact selection inside a bracket drawn from a fixed-seed
 sample, in one counting pass over row blocks as a rule, never from
-sorting all N(N-1)/2 distances.  The whole-matrix passes (the ``cdist``
-fill, that count, and ρ through ``map_blocks``) spread their row
-blocks over one thread per core the process may run on once a pass has
-``_POOL_MIN_BLOCKS`` blocks; each block is computed as on one thread,
-so no result depends on the core count.
+sorting all N(N-1)/2 distances.  The ``cdist`` fill and every
+``map_blocks`` pass spread their row blocks over one thread per core
+the process may run on from ``_POOL_MIN_BLOCKS`` blocks on; each block
+is computed as on one thread, so no result depends on the core count.
 """
 
 from __future__ import annotations
@@ -67,7 +68,13 @@ class Dataset:
     name: str = "dataset"
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        try:
+            pts = np.asarray(self.points)
+        except ValueError:  # rows of different lengths
+            raise DataError("points must be rows of one length") from None
+        if pts.dtype.kind not in "biuf":  # a cast would drop imaginary parts
+            raise DataError("points must be real numbers, got %s values" % pts.dtype)
+        pts = pts.astype(np.float64, copy=False)
         if pts.ndim != 2:
             raise DataError("points must be a 2-D array of feature vectors")
         if pts.shape[1] == 0:
@@ -208,41 +215,29 @@ class CondensedDistances:
 
     def _matrix_neighbors(self, pts: np.ndarray, eps: float) -> EpsNeighbors:
         counts = np.empty(len(pts), dtype=np.int64)
-        for r, block in self.blocks(pts, pts):
+        for r, block in self._blocks(pts, pts):
             counts[r] = (block < eps).sum(axis=1)
         return EpsNeighbors(
-            counts, lambda i: np.flatnonzero(self.row(pts[i], pts) < eps), "matrix"
+            counts, lambda i: np.flatnonzero(self._square[pts[i], pts] < eps), "matrix"
         )
 
-    def blocks(self, rows: np.ndarray | None = None, cols: np.ndarray | None = None):
-        """The matrix by row blocks of at most ``_BLOCK_CELLS`` cells (one
-        row at least): ``(r, block)`` for consecutive slices r of ``rows``,
-        ``block`` being the matrix rows ``rows[r]`` at ``cols``; all
-        rows and columns by default.  With no arguments a block is a
-        read-only view of the matrix, else one fancy-index copy that the
-        caller may overwrite."""
+    def _blocks(self, rows: np.ndarray, cols: np.ndarray | None = None):
+        """Copies of the matrix rows ``rows`` at ``cols`` (all columns by
+        default) by row blocks: ``(r, block)`` for the ``_slices`` r of
+        ``rows``, ``block`` being a copy that the caller may overwrite."""
         sq = self._square
-        size = self.n if rows is None else len(rows)
-        step = max(1, _BLOCK_CELLS // max(self.n if cols is None else len(cols), 1))
-        for a in range(0, size, step):
-            r = slice(a, min(a + step, size))
-            if rows is None:
-                yield r, sq[r] if cols is None else sq[r, cols]
-            else:
-                yield r, sq[rows[r]] if cols is None else sq[rows[r, None], cols]
+        for r in _slices(len(rows), self.n if cols is None else len(cols)):
+            yield r, sq[rows[r]] if cols is None else sq[rows[r, None], cols]
 
     def map_blocks(self, fn: Callable[[slice, np.ndarray], object]) -> list:
-        """``[fn(r, view) for r, view in self.blocks()]``, in block order,
-        with the blocks spread over a thread pool of one thread per core
-        this process may run on (inline for a short pass, see ``_map``).
-        ``fn`` may only read shared state or write the rows ``r`` of its
-        own output."""
-        return _map(fn, *zip(*self.blocks()))
+        """``[fn(r, view) for r, view in _views(matrix)]``, the views
+        read-only, spread over one thread per core by ``_map``; ``fn`` may
+        only read shared state or write the rows ``r`` of its own output."""
+        return _map(fn, _views(self._square))
 
-    def row(self, i: int, cols: np.ndarray | None = None) -> np.ndarray:
-        """Point i's distances to ``cols``, all points by default: a
-        read-only view with no ``cols``, else one fancy-index copy."""
-        return self._square[i] if cols is None else self._square[i, cols]
+    def row(self, i: int) -> np.ndarray:
+        """Point i's distances to every point: a read-only view."""
+        return self._square[i]
 
     def nearest(
         self, rows: np.ndarray, cols: np.ndarray, rank: np.ndarray | None = None
@@ -256,12 +251,29 @@ class CondensedDistances:
         """
         rows, cols = np.asarray(rows), np.asarray(cols)
         out = np.empty(len(rows), dtype=np.intp)
-        for r, block in self.blocks(rows, cols):
+        for r, block in self._blocks(rows, cols):
             if rank is not None:
                 later = rank[cols] >= rank[rows[r, None]]
                 block[later & ~later.all(axis=1, keepdims=True)] = np.inf
             out[r] = block.argmin(axis=1)  # the first of equal minima
         return out
+
+    def knn(self, points: np.ndarray, k: int) -> np.ndarray:
+        """The k nearest neighbours of each of ``points``, self excluded
+        and distance ties broken by ascending index; each row of the
+        (m, k) result lists them in ascending index order."""
+        cols = np.empty((len(points), k), dtype=np.int64)
+        for r, block in self._blocks(points):
+            block[np.arange(len(block)), points[r]] = np.inf  # self ranks last
+            # The k smallest by (distance, index): every value below the k-th,
+            # then the lowest-indexed values equal to it, up to k of them.
+            kth = np.partition(block, k - 1, axis=1)[:, k - 1 : k]
+            keep = block < kth
+            tied = block == kth
+            room = k - keep.sum(axis=1, keepdims=True)
+            keep |= tied & (np.cumsum(tied, axis=1) <= room)
+            cols[r] = np.nonzero(keep)[1].reshape(-1, k)
+        return cols
 
     def kth_smallest(self, k: int) -> float:
         """Exact k-th smallest (1-based) of the n(n-1)/2 distances i < j.
@@ -327,16 +339,27 @@ def _pool(pid: int, workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(workers, thread_name_prefix="vdpc-blocks")
 
 
-def _map(fn: Callable, *args) -> list:
-    """``list(map(fn, *args))``, the calls spread over one thread per core
-    this process may run on; inline with one core or fewer than
-    ``_POOL_MIN_BLOCKS`` calls.  NumPy and ``cdist`` release the
-    interpreter lock on a block, so the blocks of one pass run side by
-    side."""
+def _slices(size: int, width: int) -> list[slice]:
+    """Consecutive slices of 0..size, each of at most ``_BLOCK_CELLS``
+    cells of ``width`` columns (one row at least)."""
+    step = max(1, _BLOCK_CELLS // max(width, 1))
+    return [slice(a, min(a + step, size)) for a in range(0, size, step)]
+
+
+def _views(sq: np.ndarray) -> list[tuple[slice, np.ndarray]]:
+    """Views ``(r, sq[r])`` for the ``_slices`` r of a square matrix."""
+    return [(r, sq[r]) for r in _slices(len(sq), len(sq))]
+
+
+def _map(fn: Callable, blocks: list) -> list:
+    """``[fn(r, block) for r, block in blocks]``, spread over one thread per
+    core this process may run on; inline with one core or fewer than
+    ``_POOL_MIN_BLOCKS`` blocks.  NumPy and ``cdist`` release the
+    interpreter lock on a block, so the blocks of a pass run side by side."""
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if workers < 2 or len(args[0]) < _POOL_MIN_BLOCKS:
-        return list(map(fn, *args))
-    return list(_pool(os.getpid(), workers).map(fn, *args))
+    if workers < 2 or len(blocks) < _POOL_MIN_BLOCKS:
+        return [fn(r, block) for r, block in blocks]
+    return list(_pool(os.getpid(), workers).map(fn, *zip(*blocks)))
 
 
 def _sample_size(m: int) -> int:
@@ -346,11 +369,8 @@ def _sample_size(m: int) -> int:
 
 def _sample_distances(sq: np.ndarray, m: int) -> np.ndarray:
     """Sorted distances of S = ``_sample_size(m)`` pairs i < j of the
-    matrix, drawn with replacement by a fixed-seed local generator; empty
-    when m <= 4S, where a bracket could not save a pass."""
+    matrix, drawn with replacement by a fixed-seed local generator."""
     s = _sample_size(m)
-    if m <= 4 * s:
-        return np.empty(0)
     rng = np.random.default_rng(0)
     i = rng.integers(0, len(sq), s)
     j = rng.integers(0, len(sq) - 1, s)
@@ -416,11 +436,9 @@ def pairwise_distances(ds: Dataset) -> CondensedDistances:
     s = _power_of_two_scale(ds.points)
     pts = ds.points if s == 1.0 else _readonly(ds.points * s)
     sq = np.empty((n, n))
-    step = max(1, _BLOCK_CELLS // n)  # as in ``CondensedDistances.blocks``
 
-    def fill(a: int) -> float:
-        block = sq[a : a + step]
-        cdist(pts[a : a + step], pts, out=block)
+    def fill(r: slice, block: np.ndarray) -> float:
+        cdist(pts[r], pts, out=block)
         if s != 1.0:
             with np.errstate(over="ignore"):  # reported just below
                 block *= 1.0 / s
@@ -431,7 +449,7 @@ def pairwise_distances(ds: Dataset) -> CondensedDistances:
             raise DataError("distances contain non-finite values")
         return top
 
-    top = max(_map(fill, range(0, n, step)))
+    top = max(_map(fill, _views(sq)))
     cd = CondensedDistances.__new__(CondensedDistances)
     cd._hold(sq, top, pts, s)
     return cd

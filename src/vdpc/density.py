@@ -121,7 +121,7 @@ def _zero_cutoff_message(cd: CondensedDistances, pct: float) -> str:
     """Why d_c is 0 at ``pct``, and the smallest pct (four digits, rounded
     up) whose cut-off rank passes all the zero distances."""
     n, m = cd.n, cd.n * (cd.n - 1) // 2
-    zeros = (sum(int(np.count_nonzero(block == 0)) for _, block in cd.blocks()) - n) // 2
+    zeros = (sum(cd.map_blocks(lambda r, v: np.count_nonzero(v == 0))) - n) // 2
     if zeros == m:
         return "d_c is 0: every pairwise distance is zero"
     start = 100.0 * (zeros + 0.5) / m  # rank zeros + 1 begins here

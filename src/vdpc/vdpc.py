@@ -295,7 +295,7 @@ def derive_adbscan_params(
     x_high = int(reps_in_level[np.argmax(rho[reps_in_level])])
     members_low = pts[initial[pts] == initial[x_low]]
     members_high = pts[initial[pts] == initial[x_high]]
-    x_far = int(members_low[np.argmax(cd.row(x_low, members_low))])
+    x_far = int(members_low[np.argmax(cd.row(x_low)[members_low])])
     lo, hi = interval
     in_interval = int(
         ((rho[members_low] >= lo - _EDGE) & (rho[members_low] <= hi + _EDGE)).sum()
@@ -308,7 +308,7 @@ def derive_adbscan_params(
     if eps <= 0:
         raise StageError(stage, "derived radius is zero (coincident points)")
     minpts_low = int((far[members_low] < eps).sum())
-    minpts_high = int((cd.row(x_high, members_high) < eps).sum())
+    minpts_high = int((cd.row(x_high)[members_high] < eps).sum())
     minpts = math.ceil((minpts_low + minpts_high) / 2.0)
     return ADbscanDerivation(
         x_low=x_low,

@@ -214,7 +214,7 @@ _EDGE = 1e-12  # the package's tolerance for densities on interval edges
 def full_matrix(cd) -> np.ndarray:
     """The square matrix ``sq`` that the ``loop_*`` functions take,
     joined from the row blocks of the distances ``cd``."""
-    return np.concatenate([block for _, block in cd.blocks()])
+    return np.concatenate(cd.map_blocks(lambda r, view: view))
 
 
 def loop_relabel_contiguous(labels) -> list[int]:

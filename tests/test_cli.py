@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import vdpc
+import vdpc.cli
 from vdpc import (
     AblationOptions,
     VdpcParams,
@@ -245,6 +246,37 @@ class TestExitCodes:
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert run_cli("bench", "--suite", "bogus") == 1
+
+    def test_failed_gated_cell_exits_4_and_is_named(self, tmp_path, capsys,
+                                                     monkeypatch):
+        cell = {"dataset": "jain", "algorithm": "dbscan",
+                "params": {"eps": 2.9, "minpts": 20}, "expected_ari": -1.0,
+                "gated": True}
+        monkeypatch.setattr(vdpc.cli, "load_manifest",
+                            lambda: {"tiny": {"cells": [cell]}})
+        assert run_cli("bench", "--suite", "tiny", "--output-dir", str(tmp_path)) == 4
+        assert capsys.readouterr().err == (
+            "bench: 1 gated cell(s) outside tolerance: jain/eps=2.9;minpts=20\n")
+
+    def test_unknown_check_type_is_data_error(self, tmp_path, capsys, monkeypatch):
+        check = {"name": "odd", "type": "bogus", "dataset": "jain"}
+        monkeypatch.setattr(vdpc.cli, "load_manifest",
+                            lambda: {"tiny": {"cells": [], "checks": [check]}})
+        assert run_cli("bench", "--suite", "tiny", "--output-dir", str(tmp_path)) == 2
+        assert "unknown check type 'bogus'" in capsys.readouterr().err
+
+    def test_non_numeric_sweep_value_is_usage_error(self, tmp_path, capsys):
+        assert run_cli("sweep", "--dataset", "flame", "--pct", "1,x",
+                       "--delta-t", "5.5", "--output-dir", str(tmp_path)) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_output_dir_that_is_a_file_is_pipeline_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_cli("run", "--dataset", "flame", "--algorithm", "dbscan",
+                       "--eps", "1", "--minpts", "6", "--output-dir", str(taken)) == 3
+        assert "vdpc: pipeline error: " in capsys.readouterr().err
+        assert taken.read_text() == ""
 
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0

@@ -133,6 +133,25 @@ class TestDataset:
         with pytest.raises(DataError, match="at least one coordinate"):
             Dataset(points=np.zeros((5, 0)))
 
+    def test_points_must_be_real_numbers(self):
+        for pts, why in ((np.array([[1 + 2j, 0], [0, 0]]), "real numbers"),
+                         ([[1 + 2j, 0], [0, 0]], "real numbers"),
+                         ([["a", "b"], ["c", "d"]], "real numbers"),
+                         ([[0.0, 1.0], [2.0]], "rows of one length")):
+            with pytest.raises(DataError, match=why):
+                Dataset(points=pts)
+        kept = Dataset(points=[[1, 2], [True, 0.5]]).points
+        assert kept.dtype == np.float64 and kept.tolist() == [[1, 2], [1, 0.5]]
+
+    @pytest.mark.parametrize("pts, why", [
+        (np.arange(4.0), "2-D array"),
+        (np.zeros((1, 2)), "at least 2 points"),
+        (np.array([[0.0, 1.0], [np.inf, 0.0]]), "non-finite"),
+    ])
+    def test_point_shape_and_values_are_checked(self, pts, why):
+        with pytest.raises(DataError, match=why):
+            Dataset(points=pts)
+
     def test_bundled_fixture_shapes(self, datasets):
         sizes = {"flame": 240, "aggregation": 788, "r15": 600,
                  "compound": 399, "jain": 373, "pathbased": 300}
@@ -169,8 +188,8 @@ class TestCondensedDistances:
 
 
 class TestBlocks:
-    """``CondensedDistances.blocks`` and ``row`` against direct indexing
-    of the matrix."""
+    """``CondensedDistances``' row-block readers (``map_blocks``,
+    ``_blocks``) and ``row`` against direct indexing of the matrix."""
 
     @pytest.mark.parametrize("block_cells", [1, 3000])
     def test_blocks_join_into_direct_indexing(self, monkeypatch, block_cells):
@@ -179,9 +198,9 @@ class TestBlocks:
         cd = pairwise_distances(Dataset(points=rng.normal(size=(150, 2))))
         sq = cd._square
         rows, cols = rng.permutation(150)[:100], rng.permutation(150)[:40]
-        for args, want in (((), sq), ((rows,), sq[rows]),
-                           ((rows, cols), sq[np.ix_(rows, cols)])):
-            parts = list(cd.blocks(*args))
+        for parts, want in ((cd.map_blocks(lambda r, view: (r, view)), sq),
+                            (list(cd._blocks(rows)), sq[rows]),
+                            (list(cd._blocks(rows, cols)), sq[np.ix_(rows, cols)])):
             step = max(1, block_cells // want.shape[1])  # as many rows as fit
             assert [(r.start, r.stop) for r, _ in parts] == [
                 (a, min(a + step, len(want))) for a in range(0, len(want), step)]
@@ -189,20 +208,20 @@ class TestBlocks:
                 assert len(block) == 1 or block.size <= block_cells
                 assert block.shape == (r.stop - r.start, want.shape[1])
             assert np.concatenate([b for _, b in parts]).tobytes() == want.tobytes()
-        assert list(cd.blocks(rows[:0])) == []
-        assert list(cd.blocks(rows[:0], cols)) == []
+        assert list(cd._blocks(rows[:0])) == []
+        assert list(cd._blocks(rows[:0], cols)) == []
 
     def test_only_row_selections_may_be_written(self):
         rng = np.random.default_rng(6)
         cd = pairwise_distances(Dataset(points=rng.normal(size=(20, 2))))
         before = cd._square.copy()
-        for _, block in cd.blocks():
-            assert np.shares_memory(block, cd._square)
+        for view in cd.map_blocks(lambda r, view: view):
+            assert np.shares_memory(view, cd._square)
             with pytest.raises(ValueError):
-                block[0, 0] = -1.0
+                view[0, 0] = -1.0
         rows = np.array([3, 0, 7])
         for args in ((rows,), (rows, rows)):
-            for _, block in cd.blocks(*args):
+            for _, block in cd._blocks(*args):
                 block[...] = -1.0
         assert cd._square.tobytes() == before.tobytes()
 
@@ -212,31 +231,36 @@ class TestBlocks:
         cols = np.array([5, 0, cd.n - 1, 5])
         for i in range(cd.n):
             assert cd.row(i).tobytes() == full[i].tobytes()
-            assert cd.row(i, cols).tobytes() == full[i, cols].tobytes()
+            assert cd.row(i)[cols].tobytes() == full[i, cols].tobytes()
         view = cd.row(3)
         assert np.shares_memory(view, cd._square)
         with pytest.raises(ValueError):
             view[0] = -1.0
-        cd.row(3, cols)[...] = -1.0
+        view[cols][...] = -1.0  # a selection of the view is a copy
         assert full_matrix(cd).tobytes() == full.tobytes()
 
 
 def test_private_dataset_names_stay_in_dataset():
-    # The matrix layout and its row-block rule are ``dataset``'s to know;
-    # other modules read the distances through ``CondensedDistances``,
-    # never its matrix (``np.square`` is NumPy's, not the matrix).
+    # The matrix layout and its row-block readers are ``dataset``'s to
+    # know; other modules read the distances through the public methods
+    # of ``CondensedDistances``, never its matrix or its row blocks
+    # (``np.square`` is NumPy's, not the matrix), and every neighbour
+    # query is one of those methods.
     leaks = []
     for path in sorted(Path(vdpc.dataset.__file__).parent.glob("*.py")):
         if path.name == "dataset.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and node.module in (
-                "dataset", "vdpc.dataset"
-            ):
+            if isinstance(node, ast.ImportFrom):
                 leaks += [(path.name, a.name) for a in node.names
-                          if a.name.startswith("_") and a.name != "_readonly"]
+                          if a.name == "_knn_sets" or (
+                              node.module in ("dataset", "vdpc.dataset")
+                              and a.name.startswith("_") and a.name != "_readonly")]
+            if isinstance(node, ast.FunctionDef) and node.name == "_knn_sets":
+                leaks.append((path.name, node.name, node.lineno))
             if (isinstance(node, ast.Attribute)
-                    and node.attr in ("square", "_square")
+                    and node.attr in ("square", "_square", "blocks", "_blocks",
+                                      "_knn_sets")
                     and not (isinstance(node.value, ast.Name)
                              and node.value.id in ("np", "numpy"))):
                 leaks.append((path.name, node.attr, node.lineno))

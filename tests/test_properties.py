@@ -22,7 +22,6 @@ from vdpc import (
     pairwise_distances,
     relabel_contiguous,
 )
-from vdpc.baselines import _knn_sets
 from vdpc.density import delta_and_neighbors
 from vdpc.vdpc import (
     assign_noise,
@@ -151,7 +150,7 @@ def test_knn_sets(data):
     cd, _, _ = data.draw(grid())
     k = data.draw(st.integers(1, cd.n - 1))
     points = subset(data.draw, cd.n, min_size=1)
-    got = _knn_sets(cd, points, k)
+    got = cd.knn(points, k)
     assert got.shape == (len(points), k)
     want = loop_knn_sets(full_matrix(cd), points, k)
     assert [sorted(row) for row in want] == got.tolist()  # ascending index

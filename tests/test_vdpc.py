@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from vdpc.vdpc import (
     derive_adbscan_params,
     microcluster_postprocess,
     partition_points,
+    reassign_boundary,
     select_representatives,
     split_boundary,
 )
@@ -174,6 +176,19 @@ class TestSplitBoundary:
     def test_empty(self):
         kept, boundary = split_boundary([])
         assert kept == [] and len(boundary) == 0
+
+
+class TestReassignBoundary:
+    def test_no_higher_representative_keeps_the_points_and_warns(self, caplog):
+        cd = cd_of([[0.0, 0], [1.0, 0], [3.0, 0]])
+        initial, level = np.array([0, 0, 1]), np.ones(3, dtype=np.int64)
+        with caplog.at_level(logging.WARNING, logger="vdpc"):
+            got = reassign_boundary(cd, np.array([1]), np.array([0, 2]),
+                                    np.array([1, 1]), initial, level)
+        assert got[0].tolist() == [0, 0, 1] and got[1].tolist() == [1, 1, 1]
+        assert caplog.messages == [
+            "no representative above the lowest level; 1 boundary points "
+            "stay in the lowest level"]
 
 
 class TestMicroclusterPostprocess:
@@ -435,4 +450,19 @@ class TestVdpcRun:
                 level_points=np.arange(4),
                 reps_in_level=np.array([0]),
                 interval=(1.0, 10.0),
+            )
+
+    @pytest.mark.parametrize("level_points, reps, why", [
+        ([1], [1], "level needs at least 2 points"),
+        ([0, 1, 2], [], "level has no representative"),
+    ])
+    def test_derivation_refuses_a_degenerate_level(self, level_points, reps, why):
+        with pytest.raises(StageError, match="^adbscan-derivation: " + why):
+            derive_adbscan_params(
+                cd_of([[0.0, 0], [1.0, 0], [3.0, 0]]),
+                np.ones(3),
+                initial=np.zeros(3, dtype=int),
+                level_points=np.array(level_points),
+                reps_in_level=np.array(reps, dtype=int),
+                interval=(0.0, 2.0),
             )
