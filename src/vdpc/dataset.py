@@ -4,14 +4,19 @@ A dataset is an (N, D) array of feature vectors with optional integer
 ground-truth labels.  Its Euclidean distances are held once, as a
 symmetric N-by-N float64 matrix filled by row blocks of ``cdist``, or
 read from a condensed upper-triangular vector.  The matrix is private
-to ``CondensedDistances``; every query reads it through one of five
+to ``CondensedDistances``; every query reads it through one of six
 methods: ``map_blocks`` (read-only row blocks of the whole matrix: d_c,
-ρ, the zero count); ``row`` (one point's row: δ, aDBSCAN's Eps and
+ρ, the zero count); ``row`` (one point's row: aDBSCAN's Eps and
 MinPts); ``nearest`` (each point's nearest member of a set: boundary,
-micro-cluster and noise steps); ``knn`` (k nearest neighbours: aSNNC);
-and ``eps_neighbors`` (DBSCAN's strict ε-neighbourhoods), from a k-d
-tree over sparse coordinates, in O(pairs) memory, else from the matrix
-rows, which decide every pair either way.  The d_c percentile comes
+micro-cluster and noise steps); ``nearest_earlier`` (each point's
+nearest earlier point in a total order: δ); ``knn`` (k nearest
+neighbours: aSNNC); and ``eps_neighbors`` (DBSCAN's strict
+ε-neighbourhoods).  The last three take candidates from a k-d tree over
+coordinates of at most ``_TREE_MAX_DIM`` dimensions (for ε-neighbours,
+only when they are sparse, in O(pairs) memory); the matrix decides
+among them, a strict bound proves that no other point could win, and a
+point that fails it reads its matrix row, as every point does without a
+tree, so both sources give the same answer bitwise.  The d_c percentile comes
 from an exact selection inside a bracket drawn from a fixed-seed
 sample, in one counting pass over row blocks as a rule, never from
 sorting all N(N-1)/2 distances.  The ``cdist`` fill and every
@@ -23,6 +28,7 @@ is computed as on one thread, so no result depends on the core count.
 from __future__ import annotations
 
 import functools
+import logging
 import math
 import os
 import re
@@ -52,6 +58,11 @@ _POOL_MIN_BLOCKS = 8
 _SPARSE_SHARE = 32  # the k-d tree finds ε-neighbours up to m²/32 ordered pairs
 _TREE_MAX_DIM = 5  # and only up to 5 coordinates; past that the scan is faster
 _MARGIN = 1 + 2.0**-20  # tree radius over eps (see ``_tree_neighbors``)
+_SHRINK = 1 - 2.0**-20  # bound over the last tree distance (see ``_candidates``)
+_CANDIDATES = 16  # tree candidates of a point for δ, besides itself
+_KNN_EXTRA = 4  # and for its k nearest, besides itself and k
+
+log = logging.getLogger("vdpc")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -83,7 +94,8 @@ class Dataset:
             raise DataError("a dataset needs at least 2 points")
         if not np.all(np.isfinite(pts)):
             raise DataError("points contain non-finite values")
-        object.__setattr__(self, "points", _readonly(pts))
+        # a read-only view: the caller's own array stays writable
+        object.__setattr__(self, "points", _readonly(pts.view()))
         if self.ground_truth is not None:
             gt = np.asarray(self.ground_truth)
             if gt.ndim != 1 or len(gt) != len(pts):
@@ -167,6 +179,7 @@ class CondensedDistances:
         self.points = points
         self.scale = scale
         self._profiles: dict = {}  # density profiles by cut-off rank
+        self._tree: cKDTree | None = None  # over ``points``, built on first use
 
     def eps_neighbors(self, pts: np.ndarray, eps: float) -> EpsNeighbors:
         """Strict ε-neighbourhoods inside the ascending point subset ``pts``.
@@ -258,12 +271,122 @@ class CondensedDistances:
             out[r] = block.argmin(axis=1)  # the first of equal minima
         return out
 
+    def _candidates(
+        self, points: np.ndarray, count: int
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """k-d tree candidates of each of ``points``: the indices of its
+        ``count`` nearest points by tree distance (at most n, self among
+        them), and a bound in matrix units that every point outside them
+        reaches, so that an answer among them strictly below it has no
+        rival outside.
+
+        The tree and ``cdist`` round their distances differently, by a
+        few ulps.  The bound is the last tree distance shrunk by 2^-20,
+        which only has to cover that difference, over ``scale``; inf when
+        every point is a candidate; and 0, which no distance is below,
+        where it or its square in tree units is not a normal float, as
+        its relative precision is then lost.  None, so that the caller
+        reads the matrix rows, without coordinates or past
+        ``_TREE_MAX_DIM`` of them, where ``eps_neighbors`` scans too.
+        """
+        if self.points is None or self.points.shape[1] > _TREE_MAX_DIM:
+            return None
+        if self._tree is None:
+            self._tree = cKDTree(self.points)
+        count = min(count, self.n)  # the tree would pad with inf and index n
+        t, idx = self._tree.query(self.points[points], count)
+        idx = idx.reshape(len(points), count)
+        if count == self.n:
+            return idx, np.full(len(points), np.inf)
+        t = t.reshape(len(points), count)[:, -1] * _SHRINK
+        bound = t / self.scale
+        tiny = np.finfo(np.float64).tiny
+        bound[(t * t < tiny) | (bound < tiny)] = 0.0
+        return idx, bound
+
+    def nearest_earlier(self, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distance to and index of each point's nearest point earlier in
+        the total order ``order`` (a permutation of 0..n-1), ties to the
+        earliest; the first point gets (inf, -1).
+
+        With a tree (``_candidates``), a point's answer is the nearest
+        earlier one of its ``_CANDIDATES`` nearest when that is strictly
+        below their bound; the other points read their rows through
+        ``nearest``.  Without one, a loop over ``order`` reads every row.
+        Both give the answer of the loop bitwise.
+        """
+        n = self.n
+        found = self._candidates(np.arange(n), _CANDIDATES + 1)
+        if found is None:
+            dist, near = self._earlier_rows(order)
+            source, count, read = "rows", 0, n
+        else:
+            idx, bound = found
+            rank = np.empty(n, dtype=np.intp)
+            rank[order] = np.arange(n)
+            d = self._square[np.arange(n)[:, None], idx]
+            r = rank[idx]
+            d[r >= rank[:, None]] = np.inf  # only earlier points count
+            dist = d.min(axis=1)
+            r[d != dist[:, None]] = n  # the earliest of the nearest
+            near = idx[np.arange(n), r.argmin(axis=1)]
+            bad = np.flatnonzero(dist >= bound)
+            bad = bad[bad != order[0]]
+            near[bad] = order[self.nearest(bad, order, rank)]
+            dist[bad] = self._square[bad, near[bad]]
+            dist[order[0]], near[order[0]] = np.inf, -1
+            source, count, read = "tree", idx.shape[1], len(bad)
+        log.debug(
+            "nearest earlier point of %d points: %s source, %d candidates, "
+            "%d rows read", n, source, count, read,
+        )
+        return dist, near
+
+    def _earlier_rows(self, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``nearest_earlier`` by one pass over the rows in ``order``, each
+        row improving the best distances of every point strictly."""
+        n = self.n
+        dist = np.empty(n)
+        near = np.empty(n, dtype=np.int64)
+        best_dist = np.full(n, np.inf)
+        best_idx = np.full(n, -1, dtype=np.int64)
+        improved = np.empty(n, dtype=bool)
+        for i in order.tolist():
+            dist[i] = best_dist[i]
+            near[i] = best_idx[i]
+            row = self._square[i]
+            np.less(row, best_dist, out=improved)
+            np.copyto(best_dist, row, where=improved)
+            np.copyto(best_idx, i, where=improved)
+        return dist, near
+
     def knn(self, points: np.ndarray, k: int) -> np.ndarray:
         """The k nearest neighbours of each of ``points``, self excluded
         and distance ties broken by ascending index; each row of the
-        (m, k) result lists them in ascending index order."""
-        cols = np.empty((len(points), k), dtype=np.int64)
-        for r, block in self._blocks(points):
+        (m, k) result lists them in ascending index order.
+
+        With a tree (``_candidates``), a row is final when its k-th
+        candidate by (distance, index) among k + 1 + ``_KNN_EXTRA`` is
+        strictly below their bound, so every point tied with it is a
+        candidate; the other rows read the matrix, as every row does
+        without a tree.
+        """
+        m = len(points)
+        cols = np.empty((m, k), dtype=np.int64)
+        found = self._candidates(points, k + 1 + _KNN_EXTRA)
+        if found is None:
+            bad, source, count = np.arange(m), "rows", 0
+        else:
+            idx, bound = found
+            d = self._square[points[:, None], idx]
+            d[idx == points[:, None]] = np.inf  # self ranks last
+            first = np.lexsort((idx, d))[:, :k]  # by (distance, index)
+            rows = np.arange(m)[:, None]
+            ok = d[rows, first[:, -1:]][:, 0] < bound
+            cols[ok] = np.sort(idx[rows, first], axis=1)[ok]
+            bad, source, count = np.flatnonzero(~ok), "tree", idx.shape[1]
+        for r, block in self._blocks(points[bad]):
+            r = bad[r]
             block[np.arange(len(block)), points[r]] = np.inf  # self ranks last
             # The k smallest by (distance, index): every value below the k-th,
             # then the lowest-indexed values equal to it, up to k of them.
@@ -273,6 +396,10 @@ class CondensedDistances:
             room = k - keep.sum(axis=1, keepdims=True)
             keep |= tied & (np.cumsum(tied, axis=1) <= room)
             cols[r] = np.nonzero(keep)[1].reshape(-1, k)
+        log.debug(
+            "%d nearest of %d points: %s source, %d candidates, %d rows read",
+            k, m, source, count, len(bad),
+        )
         return cols
 
     def kth_smallest(self, k: int) -> float:

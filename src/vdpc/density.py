@@ -101,18 +101,7 @@ def delta_and_neighbors(
     if len(rho) != n:
         raise ParameterError("rho length does not match distance matrix")
     order = np.lexsort((np.arange(n), -np.asarray(rho)))
-    delta = np.empty(n, dtype=np.float64)
-    nneigh = np.empty(n, dtype=np.int64)
-    best_dist = np.full(n, np.inf)
-    best_idx = np.full(n, -1, dtype=np.int64)
-    improved = np.empty(n, dtype=bool)
-    for i in order.tolist():
-        delta[i] = best_dist[i]
-        nneigh[i] = best_idx[i]
-        row = cd.row(i)
-        np.less(row, best_dist, out=improved)
-        np.copyto(best_dist, row, where=improved)
-        np.copyto(best_idx, i, where=improved)
+    delta, nneigh = cd.nearest_earlier(order)
     delta[order[0]] = cd.max_distance  # nneigh stays -1 there
     return delta, nneigh, order
 

@@ -1,4 +1,5 @@
 import ast
+import logging
 import math
 from pathlib import Path
 
@@ -23,9 +24,10 @@ from vdpc import (
 )
 
 from vdpc.baselines import _dbscan_labels
+from vdpc.density import delta_and_neighbors
 
 from conftest import BEST_PARAMS, random_points
-from oracles import full_matrix
+from oracles import full_matrix, loop_delta_and_neighbors, loop_knn_sets
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -152,6 +154,14 @@ class TestDataset:
         with pytest.raises(DataError, match=why):
             Dataset(points=pts)
 
+    def test_callers_array_stays_writable(self):
+        a = np.zeros((3, 2))
+        ds = Dataset(points=a)
+        assert np.shares_memory(ds.points, a)  # not a copy
+        assert not ds.points.flags.writeable
+        a[0, 0] = 1.0
+        assert a.flags.writeable and ds.points[0, 0] == 1.0
+
     def test_bundled_fixture_shapes(self, datasets):
         sizes = {"flame": 240, "aggregation": 788, "r15": 600,
                  "compound": 399, "jain": 373, "pathbased": 300}
@@ -245,12 +255,22 @@ def test_private_dataset_names_stay_in_dataset():
     # know; other modules read the distances through the public methods
     # of ``CondensedDistances``, never its matrix or its row blocks
     # (``np.square`` is NumPy's, not the matrix), and every neighbour
-    # query is one of those methods.
+    # query is one of those methods: only ``dataset`` names the k-d tree,
+    # and δ's matrix reads stay behind ``nearest_earlier``, so ``density``
+    # reads no row.
     leaks = []
     for path in sorted(Path(vdpc.dataset.__file__).parent.glob("*.py")):
         if path.name == "dataset.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Name) and node.id == "cKDTree"
+                    or isinstance(node, ast.Attribute) and node.attr == "cKDTree"
+                    or isinstance(node, ast.alias) and node.name == "cKDTree"):
+                leaks.append((path.name, "cKDTree", getattr(node, "lineno", 0)))
+            if (path.name == "density.py" and isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "row"):
+                leaks.append((path.name, "row", node.lineno))
             if isinstance(node, ast.ImportFrom):
                 leaks += [(path.name, a.name) for a in node.names
                           if a.name == "_knn_sets" or (
@@ -470,7 +490,8 @@ class TestPowerOfTwoScale:
     @pytest.mark.parametrize("e", [600, -600])
     @pytest.mark.parametrize("name", ["flame", "pathbased"])
     def test_scaled_points_give_scaled_distances_and_equal_labels(
-            self, datasets, name, e):
+            self, datasets, name, e, caplog):
+        caplog.set_level(logging.DEBUG, logger="vdpc")
         ds, f = datasets[name], 2.0 ** e
         cd = pairwise_distances(ds)
         cd_f = pairwise_distances(Dataset(points=ds.points * f))
@@ -483,12 +504,32 @@ class TestPowerOfTwoScale:
         assert got.labels.tobytes() == want.labels.tobytes()
         assert got.profile.rho.tobytes() == want.profile.rho.tobytes()
         assert got.profile.d_c == want.profile.d_c * f
+        assert got.profile.delta.tobytes() == (want.profile.delta * f).tobytes()
+        assert got.profile.nneigh.tobytes() == want.profile.nneigh.tobytes()
+        for k in (1, 7, 40):
+            pts = np.arange(ds.n)
+            assert cd_f.knn(pts, k).tobytes() == cd.knn(pts, k).tobytes()
+        assert {source for source, _, _ in decisions(caplog)} == {"tree"}
         assert [d.eps for _, d in got.derivations] == [
             d.eps * f for _, d in want.derivations]
         eps = float(np.quantile(full_matrix(cd), 0.02, method="lower"))
         assert cd_f.eps_neighbors(np.arange(ds.n), eps * f).source == "tree"
         np.testing.assert_array_equal(
             dbscan(cd_f, DbscanParams(eps * f, 4)), dbscan(cd, DbscanParams(eps, 4)))
+
+    def test_subnormal_distances_read_their_rows(self, datasets, caplog):
+        # Coordinates below 2^-1050 are scaled by 2^1023 at most, so 1/s
+        # rounds the matrix values into subnormals, which tie far more
+        # often than the tree's distances; no bound is a normal float.
+        caplog.set_level(logging.DEBUG, logger="vdpc")
+        ds = datasets["flame"]
+        cd = pairwise_distances(Dataset(points=ds.points * 2.0 ** -1060))
+        assert cd.scale == 2.0 ** 1023
+        assert np.all(full_matrix(cd) < np.finfo(np.float64).tiny)
+        rho = np.round(np.random.default_rng(0).random(ds.n) * 3)
+        assert_loop_answers(cd, rho, (1, 5, 16))
+        assert decisions(caplog) == [("tree", 17, ds.n - 1)] + [
+            ("tree", k + 5, ds.n) for k in (1, 5, 16)]
 
     def test_tiny_coordinates_no_longer_underflow(self, datasets):
         ds = datasets["flame"]
@@ -510,3 +551,133 @@ class TestPowerOfTwoScale:
         for big in (2.0 ** -257, 2.0 ** 257):
             pts = np.array([[0.0, 0.0], [big, big / 2]])
             assert pairwise_distances(Dataset(points=pts)).scale != 1.0
+
+
+def decisions(caplog):
+    """(source, candidates, rows read) of each δ and kNN call logged."""
+    return [r.args[-3:] for r in caplog.records if r.msg.endswith("rows read")]
+
+
+def cutoff_rho(cd, pct=2.0):
+    """ρ at the pct cut-off, rounded to one of four values, so that the
+    total order breaks many ties by index."""
+    from vdpc.density import local_density
+    rho = local_density(cd, cutoff_distance(cd, pct))
+    return np.floor(rho / (rho.max() + 1.0) * 4.0)
+
+
+def assert_loop_answers(cd, rho, ks):
+    """δ, ``nneigh``, the order and the kNN rows of every point, for each
+    k of ``ks``, equal the oracle loops over the full matrix bitwise."""
+    full = full_matrix(cd)
+    got = delta_and_neighbors(cd, rho)
+    want = loop_delta_and_neighbors(full.tolist(), rho.tolist(), cd.max_distance)
+    assert tuple(v.tolist() for v in got) == want
+    pts = np.arange(cd.n)
+    for k in ks:
+        assert cd.knn(pts, k).tolist() == [sorted(r) for r in loop_knn_sets(full, pts, k)]
+
+
+class LongTree(cKDTree):
+    """A tree whose distances read 2^-40 long, as one that rounds
+    differently from ``cdist`` might; the 2^-20 margin covers it."""
+
+    def query(self, *args, **kwargs):
+        d, i = super().query(*args, **kwargs)
+        return d * (1 + 2.0 ** -40), i
+
+
+class NoQuery(cKDTree):
+    def query(self, *args, **kwargs):
+        raise AssertionError("the tree was queried")
+
+
+class TestTreeCandidates:
+    def grid(self, seed=0):
+        """A 12-by-12 integer grid, whose points tie at every distance,
+        and four ρ values, whose order breaks many ties by index."""
+        pts = np.array([(x, y) for x in range(12) for y in range(12)], float)
+        rho = np.random.default_rng(seed).integers(0, 4, len(pts)).astype(float)
+        return pts, rho
+
+    # A tree 2^-40 long lets in the ties at the last candidate's distance
+    # without the margin; with no margin (the shrink patched to 1), the
+    # strict test alone keeps them out, as on an integer grid the tree's
+    # distances are the matrix's exactly.
+    @pytest.mark.parametrize("tree, shrink", [(cKDTree, None), (LongTree, None),
+                                              (cKDTree, 1.0)],
+                             ids=["tree", "long-tree", "no-margin"])
+    @pytest.mark.parametrize("candidates", [1, 2, 16])
+    def test_ties_at_the_bound_stay_out(self, tree, shrink, candidates,
+                                        monkeypatch, caplog):
+        caplog.set_level(logging.DEBUG, logger="vdpc")
+        monkeypatch.setattr(vdpc.dataset, "cKDTree", tree)
+        monkeypatch.setattr(vdpc.dataset, "_CANDIDATES", candidates)
+        monkeypatch.setattr(vdpc.dataset, "_KNN_EXTRA", candidates)
+        if shrink is not None:
+            monkeypatch.setattr(vdpc.dataset, "_SHRINK", shrink)
+        for seed in range(3):
+            pts, rho = self.grid(seed)
+            assert_loop_answers(pairwise_distances(Dataset(points=pts)), rho,
+                                (1, 3, 5, 9))
+        assert min(read for _, _, read in decisions(caplog)) < len(pts) - 1
+
+    def test_coincident_points_read_their_rows(self, caplog):
+        # 20 copies of one point: its 16 nearest are all at distance 0,
+        # so the bound is 0 and no copy's answer can pass it
+        caplog.set_level(logging.DEBUG, logger="vdpc")
+        rng = np.random.default_rng(1)
+        pts = np.vstack([np.zeros((20, 2)), random_points(rng, 40)])
+        cd = pairwise_distances(Dataset(points=pts))
+        assert_loop_answers(cd, np.round(rng.random(60) * 3), (2, 10))
+        (_, _, delta_rows), *knn_rows = decisions(caplog)
+        assert delta_rows >= 19 and all(read >= 20 for _, _, read in knn_rows)
+
+    def test_query_is_clamped_at_n(self, caplog):
+        # 10 points have fewer than 17 candidates, and 6 + 5 > 10: every
+        # point is a candidate, so every answer stands without a bound
+        caplog.set_level(logging.DEBUG, logger="vdpc")
+        rng = np.random.default_rng(2)
+        cd = pairwise_distances(Dataset(points=random_points(rng, 10)))
+        assert_loop_answers(cd, np.round(rng.random(10) * 2), (6, 9))
+        assert decisions(caplog) == [("tree", 10, 0)] * 3
+
+    def test_all_rows_forced(self, distances, caplog):
+        # one candidate, the point itself or a copy: no earlier point, and
+        # no k-th answer below the bound, so every row is read
+        cd = distances["flame"]
+        rho = cutoff_rho(cd)
+        want = delta_and_neighbors(cd, rho), cd.knn(np.arange(cd.n), 16)
+        caplog.set_level(logging.DEBUG, logger="vdpc")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vdpc.dataset, "_CANDIDATES", 0)
+            mp.setattr(vdpc.dataset, "_KNN_EXTRA", 0)
+            got = delta_and_neighbors(cd, rho), cd.knn(np.arange(cd.n), 16)
+        assert [v.tobytes() for v in got[0]] == [v.tobytes() for v in want[0]]
+        assert got[1].tobytes() == want[1].tobytes()
+        assert decisions(caplog) == [("tree", 1, cd.n - 1), ("tree", 17, cd.n)]
+
+    def test_rows_without_coordinates_or_past_five(self, datasets, tmp_path,
+                                                   monkeypatch, caplog):
+        caplog.set_level(logging.DEBUG, logger="vdpc")
+        monkeypatch.setattr(vdpc.dataset, "cKDTree", NoQuery)
+        ds = datasets["flame"]
+        path = tmp_path / "d.txt"
+        path.write_text("\n".join(map(repr, pdist(ds.points).tolist())))
+        six = np.hstack([ds.points, np.round(ds.points[:, :1] * 0.3)] * 3)
+        for cd in (load_condensed_matrix(path, ds.n),
+                   pairwise_distances(Dataset(points=six))):
+            assert_loop_answers(cd, cutoff_rho(cd), (1, 15))
+        assert decisions(caplog) == [("rows", 0, ds.n), ("rows", 0, ds.n),
+                                     ("rows", 0, ds.n)] * 2
+
+    def test_each_call_logs_its_decision(self, distances, caplog):
+        caplog.set_level(logging.DEBUG, logger="vdpc")
+        cd = distances["compound"]
+        delta_and_neighbors(cd, cutoff_rho(cd))
+        cd.knn(np.arange(50), 20)
+        (delta_log, knn_log) = [r.getMessage() for r in caplog.records]
+        assert delta_log.startswith(
+            "nearest earlier point of 399 points: tree source, 17 candidates, ")
+        assert knn_log.startswith(
+            "20 nearest of 50 points: tree source, 25 candidates, ")

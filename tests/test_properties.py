@@ -46,11 +46,11 @@ from oracles import (
 
 
 @st.composite
-def grid(draw, max_points=18):
-    """(distances, rho, rank) of 2..max_points points on a 4-wide integer
-    grid, with densities from {0, 1, 2, 3}."""
+def grid(draw, max_points=18, min_points=2):
+    """(distances, rho, rank) of min_points..max_points points on a 4-wide
+    integer grid, with densities from {0, 1, 2, 3}."""
     dim = draw(st.integers(1, 2))
-    n = draw(st.integers(2, max_points))
+    n = draw(st.integers(min_points, max_points))
     cells = st.lists(st.integers(0, 3), min_size=dim, max_size=dim)
     pts = draw(st.lists(cells, min_size=n, max_size=n))
     rho = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), float)
@@ -94,10 +94,21 @@ def test_kth_smallest(sample_size, data):
     assert got == ordered
 
 
+# Up to 18 points the tree proposes every point as a candidate; 40 to 60
+# points on the 4-wide grid are more than the candidates, and coincide
+# by the dozen.
+grids = grid() | grid(max_points=60, min_points=40)
+
+
+# the tree's candidates patched to 1 and 2, and the default
+@pytest.mark.parametrize("candidates", [1, 2, None])
 @given(st.data())
-def test_delta_and_neighbors(data):
-    cd, rho, _ = data.draw(grid())
-    delta, nneigh, order = delta_and_neighbors(cd, rho)
+def test_delta_and_neighbors(candidates, data):
+    cd, rho, _ = data.draw(grids)
+    with pytest.MonkeyPatch.context() as mp:
+        if candidates is not None:
+            mp.setattr(vdpc.dataset, "_CANDIDATES", candidates)
+        delta, nneigh, order = delta_and_neighbors(cd, rho)
     want = loop_delta_and_neighbors(full_matrix(cd).tolist(), rho.tolist(),
                                     cd.max_distance)
     assert (delta.tolist(), nneigh.tolist(), order.tolist()) == want
@@ -145,12 +156,16 @@ def test_compute_levels_and_partition_points(rep_rhos, num, extra, scale):
     assert partition_points(rho, levels).tolist() == want
 
 
+@pytest.mark.parametrize("candidates", [1, 2, None])
 @given(st.data())
-def test_knn_sets(data):
-    cd, _, _ = data.draw(grid())
+def test_knn_sets(candidates, data):
+    cd, _, _ = data.draw(grids)
     k = data.draw(st.integers(1, cd.n - 1))
     points = subset(data.draw, cd.n, min_size=1)
-    got = cd.knn(points, k)
+    with pytest.MonkeyPatch.context() as mp:
+        if candidates is not None:
+            mp.setattr(vdpc.dataset, "_KNN_EXTRA", candidates)
+        got = cd.knn(points, k)
     assert got.shape == (len(points), k)
     want = loop_knn_sets(full_matrix(cd), points, k)
     assert [sorted(row) for row in want] == got.tolist()  # ascending index
