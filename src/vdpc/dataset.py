@@ -15,11 +15,11 @@ neighbours: aSNNC); and ``eps_neighbors`` (DBSCAN's strict
 coordinates of at most ``_TREE_MAX_DIM`` dimensions (for ε-neighbours,
 only when they are sparse, in O(pairs) memory); the matrix decides
 among them, a strict bound proves that no other point could win, and a
-point that fails it reads its matrix row, as every point does without a
-tree, so both sources give the same answer bitwise.  The d_c percentile comes
-from an exact selection inside a bracket drawn from a fixed-seed
-sample, in one counting pass over row blocks as a rule, never from
-sorting all N(N-1)/2 distances.  The ``cdist`` fill and every
+point that fails it reads its matrix row, as every point does without
+a tree, so both sources give the same answer bitwise.  The d_c
+percentile comes from an exact selection inside a bracket drawn from a
+fixed-seed sample, in one counting pass over row blocks as a rule,
+never from sorting all N(N-1)/2 distances.  The ``cdist`` fill and every
 ``map_blocks`` pass spread their row blocks over one thread per core
 the process may run on from ``_POOL_MIN_BLOCKS`` blocks on; each block
 is computed as on one thread, so no result depends on the core count.
@@ -316,20 +316,21 @@ class CondensedDistances:
         Both give the answer of the loop bitwise.
         """
         n = self.n
-        found = self._candidates(np.arange(n), _CANDIDATES + 1)
+        every = np.arange(n)
+        found = self._candidates(every, _CANDIDATES + 1)
         if found is None:
             dist, near = self._earlier_rows(order)
             source, count, read = "rows", 0, n
         else:
             idx, bound = found
             rank = np.empty(n, dtype=np.intp)
-            rank[order] = np.arange(n)
-            d = self._square[np.arange(n)[:, None], idx]
+            rank[order] = every
+            d = self._square[every[:, None], idx]
             r = rank[idx]
             d[r >= rank[:, None]] = np.inf  # only earlier points count
             dist = d.min(axis=1)
             r[d != dist[:, None]] = n  # the earliest of the nearest
-            near = idx[np.arange(n), r.argmin(axis=1)]
+            near = idx[every, r.argmin(axis=1)]
             bad = np.flatnonzero(dist >= bound)
             bad = bad[bad != order[0]]
             near[bad] = order[self.nearest(bad, order, rank)]

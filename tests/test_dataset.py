@@ -24,7 +24,7 @@ from vdpc import (
 )
 
 from vdpc.baselines import _dbscan_labels
-from vdpc.density import delta_and_neighbors
+from vdpc.density import delta_and_neighbors, local_density
 
 from conftest import BEST_PARAMS, random_points
 from oracles import full_matrix, loop_delta_and_neighbors, loop_knn_sets
@@ -561,7 +561,6 @@ def decisions(caplog):
 def cutoff_rho(cd, pct=2.0):
     """ρ at the pct cut-off, rounded to one of four values, so that the
     total order breaks many ties by index."""
-    from vdpc.density import local_density
     rho = local_density(cd, cutoff_distance(cd, pct))
     return np.floor(rho / (rho.max() + 1.0) * 4.0)
 

@@ -101,7 +101,7 @@ grids = grid() | grid(max_points=60, min_points=40)
 
 
 # the tree's candidates patched to 1 and 2, and the default
-@pytest.mark.parametrize("candidates", [1, 2, None])
+@pytest.mark.parametrize("candidates", [1, 2, None], ids=["1", "2", "default"])
 @given(st.data())
 def test_delta_and_neighbors(candidates, data):
     cd, rho, _ = data.draw(grids)
@@ -156,7 +156,7 @@ def test_compute_levels_and_partition_points(rep_rhos, num, extra, scale):
     assert partition_points(rho, levels).tolist() == want
 
 
-@pytest.mark.parametrize("candidates", [1, 2, None])
+@pytest.mark.parametrize("candidates", [1, 2, None], ids=["1", "2", "default"])
 @given(st.data())
 def test_knn_sets(candidates, data):
     cd, _, _ = data.draw(grids)
