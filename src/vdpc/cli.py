@@ -212,6 +212,19 @@ def _score(ds: Dataset, labels: np.ndarray):
     )
 
 
+def _scorer(ds: Dataset):
+    """``_score`` on ``ds``, computed once per distinct labelling."""
+    scores: dict = {}
+
+    def score(labels: np.ndarray):
+        key = (labels.dtype.str, labels.tobytes())
+        if key not in scores:
+            scores[key] = _score(ds, labels)
+        return scores[key]
+
+    return score
+
+
 def _emit(args, header: list[str], rows: list[list]) -> None:
     if args.format == "json":
         sys.stdout.write(_json_text([dict(zip(header, row)) for row in rows]))
@@ -266,13 +279,14 @@ def cmd_decision_graph(args) -> int:
 def cmd_sweep(args) -> int:
     ds = _load_dataset(args)
     cd = pairwise_distances(ds)
+    score = _scorer(ds)
     ablation = {n: getattr(args, n) for n in ABLATIONS}
     rows: list[list] = []
     nan = float("nan")
     for pct, delta_t, num in itertools.product(args.pct, args.delta_t, args.num):
         params = dict(pct=pct, delta_t=delta_t, num=num, **ablation)
         try:
-            ari, nmi = _score(ds, run_algorithm(cd, "vdpc", params)[0])
+            ari, nmi = score(run_algorithm(cd, "vdpc", params)[0])
         except VdpcError:
             ari = nmi = None
         rows.append([pct, delta_t, num, nan if ari is None else ari,
@@ -285,11 +299,13 @@ def cmd_sweep(args) -> int:
 
 def _bench_dataset(name: str, cells: list[dict]) -> dict[int, tuple]:
     """(ARI, NMI) by manifest position of the cells on one bundled dataset;
-    they share its distances and its density profiles."""
+    they share its distances, its density profiles and the scores of
+    equal labellings."""
     ds = load_bundled(name)
     cd = pairwise_distances(ds)
+    score = _scorer(ds)
     return {
-        i: _score(ds, run_algorithm(cd, c["algorithm"], c["params"])[0])
+        i: score(run_algorithm(cd, c["algorithm"], c["params"])[0])
         for i, c in enumerate(cells) if c["dataset"] == name
     }
 

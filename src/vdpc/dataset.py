@@ -179,6 +179,7 @@ class CondensedDistances:
         self.points = points
         self.scale = scale
         self._profiles: dict = {}  # density profiles by cut-off rank
+        self._levels: dict = {}  # level-pass outcomes by level state (``vdpc_run``)
         self._tree: cKDTree | None = None  # over ``points``, built on first use
 
     def eps_neighbors(self, pts: np.ndarray, eps: float) -> EpsNeighbors:

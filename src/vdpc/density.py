@@ -74,10 +74,10 @@ def local_density(cd: CondensedDistances, d_c: float) -> np.ndarray:
     if d_c <= 0:
         raise ParameterError("d_c must be > 0 (degenerate kernel)")
     rho = np.empty(cd.n, dtype=np.float64)
-    inv = 1.0 / d_c
+    inv = 1.0 / d_c  # inf for a subnormal d_c, where only division is finite
 
     def kernel(r: slice, view: np.ndarray) -> None:
-        block = view * inv
+        block = view * inv if math.isfinite(inv) else view / d_c
         np.square(block, out=block)
         np.negative(block, out=block)
         np.exp(block, out=block)

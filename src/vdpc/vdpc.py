@@ -27,7 +27,7 @@ from .baselines import (
     relabel_contiguous,
 )
 from .dataset import CondensedDistances, Dataset, pairwise_distances
-from .density import DensityProfile, _shared_profile
+from .density import DensityProfile, _rank, _shared_profile
 from .errors import ParameterError, StageError, _check_count, _check_positive
 
 __all__ = [
@@ -401,7 +401,11 @@ def vdpc_run(
     """Run the full pipeline and return labels plus stage snapshots.
 
     Runs on the same distances that differ only in ``delta_t``, ``num``
-    or the options share one density profile (``_shared_profile``).
+    or the options share one density profile (``_shared_profile``).  A
+    multi-level run's level stages depend only on the level state: the
+    cut-off rank, the representatives, the level intervals and the
+    options.  Runs on the same distances with the same state share one
+    level pass, kept on the distances object; each gets its own copies.
     """
     cd = data if isinstance(data, CondensedDistances) else pairwise_distances(data)
     profile = _shared_profile(cd, params.pct)
@@ -422,6 +426,35 @@ def vdpc_run(
             pre_noise_labels=initial.copy(),
         )
 
+    k = _rank(cd.n, params.pct)
+    state = (k, reps.tobytes(), levels.intervals, options)
+    if state in cd._levels:
+        log.debug("level state seen before (k=%d, %d levels): its labels are "
+                  "reused", k, levels.numl)
+    else:
+        cd._levels[state] = _cluster_levels(
+            cd, profile, reps, initial, levels, rep_level, options
+        )
+    return VdpcResult(
+        profile=profile,
+        representatives=reps,
+        levels=levels,
+        rep_level=rep_level,
+        **{name: _own_copy(v) for name, v in cd._levels[state].items()},
+    )
+
+
+def _cluster_levels(
+    cd: CondensedDistances,
+    profile: DensityProfile,
+    reps: np.ndarray,
+    initial: np.ndarray,
+    levels: DensityLevels,
+    rep_level: np.ndarray,
+    options: AblationOptions,
+) -> dict:
+    """The level stages of a multi-level run, as the ``VdpcResult`` fields
+    they set.  Of ``levels`` they read only the intervals, not ``w``."""
     if options.level_assignment == "inherit":  # the representative's level
         point_level = rep_level[initial]
     else:
@@ -478,17 +511,15 @@ def vdpc_run(
     # the low-level noise and the noise of levels without clusters
     pre_noise = labels.copy()
     labels = assign_noise(cd, np.flatnonzero(labels < 0), labels, profile)
-    return VdpcResult(
-        labels=relabel_contiguous(labels),
-        profile=profile,
-        representatives=reps,
-        initial_labels=initial,
-        levels=levels,
-        rep_level=rep_level,
-        point_level=point_level,
-        low_clusters=low_clusters,
-        low_noise=low_noise,
-        boundary_points=boundary,
-        derivations=derivations,
-        pre_noise_labels=pre_noise,
-    )
+    return dict(labels=relabel_contiguous(labels), initial_labels=initial,
+                point_level=point_level, low_clusters=low_clusters,
+                low_noise=low_noise, boundary_points=boundary,
+                derivations=derivations, pre_noise_labels=pre_noise)
+
+
+def _own_copy(value):
+    """A copy a caller may change of a kept level-stage field: arrays, also
+    inside lists, are copied; the immutable derivation tuples are shared."""
+    if isinstance(value, list):
+        return [_own_copy(v) for v in value]
+    return value.copy() if isinstance(value, np.ndarray) else value

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import os
 import pkgutil
@@ -31,6 +32,18 @@ def read_labels(path):
     rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64)
     assert np.array_equal(rows[:, 0], np.arange(len(rows)))
     return rows[:, 1]
+
+
+def score_calls(monkeypatch) -> list:
+    """Patch the CLI's ARI to record the labels of each call."""
+    calls = []
+
+    def counted(labels, truth):
+        calls.append(labels.tobytes())
+        return adjusted_rand_index(labels, truth)
+
+    monkeypatch.setattr(vdpc.cli, "adjusted_rand_index", counted)
+    return calls
 
 
 class TestRun:
@@ -345,6 +358,24 @@ class TestBench:
                 if "params" in r] == [
             (c["dataset"], c["algorithm"], c["params"]) for c in cells]
 
+    def test_each_distinct_labelling_is_scored_once(self, tmp_path, capsys,
+                                                    monkeypatch):
+        scored = score_calls(monkeypatch)
+        suite = "num-sensitivity-table2"
+        run_cli("bench", "--suite", suite, "--output-dir", str(tmp_path))
+        assert len(set(scored)) == len(scored)
+        records = json.loads((tmp_path / "bench_num_sensitivity_table2.json")
+                             .read_text())
+        cells = load_manifest()[suite]["cells"]
+        assert len(scored) < len(cells)
+        for record, cell in zip(records, cells):
+            ds = load_bundled(cell["dataset"])
+            labels = run_algorithm(pairwise_distances(ds), cell["algorithm"],
+                                   cell["params"])[0]
+            assert record["ari"] == adjusted_rand_index(labels, ds.ground_truth)
+            assert record["nmi"] == normalized_mutual_information(
+                labels, ds.ground_truth)
+
     def test_manifest_covers_all_suites(self):
         manifest = load_manifest()
         assert set(manifest) == {
@@ -436,6 +467,35 @@ class TestSweep:
             assert ari == "%.12g" % adjusted_rand_index(labels, ds.ground_truth)
             assert nmi == "%.12g" % normalized_mutual_information(labels,
                                                                   ds.ground_truth)
+
+    @pytest.mark.parametrize("name, pct, delta_t, num", [
+        ("compound", "1.14,1.9", "0.834,1.39", "10,15"),
+        ("pathbased", "0.24,0.4", "3.5,4.2", "5,10,15"),
+    ])
+    def test_grid_equals_cells_on_fresh_distances(self, tmp_path, capsys,
+                                                  name, pct, delta_t, num):
+        # the cells share level passes and scores; each cell alone may not
+        run_cli("sweep", "--dataset", name, "--pct", pct, "--delta-t", delta_t,
+                "--num", num, "--output-dir", str(tmp_path))
+        ds = load_bundled(name)
+        rows = []
+        for p, d, m in itertools.product(
+                *(v.split(",") for v in (pct, delta_t, num))):
+            labels = vdpc_run(pairwise_distances(ds),
+                              VdpcParams(float(p), float(d), int(m))).labels
+            rows.append([float(p), float(d), int(m),
+                         adjusted_rand_index(labels, ds.ground_truth),
+                         normalized_mutual_information(labels, ds.ground_truth)])
+        assert (tmp_path / "sweep.csv").read_text() == vdpc.cli._csv_text(
+            ["pct", "delta_t", "num", "ari", "nmi"], rows)
+
+    def test_each_distinct_labelling_is_scored_once(self, tmp_path, capsys,
+                                                    monkeypatch):
+        scored = score_calls(monkeypatch)
+        run_cli("sweep", "--dataset", "pathbased", "--pct", "0.24,0.4",
+                "--delta-t", "3.5,4.2,4.9", "--num", "5,10,15",
+                "--output-dir", str(tmp_path))
+        assert len(set(scored)) == len(scored) < 18
 
     def test_empty_grid_header_only(self, tmp_path, capsys):
         code = run_cli("sweep", "--dataset", "flame", "--pct", ",",

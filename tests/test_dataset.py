@@ -531,6 +531,19 @@ class TestPowerOfTwoScale:
         assert decisions(caplog) == [("tree", 17, ds.n - 1)] + [
             ("tree", k + 5, ds.n) for k in (1, 5, 16)]
 
+    def test_subnormal_cutoff_gives_finite_densities(self, datasets):
+        # d_c is subnormal here, so 1/d_c overflows to inf and the self
+        # term 0 * inf would be NaN; the kernel divides by d_c instead.
+        ds, f = datasets["flame"], 2.0 ** -1060
+        pct, delta_t = BEST_PARAMS["flame"]
+        want = vdpc_run(pairwise_distances(ds), VdpcParams(pct, delta_t))
+        cd = pairwise_distances(Dataset(points=ds.points * f))
+        got = vdpc_run(cd, VdpcParams(pct, delta_t * f))
+        assert not math.isfinite(1.0 / got.profile.d_c)
+        assert np.all(np.isfinite(got.profile.rho))
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.k == 2
+
     def test_tiny_coordinates_no_longer_underflow(self, datasets):
         ds = datasets["flame"]
         cd = pairwise_distances(Dataset(points=ds.points * 1e-200))

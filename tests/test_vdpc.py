@@ -1,3 +1,4 @@
+import importlib
 import logging
 import math
 
@@ -466,3 +467,138 @@ class TestVdpcRun:
                 reps_in_level=np.array(reps, dtype=int),
                 interval=(0.0, 2.0),
             )
+
+
+pipeline = importlib.import_module("vdpc.vdpc")
+
+
+def count_level_passes(monkeypatch) -> list:
+    """Patch the level clusterers to record each call; returns the record."""
+    calls = []
+    for name in ("asnnc", "adbscan_level"):
+        fn = getattr(pipeline, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+def same_result(got, want):
+    """Every field of two results, arrays bitwise."""
+    for name in ("labels", "representatives", "initial_labels", "rep_level",
+                 "point_level", "low_noise", "boundary_points", "pre_noise_labels"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert [c.tobytes() for c in got.low_clusters] == [
+        c.tobytes() for c in want.low_clusters]
+    assert got.derivations == want.derivations
+    assert got.levels == want.levels
+
+
+# Cells of one level state, from the sweep grid: compound's differ only in
+# num, jain's only in delta_t.
+SHARED_STATE = {
+    "num": ("compound", VdpcParams(1.14, 0.834, 10), VdpcParams(1.14, 0.834, 15)),
+    "delta_t": ("jain", VdpcParams(30, 3.3, 5), VdpcParams(30, 4.4, 5)),
+}
+
+
+class TestLevelMemo:
+    @pytest.mark.parametrize("differ", list(SHARED_STATE))
+    def test_cells_of_one_state_share_a_level_pass(self, datasets, differ,
+                                                   monkeypatch):
+        name, first, second = SHARED_STATE[differ]
+        want = [vdpc_run(datasets[name], p) for p in (first, second)]
+        calls = count_level_passes(monkeypatch)
+        cd = pairwise_distances(datasets[name])
+        got = vdpc_run(cd, first)
+        passes = len(calls)
+        assert got.levels.numl > 1 and passes > 0
+        same_result(got, want[0])
+        same_result(vdpc_run(cd, second), want[1])
+        assert len(calls) == passes
+
+    @pytest.mark.parametrize("option", [
+        dict(k_rule="ln"), dict(eps_rule="ln"), dict(combo="snnc+snnc"),
+        dict(level_assignment="midpoint"),
+    ])
+    def test_other_options_get_their_own_pass(self, datasets, option, monkeypatch):
+        params = VdpcParams(1.9, 1.39)
+        want = vdpc_run(datasets["compound"], params, AblationOptions(**option))
+        calls = count_level_passes(monkeypatch)
+        cd = pairwise_distances(datasets["compound"])
+        vdpc_run(cd, params)
+        passes = len(calls)
+        got = vdpc_run(cd, params, AblationOptions(**option))
+        assert len(calls) > passes
+        same_result(got, want)
+
+    def test_other_intervals_get_their_own_pass(self, monkeypatch):
+        # three blobs of rising density: num 5 opens one gap, num 15 two
+        rng = np.random.default_rng(1)
+        pts = np.round(np.concatenate([
+            rng.normal(c, s, size=(m, 2)) for c, s, m in
+            (([0, 0], 1.5, 20), ([12, 0], 0.9, 40), ([0, 12], 0.6, 80))]), 3)
+        wide, narrow = VdpcParams(8, 5.0, 5), VdpcParams(8, 5.0, 15)
+        want = [vdpc_run(cd_of(pts), p) for p in (wide, narrow)]
+        calls = count_level_passes(monkeypatch)
+        cd = cd_of(pts)
+        same_result(vdpc_run(cd, wide), want[0])
+        passes = len(calls)
+        same_result(vdpc_run(cd, narrow), want[1])
+        assert len(calls) > passes
+        assert [r.levels.numl for r in want] == [2, 3]
+        assert want[0].representatives.tobytes() == want[1].representatives.tobytes()
+
+    def test_changing_a_result_leaves_later_hits_intact(self, datasets):
+        name, first, second = SHARED_STATE["num"]
+        want = vdpc_run(datasets[name], second)
+        cd = pairwise_distances(datasets[name])
+        for _ in range(2):
+            got = vdpc_run(cd, first)
+            for a in (got.labels, got.initial_labels, got.point_level,
+                      got.low_noise, got.boundary_points, got.pre_noise_labels,
+                      *got.low_clusters):
+                a[:] = 7
+            got.low_clusters.clear()
+            got.derivations.clear()
+        same_result(vdpc_run(cd, second), want)
+
+    def test_a_hit_carries_its_own_levels(self, datasets):
+        name, first, second = SHARED_STATE["num"]
+        cd = pairwise_distances(datasets[name])
+        a, b = vdpc_run(cd, first), vdpc_run(cd, second)
+        assert a.levels.intervals == b.levels.intervals
+        assert b.levels == compute_levels(b.profile.rho[b.representatives],
+                                          second.num)
+        assert b.levels.w != a.levels.w
+
+    def test_a_failed_level_pass_is_not_kept(self, datasets, monkeypatch):
+        name, first, _ = SHARED_STATE["num"]
+        want = vdpc_run(datasets[name], first)
+        cd = pairwise_distances(datasets[name])
+
+        def failing(*args):
+            raise StageError("asnnc", "injected")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "asnnc", failing)
+            with pytest.raises(StageError):
+                vdpc_run(cd, first)
+        assert cd._levels == {}
+        same_result(vdpc_run(cd, first), want)
+
+    def test_a_hit_is_logged_with_its_state(self, datasets, caplog):
+        name, first, second = SHARED_STATE["num"]
+        cd = pairwise_distances(datasets[name])
+        caplog.set_level(logging.DEBUG, logger="vdpc")
+        vdpc_run(cd, first)
+        assert not [r for r in caplog.records if "level state" in r.message]
+        vdpc_run(cd, second)
+        hits = [r for r in caplog.records if "level state" in r.message]
+        assert len(hits) == 1 and hits[0].name == "vdpc"
+        assert hits[0].levelno == logging.DEBUG
+        k = vdpc.density._rank(cd.n, second.pct)
+        assert hits[0].args == (k, 2)
