@@ -216,8 +216,8 @@ def _scorer(ds: Dataset):
     """``_score`` on ``ds``, computed once per distinct labelling."""
     scores: dict = {}
 
-    def score(labels: np.ndarray):
-        key = (labels.dtype.str, labels.tobytes())
+    def score(labels: np.ndarray):  # every algorithm labels in int64
+        key = labels.tobytes()
         if key not in scores:
             scores[key] = _score(ds, labels)
         return scores[key]

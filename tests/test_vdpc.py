@@ -1,4 +1,3 @@
-import importlib
 import logging
 import math
 
@@ -6,6 +5,7 @@ import numpy as np
 import pytest
 
 import vdpc.density
+import vdpc.vdpc as pipeline
 from vdpc import (
     AblationOptions,
     Dataset,
@@ -469,9 +469,6 @@ class TestVdpcRun:
             )
 
 
-pipeline = importlib.import_module("vdpc.vdpc")
-
-
 def count_level_passes(monkeypatch) -> list:
     """Patch the level clusterers to record each call; returns the record."""
     calls = []
@@ -523,7 +520,7 @@ class TestLevelMemo:
     @pytest.mark.parametrize("option", [
         dict(k_rule="ln"), dict(eps_rule="ln"), dict(combo="snnc+snnc"),
         dict(level_assignment="midpoint"),
-    ])
+    ], ids=lambda option: next(iter(option)))
     def test_other_options_get_their_own_pass(self, datasets, option, monkeypatch):
         params = VdpcParams(1.9, 1.39)
         want = vdpc_run(datasets["compound"], params, AblationOptions(**option))
