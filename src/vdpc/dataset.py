@@ -1,28 +1,35 @@
-"""Point-set ingestion and the pairwise-distance matrix.
+"""Point-set ingestion and the pairwise distances.
 
 A dataset is an (N, D) array of feature vectors with optional integer
-ground-truth labels.  Its Euclidean distances are held once, as a
-symmetric N-by-N float64 matrix filled by row blocks of ``cdist``, or
-read from a condensed upper-triangular vector.  The matrix is private
-to ``CondensedDistances``; every query reads it through one of six
-methods: ``map_blocks`` (read-only row blocks of the whole matrix: d_c,
-ρ, the zero count); ``row`` (one point's row: aDBSCAN's Eps and
-MinPts); ``nearest`` (each point's nearest member of a set: boundary,
-micro-cluster and noise steps); ``nearest_earlier`` (each point's
-nearest earlier point in a total order: δ); ``knn`` (k nearest
+ground-truth labels.  Its Euclidean distances are held or streamed.
+Held, they are one symmetric N-by-N float64 matrix, filled by row blocks
+of ``cdist`` or read from a condensed upper-triangular vector: 8·N²
+bytes, refused when larger than physical memory.  Streamed (coordinates
+of more than ``_HOLD_LIMIT`` points), every pass computes its row blocks
+with ``cdist`` and drops them, and single pairs come from a NumPy form
+that equals ``cdist`` bitwise, so memory is O(N·block + tree + candidate
+pairs) while time stays O(N²); both modes give the same values bitwise.
+``CondensedDistances`` hides the mode: its block source (``_block``,
+``_pairs``) is the one place that reads the matrix or computes a
+distance, and every query goes through one of its methods:
+``map_blocks`` (read-only row blocks of all distances: ρ, the zero
+count); ``kth_smallest`` (d_c); ``row`` (one point's row: aDBSCAN's Eps
+and MinPts); ``nearest`` (each point's nearest member of a set:
+boundary, micro-cluster and noise steps); ``nearest_earlier`` (each
+point's nearest earlier point in a total order: δ); ``knn`` (k nearest
 neighbours: aSNNC); and ``eps_neighbors`` (DBSCAN's strict
 ε-neighbourhoods).  The last three take candidates from a k-d tree over
 coordinates of at most ``_TREE_MAX_DIM`` dimensions (for ε-neighbours,
-only when they are sparse, in O(pairs) memory); the matrix decides
+only when they are sparse, in O(pairs) memory); the distances decide
 among them, a strict bound proves that no other point could win, and a
-point that fails it reads its matrix row, as every point does without
-a tree, so both sources give the same answer bitwise.  The d_c
-percentile comes from an exact selection inside a bracket drawn from a
-fixed-seed sample, in one counting pass over row blocks as a rule,
-never from sorting all N(N-1)/2 distances.  The ``cdist`` fill and every
-``map_blocks`` pass spread their row blocks over one thread per core
-the process may run on from ``_POOL_MIN_BLOCKS`` blocks on; each block
-is computed as on one thread, so no result depends on the core count.
+point that fails it reads its row, as every point does without a tree,
+so both sources give the same answer bitwise.  The d_c percentile comes
+from an exact selection inside a bracket drawn from a fixed-seed sample,
+in one counting pass over the upper row blocks (half of the pairs) as a
+rule, never from sorting all N(N-1)/2 distances.  The ``cdist`` fill and
+every row-block pass spread their blocks over one thread per core the
+process may run on from ``_POOL_MIN_BLOCKS`` blocks on; each block is
+computed as on one thread, so no result depends on the core count.
 """
 
 from __future__ import annotations
@@ -52,6 +59,10 @@ __all__ = [
 ]
 
 _BLOCK_CELLS = 1 << 18  # matrix cells per block in the row-block loops
+# ``pairwise_distances`` streams the distances of more points than this (a
+# 128 MiB matrix).  Streaming costs a sweep, which reuses one matrix for
+# every cut-off, about as much as it saves a single run here (README).
+_HOLD_LIMIT = 4096
 # Fewer blocks than this run inline: such a pass takes a few milliseconds,
 # and its thread hand-offs can cost as much on a loaded host.
 _POOL_MIN_BLOCKS = 8
@@ -144,11 +155,13 @@ class CondensedDistances:
     """Pairwise Euclidean distances of ``n`` points.
 
     The constructor takes the condensed form ``d``: dist(i, j) for i < j
-    at index i*n - i*(i+1)/2 + (j-i-1).  The one stored copy is the
-    symmetric n-by-n matrix with a zero diagonal, which only the methods
-    below read.  ``points`` holds the coordinates it was computed from,
-    times the exact power of two ``scale`` (see ``pairwise_distances``),
-    or None when the distances were given directly.
+    at index i*n - i*(i+1)/2 + (j-i-1), and holds the symmetric n-by-n
+    matrix with a zero diagonal.  ``pairwise_distances`` holds that
+    matrix up to ``_HOLD_LIMIT`` points and streams past it.  ``points``
+    holds the coordinates the distances come from, times the exact power
+    of two ``scale`` (see ``pairwise_distances``), or None when the
+    distances were given directly.  Only the block source, ``_block``
+    and ``_pairs``, reads the matrix or computes a distance.
     """
 
     def __init__(self, n: int, d: np.ndarray):
@@ -163,47 +176,104 @@ class CondensedDistances:
             )
         top = _checked_max(d)
         _require_memory(n)
-        self._hold(squareform(d, checks=False), top)
+        self._keep(n, squareform(d, checks=False), top)
 
-    def _hold(
+    def _keep(
         self,
-        square: np.ndarray,
-        max_distance: float,
+        n: int,
+        square: np.ndarray | None,
+        max_distance: float | None,
         points: np.ndarray | None = None,
         scale: float = 1.0,
     ) -> None:
-        """Keep a checked symmetric matrix without copying it."""
-        self.n = len(square)
-        self._square = _readonly(square)
-        self.max_distance = max_distance
+        """Keep a checked symmetric matrix without copying it, or, with
+        ``square`` None, the coordinates to stream the distances from."""
+        self.n = n
+        self._square = None if square is None else _readonly(square)
+        self._max = max_distance  # None until a streamed pass finds it
         self.points = points
         self.scale = scale
         self._profiles: dict = {}  # density profiles by cut-off rank
         self._levels: dict = {}  # level-pass outcomes by level state (``vdpc_run``)
         self._tree: cKDTree | None = None  # over ``points``, built on first use
 
+    # -- the block source: every distance is read or computed here ------
+
+    def _block(self, rows, cols=None, out: np.ndarray | None = None) -> np.ndarray:
+        """Distances of the points ``rows`` to the points ``cols`` (all by
+        default), each an index array or a slice.  Held: a read-only view
+        of the matrix for slices, a copy for index arrays.  Streamed:
+        ``cdist`` of the coordinates times 1/``scale``, written into
+        ``out`` if given, exactly as the held matrix was filled."""
+        if self._square is not None:
+            if isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray):
+                rows = rows[:, None]
+            return self._square[rows] if cols is None else self._square[rows, cols]
+        pts = self.points
+        block = cdist(pts[rows], pts if cols is None else pts[cols], out=out)
+        if self.scale != 1.0:
+            with np.errstate(over="ignore"):  # see ``pairwise_distances``
+                block *= 1.0 / self.scale
+        return block
+
+    def _pairs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """dist(i, j) for broadcast index arrays: gathered from the held
+        matrix, or ``sqrt(((a0-b0)² + (a1-b1)²) + …)`` of the coordinates,
+        summed left to right, which is ``cdist``'s value bitwise."""
+        if self._square is not None:
+            return self._square[i, j]
+        total = 0.0
+        for x in self.points.T:
+            diff = x[i] - x[j]
+            total = total + diff * diff
+        out = np.sqrt(total)
+        if self.scale != 1.0:
+            with np.errstate(over="ignore"):
+                out *= 1.0 / self.scale
+        return out
+
+    # -- readers ---------------------------------------------------------
+
+    @property
+    def max_distance(self) -> float:
+        """The largest pairwise distance; a streamed pass finds it on
+        first use unless the d_c count already has."""
+        if self._max is None:
+            self._max = max(self._upper_map(lambda r, block: _checked_max(block)))
+        return self._max
+
     def eps_neighbors(self, pts: np.ndarray, eps: float) -> EpsNeighbors:
         """Strict ε-neighbourhoods inside the ascending point subset ``pts``.
 
         ``counts[i]`` is the number of positions j, i itself included,
         with dist(pts[i], pts[j]) < eps, and ``near(i)`` lists them
-        in ascending order.  A k-d tree over the coordinates proposes the
-        pairs when at most m²/``_SPARSE_SHARE`` ordered pairs lie within
-        reach and the points have at most ``_TREE_MAX_DIM`` coordinates;
-        otherwise, or without coordinates, the matrix rows are scanned.
-        The matrix decides every pair either way, so both sources give
-        the same answer bitwise.
+        in ascending order.  A subset whose m-by-m block fits in
+        ``_BLOCK_CELLS`` cells is read as one block first; its pairs come
+        from that block unless at most m²/``_SPARSE_SHARE`` of them are
+        within eps.  A k-d tree over the coordinates proposes the pairs
+        when at most that share lies within reach and the points have at
+        most ``_TREE_MAX_DIM`` coordinates; otherwise, or without
+        coordinates, the rows are scanned.  The distances decide every
+        pair either way, so both sources give the same answer bitwise.
         """
+        m = len(pts)
+        within = self._block(pts, pts) < eps if m * m <= _BLOCK_CELLS else None
         r = eps * self.scale * _MARGIN
         if (
             self.points is not None
             and self.points.shape[1] <= _TREE_MAX_DIM
             and r * r >= np.finfo(np.float64).tiny
         ):
-            tree = cKDTree(self.points[pts])
-            if tree.count_neighbors(tree, r) * _SPARSE_SHARE <= len(pts) ** 2:
+            tree = None
+            if within is not None:
+                pairs = int(np.count_nonzero(within))
+            else:
+                tree = cKDTree(self.points[pts])
+                pairs = tree.count_neighbors(tree, r)
+            if pairs * _SPARSE_SHARE <= m * m:
+                tree = cKDTree(self.points[pts]) if tree is None else tree
                 return self._tree_neighbors(tree, r, pts, eps)
-        return self._matrix_neighbors(pts, eps)
+        return self._matrix_neighbors(pts, eps, within)
 
     def _tree_neighbors(
         self, tree: cKDTree, r: float, pts: np.ndarray, eps: float
@@ -211,12 +281,12 @@ class CondensedDistances:
         # The tree and ``cdist`` round their distances differently, by a
         # few ulps.  The tree's radius r is eps (in scaled units) widened
         # by 2^-20, which only has to cover that difference, so every pair
-        # the matrix puts below eps is proposed; the matrix then keeps
-        # exactly those.  r² is a normal float, so the squared distances
-        # the tree compares keep their relative precision.
+        # below eps is proposed; the distances then keep exactly those.
+        # r² is a normal float, so the squared distances the tree compares
+        # keep their relative precision.
         m = len(pts)
         ij = tree.query_pairs(r, output_type="ndarray")
-        ij = ij[self._square[pts[ij[:, 0]], pts[ij[:, 1]]] < eps]
+        ij = ij[self._pairs(pts[ij[:, 0]], pts[ij[:, 1]]) < eps]
         own = np.arange(m)
         rows = np.concatenate([ij[:, 0], ij[:, 1], own])
         cols = np.concatenate([ij[:, 1], ij[:, 0], own])
@@ -227,31 +297,50 @@ class CondensedDistances:
             np.diff(indptr), lambda i: indices[indptr[i] : indptr[i + 1]], "tree"
         )
 
-    def _matrix_neighbors(self, pts: np.ndarray, eps: float) -> EpsNeighbors:
+    def _matrix_neighbors(
+        self, pts: np.ndarray, eps: float, within: np.ndarray | None = None
+    ) -> EpsNeighbors:
+        """The rows' ε-neighbourhoods, from the subset's block ``within``
+        (``dist < eps``) when the caller has it, else by row blocks."""
+        if within is not None:
+            return EpsNeighbors(
+                within.sum(axis=1), lambda i: np.flatnonzero(within[i]), "matrix"
+            )
         counts = np.empty(len(pts), dtype=np.int64)
         for r, block in self._blocks(pts, pts):
             counts[r] = (block < eps).sum(axis=1)
         return EpsNeighbors(
-            counts, lambda i: np.flatnonzero(self._square[pts[i], pts] < eps), "matrix"
+            counts,
+            lambda i: np.flatnonzero(self._block(pts[i : i + 1], pts)[0] < eps),
+            "matrix",
         )
 
     def _blocks(self, rows: np.ndarray, cols: np.ndarray | None = None):
-        """Copies of the matrix rows ``rows`` at ``cols`` (all columns by
-        default) by row blocks: ``(r, block)`` for the ``_slices`` r of
-        ``rows``, ``block`` being a copy that the caller may overwrite."""
-        sq = self._square
+        """The distances of ``rows`` to ``cols`` (all points by default) by
+        row blocks: ``(r, block)`` for the ``_slices`` r of ``rows``,
+        ``block`` being a copy that the caller may overwrite."""
         for r in _slices(len(rows), self.n if cols is None else len(cols)):
-            yield r, sq[rows[r]] if cols is None else sq[rows[r, None], cols]
+            yield r, self._block(rows[r], cols)
 
     def map_blocks(self, fn: Callable[[slice, np.ndarray], object]) -> list:
-        """``[fn(r, view) for r, view in _views(matrix)]``, the views
-        read-only, spread over one thread per core by ``_map``; ``fn`` may
-        only read shared state or write the rows ``r`` of its own output."""
-        return _map(fn, _views(self._square))
+        """``[fn(r, view) for r in _slices(n, n)]``, ``view`` the read-only
+        distances of the rows r to every point, spread over one thread per
+        core by ``_map``; ``fn`` may only read shared state or write the
+        rows ``r`` of its own output."""
+        return _map(lambda r: fn(r, _readonly(self._block(r))), _slices(self.n, self.n))
+
+    def _upper_map(self, fn: Callable[[slice, np.ndarray], object]) -> list:
+        """``map_blocks`` over the upper parts: ``view`` holds the
+        distances of the rows r to the points from ``r.start`` on, so a
+        streamed pass computes about half of the pairs."""
+        return _map(
+            lambda r: fn(r, _readonly(self._block(r, slice(r.start, None)))),
+            _slices(self.n, self.n),
+        )
 
     def row(self, i: int) -> np.ndarray:
-        """Point i's distances to every point: a read-only view."""
-        return self._square[i]
+        """Point i's distances to every point, read-only."""
+        return _readonly(self._block(slice(i, i + 1))[0])
 
     def nearest(
         self, rows: np.ndarray, cols: np.ndarray, rank: np.ndarray | None = None
@@ -326,7 +415,7 @@ class CondensedDistances:
             idx, bound = found
             rank = np.empty(n, dtype=np.intp)
             rank[order] = every
-            d = self._square[every[:, None], idx]
+            d = self._pairs(every[:, None], idx)
             r = rank[idx]
             d[r >= rank[:, None]] = np.inf  # only earlier points count
             dist = d.min(axis=1)
@@ -335,7 +424,7 @@ class CondensedDistances:
             bad = np.flatnonzero(dist >= bound)
             bad = bad[bad != order[0]]
             near[bad] = order[self.nearest(bad, order, rank)]
-            dist[bad] = self._square[bad, near[bad]]
+            dist[bad] = self._pairs(bad, near[bad])
             dist[order[0]], near[order[0]] = np.inf, -1
             source, count, read = "tree", idx.shape[1], len(bad)
         log.debug(
@@ -356,7 +445,7 @@ class CondensedDistances:
         for i in order.tolist():
             dist[i] = best_dist[i]
             near[i] = best_idx[i]
-            row = self._square[i]
+            row = self.row(i)
             np.less(row, best_dist, out=improved)
             np.copyto(best_dist, row, where=improved)
             np.copyto(best_idx, i, where=improved)
@@ -380,7 +469,7 @@ class CondensedDistances:
             bad, source, count = np.arange(m), "rows", 0
         else:
             idx, bound = found
-            d = self._square[points[:, None], idx]
+            d = self._pairs(points[:, None], idx)
             d[idx == points[:, None]] = np.inf  # self ranks last
             first = np.lexsort((idx, d))[:, :k]  # by (distance, index)
             rows = np.arange(m)[:, None]
@@ -421,18 +510,21 @@ class CondensedDistances:
         m = self.n * (self.n - 1) // 2
         if not 1 <= k <= m:
             raise IndexError("k=%d outside 1..%d" % (k, m))
-        sample = _sample_distances(self._square, m)
+        sample = _sample_distances(self._pairs, self.n, m)
         width = 4.0
         while True:
             lo, hi = _bracket(sample, k, m, width)
+            find_max = self._max is None  # a streamed pass finds it on the way
 
             def count(r: slice, block: np.ndarray):
-                # The strict upper triangle of the block: the part right of
-                # its diagonal square, then the triangle inside that square.
-                tri = ~np.tri(r.stop - r.start, dtype=bool)
+                # The strict upper triangle of the upper part: the part right
+                # of its diagonal square, then the triangle inside it.
+                size = r.stop - r.start
+                tri = ~np.tri(size, dtype=bool)
                 below = at_lo = at_hi = 0
                 held = []
-                for v in (block[:, r.stop :], block[:, r][tri]):
+                top = float(block.max()) if find_max else None
+                for v in (block[:, size:], block[:, :size][tri]):
                     low = v < lo
                     below += int(np.count_nonzero(low))
                     inside = v <= hi
@@ -444,9 +536,11 @@ class CondensedDistances:
                     at_lo += int(np.count_nonzero(v == lo))
                     at_hi += int(np.count_nonzero(v == hi)) if hi != lo else 0
                     held.append(v[(lo < v) & (v < hi)])
-                return below, at_lo, at_hi, held
+                return below, at_lo, at_hi, held, top
 
-            counts = self.map_blocks(count)
+            counts = self._upper_map(count)
+            if find_max:
+                self._max = max(c[4] for c in counts)
             below, at_lo, at_hi = (sum(c[i] for c in counts) for i in range(3))
             held = np.concatenate([v for c in counts for v in c[3]])
             j = k - below  # rank of the k-th among the distances in [lo, hi]
@@ -475,20 +569,15 @@ def _slices(size: int, width: int) -> list[slice]:
     return [slice(a, min(a + step, size)) for a in range(0, size, step)]
 
 
-def _views(sq: np.ndarray) -> list[tuple[slice, np.ndarray]]:
-    """Views ``(r, sq[r])`` for the ``_slices`` r of a square matrix."""
-    return [(r, sq[r]) for r in _slices(len(sq), len(sq))]
-
-
-def _map(fn: Callable, blocks: list) -> list:
-    """``[fn(r, block) for r, block in blocks]``, spread over one thread per
-    core this process may run on; inline with one core or fewer than
-    ``_POOL_MIN_BLOCKS`` blocks.  NumPy and ``cdist`` release the
+def _map(fn: Callable[[slice], object], slices: list[slice]) -> list:
+    """``[fn(r) for r in slices]``, spread over one thread per core this
+    process may run on; inline with one core or fewer than
+    ``_POOL_MIN_BLOCKS`` slices.  NumPy and ``cdist`` release the
     interpreter lock on a block, so the blocks of a pass run side by side."""
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if workers < 2 or len(blocks) < _POOL_MIN_BLOCKS:
-        return [fn(r, block) for r, block in blocks]
-    return list(_pool(os.getpid(), workers).map(fn, *zip(*blocks)))
+    if workers < 2 or len(slices) < _POOL_MIN_BLOCKS:
+        return [fn(r) for r in slices]
+    return list(_pool(os.getpid(), workers).map(fn, slices))
 
 
 def _sample_size(m: int) -> int:
@@ -496,15 +585,16 @@ def _sample_size(m: int) -> int:
     return math.ceil(m ** (2.0 / 3.0))
 
 
-def _sample_distances(sq: np.ndarray, m: int) -> np.ndarray:
-    """Sorted distances of S = ``_sample_size(m)`` pairs i < j of the
-    matrix, drawn with replacement by a fixed-seed local generator."""
+def _sample_distances(pairs: Callable, n: int, m: int) -> np.ndarray:
+    """Sorted distances ``pairs(i, j)`` of S = ``_sample_size(m)`` pairs
+    i != j of n points, drawn with replacement by a fixed-seed local
+    generator."""
     s = _sample_size(m)
     rng = np.random.default_rng(0)
-    i = rng.integers(0, len(sq), s)
-    j = rng.integers(0, len(sq) - 1, s)
+    i = rng.integers(0, n, s)
+    j = rng.integers(0, n - 1, s)
     j += j >= i  # any other point, uniformly
-    return np.sort(sq[i, j])
+    return np.sort(pairs(i, j))
 
 
 def _bracket(sample: np.ndarray, k: int, m: int, width: float) -> tuple[float, float]:
@@ -531,7 +621,8 @@ def _checked_max(v: np.ndarray) -> float:
 
 
 def _require_memory(n: int) -> None:
-    """Refuse an n-by-n float64 matrix larger than physical memory."""
+    """Refuse to hold an n-by-n float64 matrix larger than physical
+    memory (streamed distances need no such matrix)."""
     need = 8 * n * n
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
@@ -553,34 +644,32 @@ def _power_of_two_scale(pts: np.ndarray) -> float:
 
 
 def pairwise_distances(ds: Dataset) -> CondensedDistances:
-    """Euclidean distances of a dataset.  The matrix is filled by row
-    blocks of ``cdist``, bitwise equal to ``squareform(pdist(points))``.
+    """Euclidean distances of a dataset: the matrix filled by row blocks
+    of ``cdist``, bitwise equal to ``squareform(pdist(points))``, up to
+    ``_HOLD_LIMIT`` points; past it the same values streamed, each pass
+    computing its blocks from the coordinates and dropping them.
 
     Coordinates too large or too small for their squares are first
-    multiplied by an exact power of two s, and each block by 1/s, so the
-    matrix is in input units and equals s⁻¹ times the scaled distances.
+    multiplied by an exact power of two s, and each distance by 1/s, so
+    the distances are in input units and equal s⁻¹ times the scaled ones.
+    That rescale can overflow: a held matrix is checked as it is filled;
+    streamed distances are bounded by the coordinates' bounding box, and
+    checked by a pass of their own only when that bound overflows.
     """
     n = ds.n
-    _require_memory(n)
     s = _power_of_two_scale(ds.points)
     pts = ds.points if s == 1.0 else _readonly(ds.points * s)
-    sq = np.empty((n, n))
-
-    def fill(r: slice, block: np.ndarray) -> float:
-        cdist(pts[r], pts, out=block)
-        if s != 1.0:
-            with np.errstate(over="ignore"):  # reported just below
-                block *= 1.0 / s
-        # Distances of finite coordinates are never NaN or negative, but
-        # the 1/s rescale can overflow to +inf.
-        top = float(block.max())
-        if not math.isfinite(top):
-            raise DataError("distances contain non-finite values")
-        return top
-
-    top = max(_map(fill, _views(sq)))
     cd = CondensedDistances.__new__(CondensedDistances)
-    cd._hold(sq, top, pts, s)
+    cd._keep(n, None, None, pts, s)
+    if n > _HOLD_LIMIT:
+        span = pts.max(axis=0) - pts.min(axis=0)
+        if not math.isfinite(math.hypot(*span.tolist()) * _MARGIN / s):
+            cd.max_distance  # found by a pass that checks every distance
+        return cd
+    _require_memory(n)
+    sq = np.empty((n, n))
+    top = max(_map(lambda r: _checked_max(cd._block(r, out=sq[r])), _slices(n, n)))
+    cd._keep(n, sq, top, pts, s)
     return cd
 
 

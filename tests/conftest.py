@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -47,3 +49,15 @@ def random_points(rng: np.random.Generator, n: int, dim: int = 2) -> np.ndarray:
     centers = rng.uniform(-10, 10, size=(rng.integers(1, 4), dim))
     pick = rng.integers(0, len(centers), size=n)
     return centers[pick] + rng.normal(0, rng.uniform(0.3, 2.0), size=(n, dim))
+
+
+def density_mix(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """n points and their cluster labels: six round Gaussian clusters of
+    about n/6 points on a 3-by-2 grid 30 apart, three of spread 1 and
+    three of spread sqrt(10), so their densities differ tenfold."""
+    rng = np.random.default_rng(seed)
+    centers = np.array([(x, y) for y in (0.0, 30.0) for x in (0.0, 30.0, 60.0)])
+    spread = np.array([1.0, 1.0, 1.0, math.sqrt(10), math.sqrt(10), math.sqrt(10)])
+    labels = np.arange(n) % 6
+    pts = centers[labels] + rng.normal(size=(n, 2)) * spread[labels, None]
+    return pts, labels

@@ -287,6 +287,35 @@ def test_private_dataset_names_stay_in_dataset():
     assert leaks == []
 
 
+def test_only_the_block_source_reads_or_computes_distances():
+    # Held or streamed, every distance comes from ``_block`` (the matrix
+    # or ``cdist``) or ``_pairs`` (the matrix or the NumPy pair form):
+    # ``cdist`` and ``np.sqrt`` are named nowhere else in the package,
+    # and no other function of ``dataset`` reads the matrix.
+    source = {"_block": {"cdist", "_square"}, "_pairs": {"sqrt", "_square"}}
+    leaks = []
+    for path in sorted(Path(vdpc.dataset.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        owner = {id(node): f.name for f in functions for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id in ("cdist", "pdist"):
+                name = node.id
+            elif (isinstance(node, ast.Attribute) and node.attr == "sqrt"
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in ("np", "numpy")):
+                name = "sqrt"
+            elif (isinstance(node, ast.Attribute) and node.attr == "_square"
+                  and isinstance(node.ctx, ast.Load)):
+                name = "_square"
+            else:
+                continue
+            where = owner.get(id(node))
+            if path.name != "dataset.py" or name not in source.get(where, ()):
+                leaks.append((path.name, where, name, node.lineno))
+    assert leaks == []
+
+
 class TestDistanceMatrix:
     def point_sets(self, datasets):
         rng = np.random.default_rng(3)
@@ -331,7 +360,9 @@ class TestDistanceMatrix:
             monkeypatch.setattr(np, name, guarded)
         vdpc_run(ds, VdpcParams(*BEST_PARAMS["flame"]))
 
-    def test_matrix_larger_than_memory_is_refused(self):
+    def test_matrix_larger_than_memory_is_refused(self, monkeypatch):
+        # 2M points stream as a rule; held, their matrix would not fit
+        monkeypatch.setattr(vdpc.dataset, "_HOLD_LIMIT", 1 << 62)
         ds = Dataset(points=np.arange(2_000_000.0).reshape(-1, 1))
         with pytest.raises(DataError, match="32000000000000 bytes.*use fewer points"):
             pairwise_distances(ds)
@@ -458,6 +489,39 @@ class TestEpsNeighbors:
             for eps in (cd.max_distance, 2 * cd.max_distance):
                 labels = dbscan(cd, DbscanParams(eps, 2))
                 assert labels.min() == 0  # no noise once eps spans the set
+
+    @pytest.mark.parametrize("block_cells", [None, 1000])
+    def test_a_subset_that_fits_one_block_is_read_once(self, distances,
+                                                       monkeypatch, block_cells):
+        # flame's 240 points fit one block of 2^18 cells: its counts decide
+        # the source, a dense eps builds no tree and reads no more rows;
+        # past one block (1,000 cells) the tree counts the pairs first
+        if block_cells is not None:
+            monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", block_cells)
+        cd = distances["flame"]
+        pts = np.arange(cd.n)
+        eps = float(np.quantile(full_matrix(cd), 0.01, method="lower"))
+        built, reads = [], []
+
+        class Counted(cKDTree):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        block = CondensedDistances._block
+        monkeypatch.setattr(vdpc.dataset, "cKDTree", Counted)
+        monkeypatch.setattr(CondensedDistances, "_block",
+                            lambda self, *a, **k: reads.append(1) or block(self, *a, **k))
+        dense = cd.eps_neighbors(pts, cd.max_distance / 2)
+        near = [dense.near(i) for i in range(cd.n)]
+        assert dense.source == "matrix"
+        fits = block_cells is None
+        assert (built, len(reads)) == (([], 1) if fits else ([1], 60 + cd.n))
+        assert [len(v) for v in near] == dense.counts.tolist()
+        built.clear(), reads.clear()
+        sparse = cd.eps_neighbors(pts, eps)
+        assert sparse.source == "tree" and built == [1]
+        assert len(reads) == (1 if fits else 0)
 
     def test_sparse_bundled_level_uses_the_tree(self, datasets, monkeypatch):
         cd = pairwise_distances(datasets["pathbased"])

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import tracemalloc
 
@@ -165,23 +166,27 @@ class TestCutoffSelection:
                 assert cd.kth_smallest(k) == kth, (lo, hi, k)
                 assert (widths == [4.0]) == (lo <= kth <= hi), (lo, hi, k)
 
-    def test_tied_bracket_ends_are_counted_not_held(self):
+    def test_tied_bracket_ends_are_counted_not_held(self, monkeypatch):
         # 3,000 points at two sites: about half of the distances are 0 and
         # half are 5, so the sampled bracket ends on a value shared by
         # millions of pairs, which must be counted, not copied (the
-        # matrix is 72 MB).
+        # matrix is 72 MB).  Streamed, each worker thread also holds the
+        # block it computes.
         pts = np.repeat([[0.0, 0.0], [3.0, 4.0]], 1500, axis=0)
-        cd = pairwise_distances(Dataset(points=pts))
         m, zeros = 3000 * 2999 // 2, 1500 * 1499
-        tracemalloc.start()
-        try:
-            got = [cd.kth_smallest(k)
-                   for k in (1, zeros, zeros + 1, round(0.6 * m), m)]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got == [0.0, 0.0, 5.0, 5.0, 5.0]
-        assert peak < 5e6
+        workers = len(os.sched_getaffinity(0))
+        for limit, blocks in ((1 << 62, 0), (0, workers)):
+            monkeypatch.setattr(vdpc.dataset, "_HOLD_LIMIT", limit)
+            cd = pairwise_distances(Dataset(points=pts))
+            tracemalloc.start()
+            try:
+                got = [cd.kth_smallest(k)
+                       for k in (1, zeros, zeros + 1, round(0.6 * m), m)]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == [0.0, 0.0, 5.0, 5.0, 5.0]
+            assert peak < 5e6 + blocks * 8 * vdpc.dataset._BLOCK_CELLS
 
 
 class TestLocalDensity:

@@ -228,3 +228,30 @@ def test_assign_noise(data):
     got = assign_noise(cd, noise, labels, profile_of(rho))
     want = loop_assign_noise(full_matrix(cd), noise.tolist(), labels, rank)
     assert got.tolist() == want.tolist()
+
+
+@given(st.data())
+def test_streamed_equals_held(data):
+    # the same grid streamed: every reader bitwise as from the matrix
+    cd, rho, rank = data.draw(grids)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vdpc.dataset, "_HOLD_LIMIT", 0)
+        streamed = pairwise_distances(Dataset(points=cd.points))
+    assert streamed._square is None
+    m = cd.n * (cd.n - 1) // 2
+    assert [streamed.kth_smallest(k) for k in range(1, m + 1, 7)] == [
+        cd.kth_smallest(k) for k in range(1, m + 1, 7)]
+    assert streamed.max_distance == cd.max_distance
+    got, want = delta_and_neighbors(streamed, rho), delta_and_neighbors(cd, rho)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+    points = subset(data.draw, cd.n, min_size=1)
+    k = data.draw(st.integers(1, cd.n - 1))
+    assert streamed.knn(points, k).tobytes() == cd.knn(points, k).tobytes()
+    cols = subset(data.draw, cd.n, min_size=1)
+    assert (streamed.nearest(points, cols, rank).tobytes()
+            == cd.nearest(points, cols, rank).tobytes())
+    eps = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+    a, b = cd.eps_neighbors(points, eps), streamed.eps_neighbors(points, eps)
+    assert a.counts.tolist() == b.counts.tolist()
+    assert [a.near(i).tolist() for i in range(len(points))] == [
+        b.near(i).tolist() for i in range(len(points))]

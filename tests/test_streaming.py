@@ -1,0 +1,229 @@
+"""Streamed distances against the held matrix.
+
+``pairwise_distances`` holds the n-by-n matrix up to ``_HOLD_LIMIT``
+points and streams the distances past it.  Every reader must give the
+same answer bitwise either way, so these tests patch the limit to 0
+(stream everything) and to a value no input reaches (hold everything)
+and compare.
+"""
+
+import json
+import os
+
+import numpy as np
+import pytest
+from scipy.spatial.distance import cdist
+
+import vdpc.dataset
+from vdpc import (
+    DataError,
+    Dataset,
+    VdpcParams,
+    cutoff_distance,
+    load_points_csv,
+    pairwise_distances,
+    vdpc_run,
+)
+from vdpc.cli import main
+from vdpc.density import delta_and_neighbors, local_density
+
+from conftest import BEST_PARAMS, density_mix
+
+HOLD_ALL = 1 << 62
+T710 = os.path.join(os.path.dirname(__file__), "data", "t710.csv")
+
+
+def build(pts, limit, monkeypatch):
+    monkeypatch.setattr(vdpc.dataset, "_HOLD_LIMIT", limit)
+    return pairwise_distances(Dataset(points=pts))
+
+
+def both(pts, monkeypatch):
+    """The held and the streamed distances of ``pts``."""
+    held, streamed = build(pts, HOLD_ALL, monkeypatch), build(pts, 0, monkeypatch)
+    assert held._square is not None and streamed._square is None
+    return held, streamed
+
+
+def rounded_points(dim, n=120, copies=30):
+    """Coordinates rounded to one decimal, the first ``copies`` points
+    twice, so that many distances tie and some are 0."""
+    base = np.round(np.random.default_rng(dim).normal(size=(n, dim)), 1)
+    return np.vstack([base, base[:copies]])
+
+
+class TestPairForm:
+    # 2^±600 goes through the power-of-two rescale
+    @pytest.mark.parametrize("factor", [1.0, 1e-3, 1e5, 2.0 ** 600, 2.0 ** -600],
+                             ids=["1", "1e-3", "1e5", "2^600", "2^-600"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 9, 16, 17, 64])
+    def test_pairs_and_streamed_blocks_equal_cdist(self, dim, factor, monkeypatch):
+        pts = rounded_points(dim) * factor
+        held, streamed = both(pts, monkeypatch)
+        s = held.scale
+        assert s == streamed.scale and (s != 1.0) == (factor in (2.0 ** 600,
+                                                                 2.0 ** -600))
+        want = cdist(pts * s, pts * s) * (1.0 / s)  # the fill's arithmetic
+        n = len(pts)
+        i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        assert held._block(slice(0, n)).tobytes() == want.tobytes()
+        for cd in (held, streamed):
+            assert cd._pairs(i, j).tobytes() == want.tobytes()
+            assert cd._pairs(i[:, :1], j).tobytes() == want.tobytes()  # broadcast
+        assert streamed._block(slice(0, n)).tobytes() == want.tobytes()
+        rows, cols = np.array([5, 0, n - 1, 5]), np.arange(n)[::-3]
+        for cd in (held, streamed):
+            got = np.concatenate([b for _, b in cd._blocks(rows, cols)])
+            assert got.tobytes() == want[np.ix_(rows, cols)].tobytes()
+
+
+def assert_same_answers(held, streamed, pct, eps_quantiles=(0.01, 0.05)):
+    """d_c, ρ, δ, ``nneigh``, ``knn``, ``eps_neighbors``, ``nearest``,
+    ``row`` and the largest distance, bitwise."""
+    n = held.n
+    d_c = cutoff_distance(held, pct)
+    assert cutoff_distance(streamed, pct) == d_c
+    m = n * (n - 1) // 2
+    for k in (1, m // 3, m):
+        assert streamed.kth_smallest(k) == held.kth_smallest(k)
+    rho = local_density(held, d_c)
+    assert local_density(streamed, d_c).tobytes() == rho.tobytes()
+    want = delta_and_neighbors(held, rho)
+    got = delta_and_neighbors(streamed, rho)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+    assert streamed.max_distance == held.max_distance
+    every = np.arange(n)
+    half = every[::2]
+    for k in (1, 7, 40):
+        for pts in (every, half):
+            assert streamed.knn(pts, k).tobytes() == held.knn(pts, k).tobytes()
+    upper = np.sort(held._pairs(*np.triu_indices(n, 1)))
+    for q in eps_quantiles:
+        eps = float(upper[int(q * len(upper))])  # a distance: pairs tie at eps
+        for pts in (every, half):
+            a, b = held.eps_neighbors(pts, eps), streamed.eps_neighbors(pts, eps)
+            assert a.source == b.source
+            assert a.counts.tobytes() == b.counts.tobytes()
+            for i in range(len(pts)):
+                assert a.near(i).tobytes() == b.near(i).tobytes()
+    rank = np.empty(n, dtype=np.int64)
+    rank[want[2]] = every
+    cols = every[3::7]
+    for r in (None, rank):
+        assert (streamed.nearest(every, cols, r).tobytes()
+                == held.nearest(every, cols, r).tobytes())
+    for i in (0, n // 2, n - 1):
+        assert streamed.row(i).tobytes() == held.row(i).tobytes()
+        assert not streamed.row(i).flags.writeable
+
+
+def assert_same_runs(held, streamed, pct, delta_t):
+    want = vdpc_run(held, VdpcParams(pct, delta_t))
+    got = vdpc_run(streamed, VdpcParams(pct, delta_t))
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.levels == want.levels
+    assert [d for _, d in got.derivations] == [d for _, d in want.derivations]
+    return want
+
+
+@pytest.mark.parametrize("name", list(BEST_PARAMS))
+def test_streamed_equals_held_on_bundled_sets(name, datasets, monkeypatch):
+    held, streamed = both(datasets[name].points, monkeypatch)
+    pct, delta_t = BEST_PARAMS[name]
+    assert_same_answers(held, streamed, pct)
+    assert_same_runs(held, streamed, pct, delta_t)
+
+
+def test_many_coordinates_have_no_tree_either_way(monkeypatch):
+    # 8 coordinates: δ walks the rows in order, ``knn`` and DBSCAN scan
+    pts = rounded_points(8, n=300, copies=40)
+    held, streamed = both(pts, monkeypatch)
+    assert_same_answers(held, streamed, 2.0)
+    assert held._tree is None and streamed._tree is None
+    assert_same_runs(held, streamed, 2.0, 0.5)
+
+
+def test_density_mix_streams_like_held(monkeypatch):
+    # the generator's clusters differ tenfold in density, the case of
+    # several density levels, aSNNC and aDBSCAN
+    pts, _ = density_mix(1500)
+    held, streamed = both(pts, monkeypatch)
+    want = assert_same_runs(held, streamed, 2.0, 2.0)
+    assert want.levels.numl >= 2 and want.derivations
+
+
+def test_t710_cli_artifacts_are_byte_identical(monkeypatch, tmp_path):
+    out = {}
+    for limit in (HOLD_ALL, 0):
+        monkeypatch.setattr(vdpc.dataset, "_HOLD_LIMIT", limit)
+        out[limit] = tmp_path / str(limit)
+        assert main(["run", "--dataset", T710, "--has-header", "--pct", "2",
+                     "--delta-t", "25", "--trace", "--output-dir",
+                     str(out[limit])]) == 0
+    files = sorted(p.relative_to(out[0]) for p in out[0].rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(out[HOLD_ALL])
+                           for p in out[HOLD_ALL].rglob("*") if p.is_file())
+    assert len(files) > 2
+    for rel in files:
+        a, b = (out[HOLD_ALL] / rel).read_bytes(), (out[0] / rel).read_bytes()
+        if rel.name == "metrics.json":
+            a, b = (json.loads(x) for x in (a, b))
+            a.pop("runtime_ms"), b.pop("runtime_ms")
+        assert a == b, rel
+
+
+def test_bundled_sets_hold_and_t710_streams(distances):
+    for cd in distances.values():
+        assert cd.n <= vdpc.dataset._HOLD_LIMIT and cd._square is not None
+    t710 = pairwise_distances(load_points_csv(T710, has_header=True))
+    assert t710._square is None
+    assert not [v for v in vars(t710).values()
+                if isinstance(v, np.ndarray) and v.size > t710.n * 2]
+
+
+def test_non_finite_distances_are_the_same_error(monkeypatch, tmp_path, capsys):
+    # finite coordinates whose distance, 2e308, overflows once the
+    # rescale is undone; the bounding box cannot rule it out, so a
+    # streamed pass checks every distance
+    pts = np.vstack([np.random.default_rng(3).normal(size=(40, 2)),
+                     [[-1e308, 0.0], [1e308, 0.0]]])
+    path = tmp_path / "overflow.csv"
+    np.savetxt(path, pts, delimiter=",", fmt="%.17g")
+    messages = []
+    for limit in (HOLD_ALL, 0):
+        monkeypatch.setattr(vdpc.dataset, "_HOLD_LIMIT", limit)
+        with pytest.raises(DataError, match="^distances contain non-finite values$"):
+            pairwise_distances(Dataset(points=pts))
+        assert main(["run", "--dataset", str(path), "--pct", "2", "--delta-t",
+                     "1", "--output-dir", str(tmp_path / "out")]) == 2
+        messages.append(capsys.readouterr().err)
+    assert messages == ["vdpc: data error: distances contain non-finite values\n"] * 2
+
+
+def test_large_finite_coordinates_stream_without_a_check_pass(monkeypatch):
+    # 2^600 needs the rescale, but its bounding box bounds every distance
+    # well below overflow, so no pass runs before the first reader
+    calls = []
+    block = vdpc.dataset.CondensedDistances._block
+    monkeypatch.setattr(vdpc.dataset.CondensedDistances, "_block",
+                        lambda self, *a, **k: calls.append(a) or block(self, *a, **k))
+    pts = rounded_points(2) * 2.0 ** 600
+    streamed = build(pts, 0, monkeypatch)
+    assert streamed.scale != 1.0 and calls == []
+    assert streamed.max_distance == build(pts, HOLD_ALL, monkeypatch).max_distance
+
+
+def test_only_held_matrices_need_memory(monkeypatch, tmp_path):
+    # a host that reports less memory than the 8·n² bytes of the matrix
+    pts, _ = density_mix(600)
+    sysconf = os.sysconf
+    pages = {"SC_PHYS_PAGES": 8 * 600 * 600 // 4096 - 1, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name, sysconf(name)))
+    with pytest.raises(DataError, match="needs 2880000 bytes.*use fewer points"):
+        build(pts, HOLD_ALL, monkeypatch)
+    streamed = build(pts, 0, monkeypatch)
+    assert vdpc_run(streamed, VdpcParams(2.0, 2.0)).k >= 2
+    path = tmp_path / "d.txt"
+    path.write_text(" ".join(map(repr, streamed._pairs(*np.triu_indices(600, 1)).tolist())))
+    with pytest.raises(DataError, match="needs 2880000 bytes"):
+        vdpc.dataset.load_condensed_matrix(path, 600)

@@ -1,6 +1,7 @@
 """The row-block passes run on a thread pool: the cdist fill, the d_c
-count and ρ.  No result may depend on the number of worker threads, and
-no public function of the package may run off the main thread."""
+count and ρ, held or streamed.  No result may depend on the number of
+worker threads, and no public function of the package may run off the
+main thread."""
 
 import importlib
 import os
@@ -69,8 +70,33 @@ def test_worker_count_never_changes_a_result(monkeypatch, datasets, name, worker
             pairwise_distances(Dataset(points=pts)))[np.triu_indices(n, 1)].tolist())
 
 
+@pytest.mark.parametrize("workers", [1, 2, 8])
+@pytest.mark.parametrize("name", ["flame", "grid"])
+def test_streamed_passes_equal_held_at_any_worker_count(monkeypatch, datasets,
+                                                        name, workers):
+    pts = grid_points() if name == "grid" else datasets["flame"].points
+    n = len(pts)
+    m = n * (n - 1) // 2
+    ks = range(1, m + 1) if name == "grid" else sorted({1, m, *range(1, m, 293)})
+    monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", (3 if name == "grid" else 7) * n)
+    cores(monkeypatch, 1)
+    held = results(pts, ks)
+    monkeypatch.setattr(vdpc.dataset, "_HOLD_LIMIT", 0)
+    threads = fill_threads(monkeypatch)
+    cores(monkeypatch, workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        streamed = results(pts, ks)
+    finally:
+        sys.setswitchinterval(interval)
+    assert streamed == held
+    assert bool(threads - {threading.main_thread()}) == (workers > 1)
+
+
 def fill_threads(monkeypatch):
-    """The threads that run the ``cdist`` calls of the distance fill."""
+    """The threads that run the ``cdist`` calls of the distance fill, or
+    of the streamed passes."""
     threads = set()
     cdist = vdpc.dataset.cdist
 
@@ -111,7 +137,7 @@ def test_non_finite_distance_in_a_later_block_is_a_data_error(
     with pytest.raises(DataError, match="^distances contain non-finite values$"):
         pairwise_distances(Dataset(points=pts))
     path = tmp_path / "overflow.csv"
-    np.savetxt(path, pts, delimiter=",", fmt="%r")
+    np.savetxt(path, pts, delimiter=",", fmt="%.17g")
     assert main(["run", "--dataset", str(path), "--pct", "2", "--delta-t", "1",
                  "--output-dir", str(tmp_path / "out")]) == 2
 
