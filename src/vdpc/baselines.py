@@ -8,7 +8,6 @@ only ever present in DBSCAN output.
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,34 +107,36 @@ def dpc_assign(profile: DensityProfile, centers: np.ndarray) -> np.ndarray:
 def _dbscan_labels(
     cd: CondensedDistances, pts: np.ndarray, eps: float, minpts: int
 ) -> np.ndarray:
-    """Breadth-first DBSCAN expansion over the ascending point set ``pts``.
+    """DBSCAN over the ascending point set ``pts`` (Ester et al., 1996).
 
     A core point has at least ``minpts`` points of ``pts`` (itself
-    included) at distance strictly below ``eps``.  Clusters grow from
-    core points in ascending index order; a non-core point within reach
-    keeps the first cluster that claims it; unreached points stay noise
-    (-1).  ``labels[i]`` is the label of ``pts[i]``.
+    included) at distance strictly below ``eps``.  Clusters are the
+    connected components of the core points joined within eps, numbered
+    by their smallest core point; a non-core point within eps of a core
+    point takes the lowest cluster among its core neighbours; the others
+    stay noise (-1).  These are the labels of a breadth-first expansion
+    from the core points in ascending index order.  ``labels[i]`` is the
+    label of ``pts[i]``.
     """
     m = len(pts)
-    nb = cd.eps_neighbors(pts, eps)
+    i, j, source = cd.eps_neighbors(pts, eps)
     log.debug(
         "dbscan on %d points: Eps=%r MinPts=%d, %d pairs within Eps (%s source)",
-        m, eps, minpts, (int(nb.counts.sum()) - m) // 2, nb.source,
+        m, eps, minpts, len(i), source,
     )
-    core = nb.counts >= minpts
-    labels = np.full(m, -1, dtype=np.int64)
-    cid = 0
-    for seed in np.flatnonzero(core):
-        if labels[seed] >= 0:
-            continue
-        labels[seed] = cid
-        queue = deque([seed])
-        while queue:
-            near = nb.near(queue.popleft())
-            new = near[labels[near] < 0]
-            labels[new] = cid
-            queue.extend(new[core[new]])
-        cid += 1
+    core = np.bincount(i, minlength=m) + np.bincount(j, minlength=m) + 1 >= minpts
+    both = core[i] & core[j]
+    graph = csr_matrix(
+        (np.ones(np.count_nonzero(both), dtype=bool), (i[both], j[both])), shape=(m, m)
+    )
+    _, comp = connected_components(graph, directed=False)
+    labels = relabel_contiguous(np.where(core, comp, -1))
+    border = np.full(m, m, dtype=np.int64)  # m: no core neighbour
+    for a, b in ((i, j), (j, i)):
+        claim = core[a] & ~core[b]
+        np.minimum.at(border, b[claim], labels[a[claim]])
+    claimed = border < m
+    labels[claimed] = border[claimed]
     return labels
 
 

@@ -8,28 +8,30 @@ bytes, refused when larger than physical memory.  Streamed (coordinates
 of more than ``_HOLD_LIMIT`` points), every pass computes its row blocks
 with ``cdist`` and drops them, and single pairs come from a NumPy form
 that equals ``cdist`` bitwise, so memory is O(N·block + tree + candidate
-pairs) while time stays O(N²); both modes give the same values bitwise.
-``CondensedDistances`` hides the mode: its block source (``_block``,
-``_pairs``) is the one place that reads the matrix or computes a
-distance, and every query goes through one of its methods:
-``map_blocks`` (read-only row blocks of all distances: ρ, the zero
-count); ``kth_smallest`` (d_c); ``row`` (one point's row: aDBSCAN's Eps
-and MinPts); ``nearest`` (each point's nearest member of a set:
-boundary, micro-cluster and noise steps); ``nearest_earlier`` (each
-point's nearest earlier point in a total order: δ); ``knn`` (k nearest
-neighbours: aSNNC); and ``eps_neighbors`` (DBSCAN's strict
-ε-neighbourhoods).  The last three take candidates from a k-d tree over
-coordinates of at most ``_TREE_MAX_DIM`` dimensions (for ε-neighbours,
-only when they are sparse, in O(pairs) memory); the distances decide
-among them, a strict bound proves that no other point could win, and a
-point that fails it reads its row, as every point does without a tree,
-so both sources give the same answer bitwise.  The d_c percentile comes
-from an exact selection inside a bracket drawn from a fixed-seed sample,
-in one counting pass over the upper row blocks (half of the pairs) as a
-rule, never from sorting all N(N-1)/2 distances.  The ``cdist`` fill and
-every row-block pass spread their blocks over one thread per core the
-process may run on from ``_POOL_MIN_BLOCKS`` blocks on; each block is
-computed as on one thread, so no result depends on the core count.
+pairs + DBSCAN's ε-pairs) while time stays O(N²); both modes give the
+same values bitwise.  ``CondensedDistances`` hides the mode: its block
+source (``_block``, ``_pairs``) is the one place that reads the matrix
+or computes a distance, and every query goes through one of its
+methods: ``map_blocks`` (read-only row blocks of all distances: ρ, the
+zero count); ``kth_smallest`` (d_c); ``row`` (one point's row:
+aDBSCAN's Eps and MinPts); ``nearest`` (each point's nearest member of a
+set: boundary, micro-cluster and noise steps); ``nearest_earlier``
+(each point's nearest earlier point in a total order: δ); ``knn`` (k
+nearest neighbours: aSNNC); and ``eps_neighbors`` (the pairs closer
+than ε: DBSCAN).  The last three take candidates from a k-d tree over
+coordinates of at most ``_TREE_MAX_DIM`` dimensions (for ε-pairs, only
+past one block and when they are sparse), and the distances decide
+among them.  For δ and kNN a strict bound proves that no other point
+could win, and a point that fails it reads its row, as every point does
+without a tree; ε-pairs without a tree come from one pass over the
+upper row blocks.  Both sources give the same answer bitwise.  The d_c
+percentile comes from an exact selection inside a bracket drawn from a
+fixed-seed sample, in one counting pass over the upper row blocks (half
+of the pairs) as a rule, never from sorting all N(N-1)/2 distances.
+The ``cdist`` fill and every row-block pass spread their blocks over
+one thread per core the process may run on from ``_POOL_MIN_BLOCKS``
+blocks on; each block is computed as on one thread, so no result
+depends on the core count.
 """
 
 from __future__ import annotations
@@ -66,9 +68,9 @@ _HOLD_LIMIT = 4096
 # Fewer blocks than this run inline: such a pass takes a few milliseconds,
 # and its thread hand-offs can cost as much on a loaded host.
 _POOL_MIN_BLOCKS = 8
-_SPARSE_SHARE = 32  # the k-d tree finds ε-neighbours up to m²/32 ordered pairs
+_SPARSE_SHARE = 32  # the k-d tree finds ε-pairs up to m²/32 ordered pairs
 _TREE_MAX_DIM = 5  # and only up to 5 coordinates; past that the scan is faster
-_MARGIN = 1 + 2.0**-20  # tree radius over eps (see ``_tree_neighbors``)
+_MARGIN = 1 + 2.0**-20  # tree radius over eps (see ``eps_neighbors``)
 _SHRINK = 1 - 2.0**-20  # bound over the last tree distance (see ``_candidates``)
 _CANDIDATES = 16  # tree candidates of a point for δ, besides itself
 _KNN_EXTRA = 4  # and for its k nearest, besides itself and k
@@ -144,10 +146,10 @@ def _integer_labels(gt: np.ndarray) -> np.ndarray:
 
 
 class EpsNeighbors(NamedTuple):
-    """Strict ε-neighbourhoods inside a point subset, self included."""
+    """The pairs i < j of positions in a point subset closer than ε."""
 
-    counts: np.ndarray  # neighbourhood size of each position
-    near: Callable[[int], np.ndarray]  # one position's neighbours, ascending
+    i: np.ndarray  # the lower position of each pair
+    j: np.ndarray  # the higher one
     source: str  # "tree" or "matrix"
 
 
@@ -243,75 +245,46 @@ class CondensedDistances:
         return self._max
 
     def eps_neighbors(self, pts: np.ndarray, eps: float) -> EpsNeighbors:
-        """Strict ε-neighbourhoods inside the ascending point subset ``pts``.
+        """The pairs of positions i < j in the ascending point subset
+        ``pts`` with dist(pts[i], pts[j]) < eps.
 
-        ``counts[i]`` is the number of positions j, i itself included,
-        with dist(pts[i], pts[j]) < eps, and ``near(i)`` lists them
-        in ascending order.  A subset whose m-by-m block fits in
-        ``_BLOCK_CELLS`` cells is read as one block first; its pairs come
-        from that block unless at most m²/``_SPARSE_SHARE`` of them are
-        within eps.  A k-d tree over the coordinates proposes the pairs
-        when at most that share lies within reach and the points have at
-        most ``_TREE_MAX_DIM`` coordinates; otherwise, or without
-        coordinates, the rows are scanned.  The distances decide every
-        pair either way, so both sources give the same answer bitwise.
+        A subset whose m-by-m block fits in ``_BLOCK_CELLS`` cells, or
+        that has no coordinates or more than ``_TREE_MAX_DIM`` of them,
+        is read by upper row blocks, half of its pairs, once.  Past one
+        block a k-d tree over the coordinates proposes the pairs when at
+        most m²/``_SPARSE_SHARE`` ordered pairs lie within its reach.
+        The distances decide every pair either way, so both sources give
+        the same pairs bitwise, in their own order.
         """
         m = len(pts)
-        within = self._block(pts, pts) < eps if m * m <= _BLOCK_CELLS else None
-        r = eps * self.scale * _MARGIN
-        if (
-            self.points is not None
-            and self.points.shape[1] <= _TREE_MAX_DIM
-            and r * r >= np.finfo(np.float64).tiny
-        ):
-            tree = None
-            if within is not None:
-                pairs = int(np.count_nonzero(within))
-            else:
-                tree = cKDTree(self.points[pts])
-                pairs = tree.count_neighbors(tree, r)
-            if pairs * _SPARSE_SHARE <= m * m:
-                tree = cKDTree(self.points[pts]) if tree is None else tree
-                return self._tree_neighbors(tree, r, pts, eps)
-        return self._matrix_neighbors(pts, eps, within)
-
-    def _tree_neighbors(
-        self, tree: cKDTree, r: float, pts: np.ndarray, eps: float
-    ) -> EpsNeighbors:
         # The tree and ``cdist`` round their distances differently, by a
         # few ulps.  The tree's radius r is eps (in scaled units) widened
         # by 2^-20, which only has to cover that difference, so every pair
         # below eps is proposed; the distances then keep exactly those.
-        # r² is a normal float, so the squared distances the tree compares
-        # keep their relative precision.
-        m = len(pts)
-        ij = tree.query_pairs(r, output_type="ndarray")
-        ij = ij[self._pairs(pts[ij[:, 0]], pts[ij[:, 1]]) < eps]
-        own = np.arange(m)
-        rows = np.concatenate([ij[:, 0], ij[:, 1], own])
-        cols = np.concatenate([ij[:, 1], ij[:, 0], own])
-        rows, indices = np.divmod(np.sort(rows * m + cols), m)
-        indptr = np.zeros(m + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
-        return EpsNeighbors(
-            np.diff(indptr), lambda i: indices[indptr[i] : indptr[i + 1]], "tree"
-        )
+        # r² must be a normal float, so that the squared distances the
+        # tree compares keep their relative precision.
+        r = eps * self.scale * _MARGIN
+        if (
+            m * m > _BLOCK_CELLS
+            and self.points is not None
+            and self.points.shape[1] <= _TREE_MAX_DIM
+            and r * r >= np.finfo(np.float64).tiny
+        ):
+            tree = cKDTree(self.points[pts])
+            if tree.count_neighbors(tree, r) * _SPARSE_SHARE <= m * m:
+                ij = tree.query_pairs(r, output_type="ndarray")
+                ij = ij[self._pairs(pts[ij[:, 0]], pts[ij[:, 1]]) < eps]
+                return EpsNeighbors(ij[:, 0], ij[:, 1], "tree")
 
-    def _matrix_neighbors(
-        self, pts: np.ndarray, eps: float, within: np.ndarray | None = None
-    ) -> EpsNeighbors:
-        """The rows' ε-neighbourhoods, from the subset's block ``within``
-        (``dist < eps``) when the caller has it, else by row blocks."""
-        if within is not None:
-            return EpsNeighbors(
-                within.sum(axis=1), lambda i: np.flatnonzero(within[i]), "matrix"
-            )
-        counts = np.empty(len(pts), dtype=np.int64)
-        for r, block in self._blocks(pts, pts):
-            counts[r] = (block < eps).sum(axis=1)
+        def upper(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+            a = rows.start
+            i, j = np.nonzero(np.triu(self._block(pts[rows], pts[a:]) < eps, 1))
+            return i.astype(np.int32) + a, j.astype(np.int32) + a
+
+        found = _map(upper, _slices(m, m))
         return EpsNeighbors(
-            counts,
-            lambda i: np.flatnonzero(self._block(pts[i : i + 1], pts)[0] < eps),
+            np.concatenate([i for i, _ in found]),
+            np.concatenate([j for _, j in found]),
             "matrix",
         )
 

@@ -1,9 +1,11 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import vdpc.dataset
 from vdpc import pairwise_distances
 from vdpc.cli import load_bundled
 
@@ -42,6 +44,20 @@ def distances(datasets):
     if "cd" not in _cache:
         _cache["cd"] = {n: pairwise_distances(d) for n, d in datasets.items()}
     return _cache["cd"]
+
+
+@contextlib.contextmanager
+def forcing(source):
+    """``eps_neighbors`` with the tree (past one block, at any share and
+    dimension) or the matrix forced as its source."""
+    with pytest.MonkeyPatch.context() as mp:
+        if source == "tree":
+            mp.setattr(vdpc.dataset, "_BLOCK_CELLS", 0)
+            mp.setattr(vdpc.dataset, "_SPARSE_SHARE", 0)
+            mp.setattr(vdpc.dataset, "_TREE_MAX_DIM", 1 << 30)
+        else:
+            mp.setattr(vdpc.dataset, "_TREE_MAX_DIM", 0)
+        yield
 
 
 def random_points(rng: np.random.Generator, n: int, dim: int = 2) -> np.ndarray:

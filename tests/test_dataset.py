@@ -26,7 +26,7 @@ from vdpc import (
 from vdpc.baselines import _dbscan_labels
 from vdpc.density import delta_and_neighbors, local_density
 
-from conftest import BEST_PARAMS, random_points
+from conftest import BEST_PARAMS, forcing, random_points
 from oracles import full_matrix, loop_delta_and_neighbors, loop_knn_sets
 
 
@@ -250,6 +250,18 @@ class TestBlocks:
         assert full_matrix(cd).tobytes() == full.tobytes()
 
 
+def names_scipy_sparse(node) -> bool:
+    """Whether an ``ast`` node imports or reads ``scipy.sparse``."""
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.startswith("scipy.sparse") or (
+            module == "scipy" and any(a.name == "sparse" for a in node.names))
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("scipy.sparse") for a in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr == "sparse"
+            and isinstance(node.value, ast.Name) and node.value.id == "scipy")
+
+
 def test_private_dataset_names_stay_in_dataset():
     # The matrix layout and its row-block readers are ``dataset``'s to
     # know; other modules read the distances through the public methods
@@ -257,12 +269,18 @@ def test_private_dataset_names_stay_in_dataset():
     # (``np.square`` is NumPy's, not the matrix), and every neighbour
     # query is one of those methods: only ``dataset`` names the k-d tree,
     # and δ's matrix reads stay behind ``nearest_earlier``, so ``density``
-    # reads no row.
+    # reads no row.  Likewise only ``baselines`` names ``scipy.sparse``:
+    # DBSCAN and SNNC build their graphs there, and ``dataset`` hands out
+    # plain arrays.
     leaks = []
     for path in sorted(Path(vdpc.dataset.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name != "baselines.py":
+            leaks += [(path.name, "scipy.sparse", node.lineno)
+                      for node in ast.walk(tree) if names_scipy_sparse(node)]
         if path.name == "dataset.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for node in ast.walk(tree):
             if (isinstance(node, ast.Name) and node.id == "cKDTree"
                     or isinstance(node, ast.Attribute) and node.attr == "cKDTree"
                     or isinstance(node, ast.alias) and node.name == "cKDTree"):
@@ -397,30 +415,48 @@ class TestLoadCondensedMatrix:
         assert cd.max_distance == ref.max()
 
 
+def forced(cd, pts, eps, source):
+    with forcing(source):
+        nb = cd.eps_neighbors(pts, eps)
+    assert nb.source == source
+    return nb
+
+
+def pair_keys(nb, m):
+    """The pairs of ``nb`` as ascending keys i*m + j, after checking that
+    each has i < j."""
+    assert np.all(nb.i < nb.j)
+    return np.sort(nb.i.astype(np.int64) * m + nb.j)
+
+
+def sizes(nb, m):
+    """The size of each position's ε-neighbourhood, itself included."""
+    return np.bincount(nb.i, minlength=m) + np.bincount(nb.j, minlength=m) + 1
+
+
 def both_sources(cd, pts, eps):
-    """The ε-neighbourhoods of ``pts`` from the tree and from the matrix,
-    each forced, checked equal bitwise; returns the tree's."""
-    r = eps * cd.scale * vdpc.dataset._MARGIN
-    tree = cd._tree_neighbors(cKDTree(cd.points[pts]), r, pts, eps)
-    matrix = cd._matrix_neighbors(pts, eps)
-    assert tree.counts.tobytes() == matrix.counts.tobytes()
-    for i in range(len(pts)):
-        assert tree.near(i).tobytes() == matrix.near(i).astype(np.intp).tobytes()
+    """The ε-pairs of ``pts`` from the tree and from the matrix, each
+    forced, checked equal to the matrix's strict upper triangle; returns
+    the tree's."""
+    m = len(pts)
+    i, j = np.nonzero(np.triu(full_matrix(cd)[np.ix_(pts, pts)] < eps, 1))
+    want = (i * m + j).tobytes()
+    tree = forced(cd, pts, eps, "tree")
+    assert pair_keys(tree, m).tobytes() == want
+    assert pair_keys(forced(cd, pts, eps, "matrix"), m).tobytes() == want
     return tree
 
 
-def assert_same_labels(cd, eps, minpts_values, monkeypatch):
+def assert_same_labels(cd, eps, minpts_values):
     """``_dbscan_labels`` over all points is bitwise the same with the
     tree forced and with the matrix forced."""
     pts = np.arange(cd.n)
-    monkeypatch.setattr(vdpc.dataset, "_TREE_MAX_DIM", 1 << 30)
     labels = {}
-    for source, share in (("tree", 1), ("matrix", math.inf)):
-        monkeypatch.setattr(vdpc.dataset, "_SPARSE_SHARE", share)
-        assert cd.eps_neighbors(pts, eps).source == source
-        labels[source] = [_dbscan_labels(cd, pts, eps, minpts).tobytes()
-                          for minpts in minpts_values]
-    monkeypatch.undo()
+    for source in ("tree", "matrix"):
+        with forcing(source):
+            assert cd.eps_neighbors(pts, eps).source == source
+            labels[source] = [_dbscan_labels(cd, pts, eps, minpts).tobytes()
+                              for minpts in minpts_values]
     assert labels["tree"] == labels["matrix"]
 
 
@@ -430,7 +466,7 @@ class NoPairs(cKDTree):
 
 
 class TestEpsNeighbors:
-    def test_sources_agree_on_bundled_sets(self, distances, monkeypatch):
+    def test_sources_agree_on_bundled_sets(self, distances):
         rng = np.random.default_rng(5)
         for cd in distances.values():
             upper = full_matrix(cd)[np.triu_indices(cd.n, 1)]
@@ -440,10 +476,10 @@ class TestEpsNeighbors:
                 eps = float(np.quantile(upper, q, method="lower"))
                 for pts in (np.arange(cd.n), half):
                     both_sources(cd, pts, eps)
-                assert_same_labels(cd, eps, (1, 3, 6, 12), monkeypatch)
+                assert_same_labels(cd, eps, (1, 3, 6, 12))
 
     @pytest.mark.parametrize("eps", [1.0, math.sqrt(2.0)])
-    def test_ties_at_eps_are_excluded_on_a_grid(self, eps, monkeypatch):
+    def test_ties_at_eps_are_excluded_on_a_grid(self, eps):
         pts = np.array([(x, y) for x in range(12) for y in range(12)], float)
         cd = pairwise_distances(Dataset(points=pts))
         nb = both_sources(cd, np.arange(144), eps)
@@ -451,11 +487,11 @@ class TestEpsNeighbors:
         # join, and the diagonal ones, at exactly sqrt(2), do not
         edge = (pts == 0) | (pts == 11)
         want = 1 if eps == 1.0 else 5 - edge.sum(axis=1)
-        np.testing.assert_array_equal(nb.counts, want)
-        assert_same_labels(cd, eps, (1, 3, 5), monkeypatch)
+        np.testing.assert_array_equal(sizes(nb, 144), want)
+        assert_same_labels(cd, eps, (1, 3, 5))
 
     @pytest.mark.parametrize("dim", [1, 2, 8, 64])
-    def test_sources_agree_in_any_dimension(self, dim, monkeypatch):
+    def test_sources_agree_in_any_dimension(self, dim):
         rng = np.random.default_rng(dim)
         pts = random_points(rng, 160, dim)
         cd = pairwise_distances(Dataset(points=pts))
@@ -469,7 +505,7 @@ class TestEpsNeighbors:
         for eps in eps_values:
             both_sources(cd, np.arange(cd.n), eps)
         for eps in eps_values[:3]:
-            assert_same_labels(cd, eps, (4,), monkeypatch)
+            assert_same_labels(cd, eps, (4,))
 
     def test_precomputed_distances_never_use_the_tree(self, datasets, tmp_path,
                                                       monkeypatch):
@@ -477,6 +513,7 @@ class TestEpsNeighbors:
         path = tmp_path / "d.txt"
         path.write_text("\n".join(map(repr, pdist(ds.points).tolist())))
         want = dbscan(pairwise_distances(ds), DbscanParams(1.0, 4))
+        monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)  # past one block
         monkeypatch.setattr(vdpc.dataset, "cKDTree", NoPairs)
         cd = load_condensed_matrix(path, ds.n)
         assert cd.points is None
@@ -484,6 +521,7 @@ class TestEpsNeighbors:
         np.testing.assert_array_equal(dbscan(cd, DbscanParams(1.0, 4)), want)
 
     def test_dense_eps_never_uses_the_tree(self, distances, monkeypatch):
+        monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)  # past one block
         monkeypatch.setattr(vdpc.dataset, "cKDTree", NoPairs)
         for cd in distances.values():
             for eps in (cd.max_distance, 2 * cd.max_distance):
@@ -493,14 +531,15 @@ class TestEpsNeighbors:
     @pytest.mark.parametrize("block_cells", [None, 1000])
     def test_a_subset_that_fits_one_block_is_read_once(self, distances,
                                                        monkeypatch, block_cells):
-        # flame's 240 points fit one block of 2^18 cells: its counts decide
-        # the source, a dense eps builds no tree and reads no more rows;
-        # past one block (1,000 cells) the tree counts the pairs first
+        # flame's 240 points fit one block of 2^18 cells: any eps reads it
+        # once and builds no tree; past one block (1,000 cells) the tree
+        # counts the pairs first, a dense eps reads the 60 upper row blocks
+        # and a sparse one none
         if block_cells is not None:
             monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", block_cells)
         cd = distances["flame"]
         pts = np.arange(cd.n)
-        eps = float(np.quantile(full_matrix(cd), 0.01, method="lower"))
+        sparse = float(np.quantile(full_matrix(cd), 0.01, method="lower"))
         built, reads = [], []
 
         class Counted(cKDTree):
@@ -512,49 +551,50 @@ class TestEpsNeighbors:
         monkeypatch.setattr(vdpc.dataset, "cKDTree", Counted)
         monkeypatch.setattr(CondensedDistances, "_block",
                             lambda self, *a, **k: reads.append(1) or block(self, *a, **k))
-        dense = cd.eps_neighbors(pts, cd.max_distance / 2)
-        near = [dense.near(i) for i in range(cd.n)]
-        assert dense.source == "matrix"
         fits = block_cells is None
-        assert (built, len(reads)) == (([], 1) if fits else ([1], 60 + cd.n))
-        assert [len(v) for v in near] == dense.counts.tolist()
-        built.clear(), reads.clear()
-        sparse = cd.eps_neighbors(pts, eps)
-        assert sparse.source == "tree" and built == [1]
-        assert len(reads) == (1 if fits else 0)
+        for eps, read in ((cd.max_distance / 2, 60), (sparse, 0)):
+            nb = cd.eps_neighbors(pts, eps)
+            assert nb.source == ("matrix" if fits or read else "tree")
+            assert (built, len(reads)) == (([], 1) if fits else ([1], read))
+            assert len(nb.i) == np.count_nonzero(np.triu(full_matrix(cd) < eps, 1))
+            built.clear(), reads.clear()
 
-    def test_sparse_bundled_level_uses_the_tree(self, datasets, monkeypatch):
+    def test_sparse_bundled_level_uses_the_tree(self, datasets, monkeypatch,
+                                                caplog):
+        # pathbased's levels fit one block; with blocks of 1,000 cells they
+        # are past one, and the tree proposes the pairs of its sparse level
         cd = pairwise_distances(datasets["pathbased"])
         params = VdpcParams(0.4, 4.2)
         want = vdpc_run(cd, params)
-
-        def no_scan(*args):
-            raise AssertionError("the matrix rows were scanned")
-
-        monkeypatch.setattr(CondensedDistances, "_matrix_neighbors", no_scan)
+        monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)
+        caplog.set_level(logging.DEBUG, logger="vdpc")
         got = vdpc_run(pairwise_distances(datasets["pathbased"]), params)
+        sources = [r.args[-1] for r in caplog.records if r.msg.startswith("dbscan")]
         assert got.derivations  # the level went through DBSCAN
+        assert sources == ["tree"] * len(got.derivations)
         assert got.labels.tobytes() == want.labels.tobytes()
 
-    def test_many_coordinates_use_the_matrix(self):
+    def test_many_coordinates_use_the_matrix(self, monkeypatch):
+        monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)  # past one block
         pts = random_points(np.random.default_rng(0), 200, 64)
         cd = pairwise_distances(Dataset(points=pts))
         eps = float(np.quantile(full_matrix(cd), 0.02))  # sparse, but 64-D
         assert cd.eps_neighbors(np.arange(cd.n), eps).source == "matrix"
 
-
-    def test_radius_too_small_to_square_uses_the_matrix(self, distances):
+    def test_radius_too_small_to_square_uses_the_matrix(self, distances,
+                                                        monkeypatch):
+        monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)  # past one block
         cd = distances["flame"]
         nb = cd.eps_neighbors(np.arange(cd.n), 1e-160)  # eps² underflows
         assert nb.source == "matrix"
-        np.testing.assert_array_equal(nb.counts, 1)
+        assert len(nb.i) == len(nb.j) == 0
 
 
 class TestPowerOfTwoScale:
     @pytest.mark.parametrize("e", [600, -600])
     @pytest.mark.parametrize("name", ["flame", "pathbased"])
     def test_scaled_points_give_scaled_distances_and_equal_labels(
-            self, datasets, name, e, caplog):
+            self, datasets, name, e, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="vdpc")
         ds, f = datasets[name], 2.0 ** e
         cd = pairwise_distances(ds)
@@ -577,7 +617,11 @@ class TestPowerOfTwoScale:
         assert [d.eps for _, d in got.derivations] == [
             d.eps * f for _, d in want.derivations]
         eps = float(np.quantile(full_matrix(cd), 0.02, method="lower"))
-        assert cd_f.eps_neighbors(np.arange(ds.n), eps * f).source == "tree"
+        monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)  # past one block
+        nb, nb_f = (c.eps_neighbors(np.arange(ds.n), x)
+                    for c, x in ((cd, eps), (cd_f, eps * f)))
+        assert nb_f.source == "tree"
+        assert pair_keys(nb_f, ds.n).tobytes() == pair_keys(nb, ds.n).tobytes()
         np.testing.assert_array_equal(
             dbscan(cd_f, DbscanParams(eps * f, 4)), dbscan(cd, DbscanParams(eps, 4)))
 

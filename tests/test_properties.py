@@ -22,6 +22,7 @@ from vdpc import (
     pairwise_distances,
     relabel_contiguous,
 )
+from vdpc.baselines import _dbscan_labels
 from vdpc.density import delta_and_neighbors
 from vdpc.vdpc import (
     assign_noise,
@@ -30,6 +31,7 @@ from vdpc.vdpc import (
     reassign_boundary,
 )
 
+from conftest import forcing
 from oracles import (
     full_matrix,
     loop_assign_noise,
@@ -42,6 +44,7 @@ from oracles import (
     loop_paint_level_noise,
     loop_reassign_boundary,
     loop_relabel_contiguous,
+    naive_dbscan,
 )
 
 
@@ -252,6 +255,21 @@ def test_streamed_equals_held(data):
             == cd.nearest(points, cols, rank).tobytes())
     eps = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
     a, b = cd.eps_neighbors(points, eps), streamed.eps_neighbors(points, eps)
-    assert a.counts.tolist() == b.counts.tolist()
-    assert [a.near(i).tolist() for i in range(len(points))] == [
-        b.near(i).tolist() for i in range(len(points))]
+    assert (a.source, a.i.tolist(), a.j.tolist()) == (
+        b.source, b.i.tolist(), b.j.tolist())
+
+
+@given(st.data())
+def test_dbscan_equals_the_textbook_expansion(data):
+    # eps is one of the grid's distances, so pairs tie at exactly eps
+    cd, _, _ = data.draw(grid(max_points=30))
+    d = full_matrix(cd)
+    eps = data.draw(st.sampled_from(sorted(set(d[d > 0].tolist()) | {0.5})))
+    minpts = data.draw(st.integers(1, 6))
+    whole = data.draw(st.booleans())
+    points = np.arange(cd.n) if whole else subset(data.draw, cd.n, min_size=1)
+    want = naive_dbscan(cd.points[points].tolist(), eps, minpts)
+    for source in ("tree", "matrix"):
+        with forcing(source):
+            assert cd.eps_neighbors(points, eps).source == source
+            assert _dbscan_labels(cd, points, eps, minpts).tolist() == want

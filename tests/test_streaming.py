@@ -7,6 +7,7 @@ same answer bitwise either way, so these tests patch the limit to 0
 and compare.
 """
 
+import itertools
 import json
 import os
 
@@ -100,12 +101,13 @@ def assert_same_answers(held, streamed, pct, eps_quantiles=(0.01, 0.05)):
     upper = np.sort(held._pairs(*np.triu_indices(n, 1)))
     for q in eps_quantiles:
         eps = float(upper[int(q * len(upper))])  # a distance: pairs tie at eps
-        for pts in (every, half):
-            a, b = held.eps_neighbors(pts, eps), streamed.eps_neighbors(pts, eps)
+        for pts, cells in itertools.product((every, half), (None, 1000)):
+            with pytest.MonkeyPatch.context() as mp:
+                if cells is not None:  # past one block, where a tree may serve
+                    mp.setattr(vdpc.dataset, "_BLOCK_CELLS", cells)
+                a, b = held.eps_neighbors(pts, eps), streamed.eps_neighbors(pts, eps)
             assert a.source == b.source
-            assert a.counts.tobytes() == b.counts.tobytes()
-            for i in range(len(pts)):
-                assert a.near(i).tobytes() == b.near(i).tobytes()
+            assert a.i.tobytes() == b.i.tobytes() and a.j.tobytes() == b.j.tobytes()
     rank = np.empty(n, dtype=np.int64)
     rank[want[2]] = every
     cols = every[3::7]
