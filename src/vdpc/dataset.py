@@ -2,36 +2,40 @@
 
 A dataset is an (N, D) array of feature vectors with optional integer
 ground-truth labels.  Its Euclidean distances are held or streamed.
-Held, they are one symmetric N-by-N float64 matrix, filled by row blocks
-of ``cdist`` or read from a condensed upper-triangular vector: 8·N²
-bytes, refused when larger than physical memory.  Streamed (coordinates
-of more than ``_HOLD_LIMIT`` points), every pass computes its row blocks
-with ``cdist`` and drops them, and single pairs come from a NumPy form
-that equals ``cdist`` bitwise, so memory is O(N·block + tree + candidate
-pairs + DBSCAN's ε-pairs) while time stays O(N²); both modes give the
-same values bitwise.  ``CondensedDistances`` hides the mode: its block
-source (``_block``, ``_pairs``) is the one place that reads the matrix
-or computes a distance, and every query goes through one of its
-methods: ``map_blocks`` (read-only row blocks of all distances: ρ, the
-zero count); ``kth_smallest`` (d_c); ``row`` (one point's row:
+Held (coordinates of at most ``_HOLD_LIMIT`` points, or a condensed
+file), they are one symmetric N-by-N float64 matrix, filled by row
+blocks of a NumPy pair form that equals SciPy's ``cdist`` bitwise, or
+by row slices of the condensed vector: 8·N² bytes, refused when larger
+than physical memory.  Held distances need NumPy alone.  Streamed
+(coordinates of more points), every pass computes its row blocks with
+``cdist`` and drops them, and single pairs come from the pair form, so
+memory is O(N·block + tree + candidate pairs + DBSCAN's ε-pairs) while
+time stays O(N²); both modes give the same values bitwise.  SciPy's
+``scipy.spatial`` is imported only for streamed distances, in the
+calling thread before any pass.  ``CondensedDistances`` hides the mode:
+its block source (``_block``, ``_pairs``) is the one place that reads
+the matrix or computes a distance, and every query goes through one of
+its methods: ``map_blocks`` (read-only row blocks of all distances: ρ,
+the zero count); ``kth_smallest`` (d_c); ``row`` (one point's row:
 aDBSCAN's Eps and MinPts); ``nearest`` (each point's nearest member of a
 set: boundary, micro-cluster and noise steps); ``nearest_earlier``
 (each point's nearest earlier point in a total order: δ); ``knn`` (k
 nearest neighbours: aSNNC); and ``eps_neighbors`` (the pairs closer
-than ε: DBSCAN).  The last three take candidates from a k-d tree over
-coordinates of at most ``_TREE_MAX_DIM`` dimensions (for ε-pairs, only
-past one block and when they are sparse), and the distances decide
+than ε: DBSCAN).  On streamed coordinates of at most ``_TREE_MAX_DIM``
+dimensions the last three take candidates from a k-d tree (for ε-pairs,
+only past one block and when they are sparse), and the distances decide
 among them.  For δ and kNN a strict bound proves that no other point
 could win, and a point that fails it reads its row, as every point does
-without a tree; ε-pairs without a tree come from one pass over the
-upper row blocks.  Both sources give the same answer bitwise.  The d_c
-percentile comes from an exact selection inside a bracket drawn from a
-fixed-seed sample, in one counting pass over the upper row blocks (half
-of the pairs) as a rule, never from sorting all N(N-1)/2 distances.
-The ``cdist`` fill and every row-block pass spread their blocks over
-one thread per core the process may run on from ``_POOL_MIN_BLOCKS``
-blocks on; each block is computed as on one thread, so no result
-depends on the core count.
+without a tree; δ without a tree reads each point's distances to the
+points before it in the order, and ε-pairs without a tree come from one
+pass over the upper row blocks.  Both sources give the same answer
+bitwise.  The d_c percentile comes from an exact selection inside a
+bracket drawn from a fixed-seed sample, in one counting pass over the
+upper row blocks (half of the pairs) as a rule, never from sorting all
+N(N-1)/2 distances.  The fill and every row-block pass spread their
+blocks over one thread per core the process may run on from
+``_POOL_MIN_BLOCKS`` blocks on; each block is computed as on one
+thread, so no result depends on the core count.
 """
 
 from __future__ import annotations
@@ -47,8 +51,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist, squareform
 
 from .errors import DataError
 
@@ -178,7 +180,13 @@ class CondensedDistances:
             )
         top = _checked_max(d)
         _require_memory(n)
-        self._keep(n, squareform(d, checks=False), top)
+        square = np.zeros((n, n))
+        start = 0
+        for i in range(n - 1):  # row i's pairs (i, j > i), mirrored into column i
+            stop = start + n - 1 - i
+            square[i, i + 1 :] = square[i + 1 :, i] = d[start:stop]
+            start = stop
+        self._keep(n, square, top)
 
     def _keep(
         self,
@@ -197,38 +205,52 @@ class CondensedDistances:
         self.scale = scale
         self._profiles: dict = {}  # density profiles by cut-off rank
         self._levels: dict = {}  # level-pass outcomes by level state (``vdpc_run``)
-        self._tree: cKDTree | None = None  # over ``points``, built on first use
+        # ``vdpc_run``'s initial labels by (cut-off rank, representatives), and
+        # its levels by (rank, representatives, segment count)
+        self._initial: dict = {}
+        self._segments: dict = {}
+        self._tree = None  # a k-d tree over streamed ``points``, built on first use
+        self._cdist = None  # SciPy's ``cdist``, imported for streamed distances
 
     # -- the block source: every distance is read or computed here ------
 
     def _block(self, rows, cols=None, out: np.ndarray | None = None) -> np.ndarray:
         """Distances of the points ``rows`` to the points ``cols`` (all by
         default), each an index array or a slice.  Held: a read-only view
-        of the matrix for slices, a copy for index arrays.  Streamed:
-        ``cdist`` of the coordinates times 1/``scale``, written into
-        ``out`` if given, exactly as the held matrix was filled."""
+        of the matrix for slices, a copy for index arrays (gathered rows
+        first, then columns).  Streamed: ``cdist`` of the coordinates
+        times 1/``scale``, written into ``out`` if given, equal to the
+        held matrix bitwise."""
         if self._square is not None:
+            if cols is None:
+                return self._square[rows]
             if isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray):
-                rows = rows[:, None]
-            return self._square[rows] if cols is None else self._square[rows, cols]
+                return np.take(self._square[rows], cols, axis=1)
+            return self._square[rows, cols]
         pts = self.points
-        block = cdist(pts[rows], pts if cols is None else pts[cols], out=out)
+        block = self._cdist(pts[rows], pts if cols is None else pts[cols], out=out)
         if self.scale != 1.0:
             with np.errstate(over="ignore"):  # see ``pairwise_distances``
                 block *= 1.0 / self.scale
         return block
 
-    def _pairs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    def _pairs(
+        self, i: np.ndarray, j: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """dist(i, j) for broadcast index arrays: gathered from the held
         matrix, or ``sqrt(((a0-b0)² + (a1-b1)²) + …)`` of the coordinates,
-        summed left to right, which is ``cdist``'s value bitwise."""
+        summed left to right, which is ``cdist``'s value bitwise (the held
+        fill, written into ``out``)."""
         if self._square is not None:
             return self._square[i, j]
-        total = 0.0
-        for x in self.points.T:
+        first, *rest = self.points.T
+        out = np.subtract(first[i], first[j], out=out)
+        out *= out
+        for x in rest:
             diff = x[i] - x[j]
-            total = total + diff * diff
-        out = np.sqrt(total)
+            diff *= diff
+            out += diff
+        np.sqrt(out, out=out)
         if self.scale != 1.0:
             with np.errstate(over="ignore"):
                 out *= 1.0 / self.scale
@@ -248,11 +270,12 @@ class CondensedDistances:
         """The pairs of positions i < j in the ascending point subset
         ``pts`` with dist(pts[i], pts[j]) < eps.
 
-        A subset whose m-by-m block fits in ``_BLOCK_CELLS`` cells, or
-        that has no coordinates or more than ``_TREE_MAX_DIM`` of them,
-        is read by upper row blocks, half of its pairs, once.  Past one
-        block a k-d tree over the coordinates proposes the pairs when at
-        most m²/``_SPARSE_SHARE`` ordered pairs lie within its reach.
+        Held distances, and a subset whose m-by-m block fits in
+        ``_BLOCK_CELLS`` cells or that has more than ``_TREE_MAX_DIM``
+        coordinates, are read by upper row blocks, half of its pairs,
+        once.  Past one block of streamed coordinates a k-d tree proposes
+        the pairs when at most m²/``_SPARSE_SHARE`` ordered pairs lie
+        within its reach.
         The distances decide every pair either way, so both sources give
         the same pairs bitwise, in their own order.
         """
@@ -264,12 +287,10 @@ class CondensedDistances:
         # r² must be a normal float, so that the squared distances the
         # tree compares keep their relative precision.
         r = eps * self.scale * _MARGIN
-        if (
-            m * m > _BLOCK_CELLS
-            and self.points is not None
-            and self.points.shape[1] <= _TREE_MAX_DIM
-            and r * r >= np.finfo(np.float64).tiny
-        ):
+        tiny = np.finfo(np.float64).tiny
+        if m * m > _BLOCK_CELLS and self._treeable() and r * r >= tiny:
+            from scipy.spatial import cKDTree
+
             tree = cKDTree(self.points[pts])
             if tree.count_neighbors(tree, r) * _SPARSE_SHARE <= m * m:
                 ij = tree.query_pairs(r, output_type="ndarray")
@@ -334,6 +355,12 @@ class CondensedDistances:
             out[r] = block.argmin(axis=1)  # the first of equal minima
         return out
 
+    def _treeable(self) -> bool:
+        """Whether a k-d tree may propose neighbours: for streamed
+        coordinates, which ``cdist`` computes, of at most ``_TREE_MAX_DIM``
+        dimensions.  Held distances are read directly."""
+        return self._cdist is not None and self.points.shape[1] <= _TREE_MAX_DIM
+
     def _candidates(
         self, points: np.ndarray, count: int
     ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -349,12 +376,14 @@ class CondensedDistances:
         every point is a candidate; and 0, which no distance is below,
         where it or its square in tree units is not a normal float, as
         its relative precision is then lost.  None, so that the caller
-        reads the matrix rows, without coordinates or past
-        ``_TREE_MAX_DIM`` of them, where ``eps_neighbors`` scans too.
+        reads the rows, where no tree may serve (``_treeable``), as
+        ``eps_neighbors`` scans there too.
         """
-        if self.points is None or self.points.shape[1] > _TREE_MAX_DIM:
+        if not self._treeable():
             return None
         if self._tree is None:
+            from scipy.spatial import cKDTree
+
             self._tree = cKDTree(self.points)
         count = min(count, self.n)  # the tree would pad with inf and index n
         t, idx = self._tree.query(self.points[points], count)
@@ -375,14 +404,15 @@ class CondensedDistances:
         With a tree (``_candidates``), a point's answer is the nearest
         earlier one of its ``_CANDIDATES`` nearest when that is strictly
         below their bound; the other points read their rows through
-        ``nearest``.  Without one, a loop over ``order`` reads every row.
-        Both give the answer of the loop bitwise.
+        ``nearest``.  Without one, each point reads its distances to the
+        points before it in ``order`` (``_earlier_triangle``).  Both give
+        the answer of a loop over the full rows bitwise.
         """
         n = self.n
         every = np.arange(n)
         found = self._candidates(every, _CANDIDATES + 1)
         if found is None:
-            dist, near = self._earlier_rows(order)
+            dist, near = self._earlier_triangle(order)
             source, count, read = "rows", 0, n
         else:
             idx, bound = found
@@ -406,22 +436,27 @@ class CondensedDistances:
         )
         return dist, near
 
-    def _earlier_rows(self, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``nearest_earlier`` by one pass over the rows in ``order``, each
-        row improving the best distances of every point strictly."""
+    def _earlier_triangle(self, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``nearest_earlier`` by the lower triangle of the distances in
+        ``order``: each row block of positions r reads its points'
+        distances to the points at positions up to r.stop, and the first
+        of equal minima before a point's own position is the earliest."""
         n = self.n
         dist = np.empty(n)
         near = np.empty(n, dtype=np.int64)
-        best_dist = np.full(n, np.inf)
-        best_idx = np.full(n, -1, dtype=np.int64)
-        improved = np.empty(n, dtype=bool)
-        for i in order.tolist():
-            dist[i] = best_dist[i]
-            near[i] = best_idx[i]
-            row = self.row(i)
-            np.less(row, best_dist, out=improved)
-            np.copyto(best_dist, row, where=improved)
-            np.copyto(best_idx, i, where=improved)
+
+        def earlier(r: slice) -> tuple[np.ndarray, np.ndarray]:
+            block = self._block(order[r], order[: r.stop])
+            size = r.stop - r.start
+            block[:, r.start :][~np.tri(size, k=-1, dtype=bool)] = np.inf
+            at = block.argmin(axis=1)
+            return at, block[np.arange(size), at]
+
+        slices = _slices(n, n)
+        for r, (at, d) in zip(slices, _map(earlier, slices)):
+            near[order[r]] = order[at]
+            dist[order[r]] = d
+        dist[order[0]], near[order[0]] = np.inf, -1
         return dist, near
 
     def knn(self, points: np.ndarray, k: int) -> np.ndarray:
@@ -618,9 +653,10 @@ def _power_of_two_scale(pts: np.ndarray) -> float:
 
 def pairwise_distances(ds: Dataset) -> CondensedDistances:
     """Euclidean distances of a dataset: the matrix filled by row blocks
-    of ``cdist``, bitwise equal to ``squareform(pdist(points))``, up to
-    ``_HOLD_LIMIT`` points; past it the same values streamed, each pass
-    computing its blocks from the coordinates and dropping them.
+    of the pair form, bitwise equal to SciPy's ``squareform(pdist(points))``,
+    up to ``_HOLD_LIMIT`` points; past it the same values streamed by
+    ``cdist``, each pass computing its blocks from the coordinates and
+    dropping them.
 
     Coordinates too large or too small for their squares are first
     multiplied by an exact power of two s, and each distance by 1/s, so
@@ -635,13 +671,18 @@ def pairwise_distances(ds: Dataset) -> CondensedDistances:
     cd = CondensedDistances.__new__(CondensedDistances)
     cd._keep(n, None, None, pts, s)
     if n > _HOLD_LIMIT:
+        from scipy.spatial.distance import cdist
+
+        cd._cdist = cdist
         span = pts.max(axis=0) - pts.min(axis=0)
         if not math.isfinite(math.hypot(*span.tolist()) * _MARGIN / s):
             cd.max_distance  # found by a pass that checks every distance
         return cd
     _require_memory(n)
     sq = np.empty((n, n))
-    top = max(_map(lambda r: _checked_max(cd._block(r, out=sq[r])), _slices(n, n)))
+    every = np.arange(n)
+    top = max(_map(lambda r: _checked_max(cd._pairs(every[r, None], every, out=sq[r])),
+                   _slices(n, n)))
     cd._keep(n, sq, top, pts, s)
     return cd
 

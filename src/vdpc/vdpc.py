@@ -26,7 +26,7 @@ from .baselines import (
     dpc_assign,
     relabel_contiguous,
 )
-from .dataset import CondensedDistances, Dataset, pairwise_distances
+from .dataset import CondensedDistances, Dataset, _readonly, pairwise_distances
 from .density import DensityProfile, _rank, _shared_profile
 from .errors import ParameterError, StageError, _check_count, _check_positive
 
@@ -401,33 +401,42 @@ def vdpc_run(
     """Run the full pipeline and return labels plus stage snapshots.
 
     Runs on the same distances that differ only in ``delta_t``, ``num``
-    or the options share one density profile (``_shared_profile``).  A
-    multi-level run's level stages depend only on the level state: the
-    cut-off rank, the representatives, the level intervals and the
-    options.  Runs on the same distances with the same state share one
-    level pass, kept on the distances object; each gets its own copies.
+    or the options share one density profile (``_shared_profile``), and
+    runs with the same representatives share their initial labels, and,
+    with the same ``num``, their levels.  A multi-level run's level
+    stages depend only on the level state: the cut-off rank, the
+    representatives, the level intervals and the options.  Runs on the
+    same distances with the same state share one level pass.  All of
+    these are kept on the distances object; each run gets its own copies.
     """
     cd = data if isinstance(data, CondensedDistances) else pairwise_distances(data)
     profile = _shared_profile(cd, params.pct)
     reps = select_representatives(profile, params.delta_t)
-    initial = dpc_assign(profile, reps)
-    levels = compute_levels(profile.rho[reps], params.num)
-    rep_level = partition_points(profile.rho[reps], levels)
+    k = _rank(cd.n, params.pct)
+    key = (k, reps.tobytes())
+    if key not in cd._initial:
+        cd._initial[key] = _readonly(dpc_assign(profile, reps))
+    initial = cd._initial[key]
+    segments = (*key, params.num)
+    if segments not in cd._segments:
+        levels = compute_levels(profile.rho[reps], params.num)
+        rep_level = _readonly(partition_points(profile.rho[reps], levels))
+        cd._segments[segments] = levels, rep_level
+    levels, rep_level = cd._segments[segments]
 
     if levels.numl == 1:
         return VdpcResult(
             labels=initial.copy(),
             profile=profile,
             representatives=reps,
-            initial_labels=initial,
+            initial_labels=initial.copy(),
             levels=levels,
-            rep_level=rep_level,
+            rep_level=rep_level.copy(),
             point_level=np.ones(cd.n, dtype=np.int64),
             pre_noise_labels=initial.copy(),
         )
 
-    k = _rank(cd.n, params.pct)
-    state = (k, reps.tobytes(), levels.intervals, options)
+    state = (*key, levels.intervals, options)
     if state in cd._levels:
         log.debug("level state seen before (k=%d, %d levels): its labels are "
                   "reused", k, levels.numl)
@@ -439,7 +448,7 @@ def vdpc_run(
         profile=profile,
         representatives=reps,
         levels=levels,
-        rep_level=rep_level,
+        rep_level=rep_level.copy(),
         **{name: _own_copy(v) for name, v in cd._levels[state].items()},
     )
 

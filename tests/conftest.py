@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 import vdpc.dataset
-from vdpc import pairwise_distances
+from vdpc import Dataset, pairwise_distances
 from vdpc.cli import load_bundled
 
 # Property tests draw the same examples on every run and keep no example
@@ -46,10 +46,26 @@ def distances(datasets):
     return _cache["cd"]
 
 
+def streamed(points):
+    """The distances of ``points`` streamed, however few they are:
+    ``cdist`` computes them, and a k-d tree may propose neighbours."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vdpc.dataset, "_HOLD_LIMIT", 0)
+        return pairwise_distances(Dataset(points=points))
+
+
+@pytest.fixture(scope="session")
+def streamed_distances(datasets):
+    if "streamed" not in _cache:
+        _cache["streamed"] = {n: streamed(d.points) for n, d in datasets.items()}
+    return _cache["streamed"]
+
+
 @contextlib.contextmanager
 def forcing(source):
     """``eps_neighbors`` with the tree (past one block, at any share and
-    dimension) or the matrix forced as its source."""
+    dimension, on streamed distances) or the matrix forced as its
+    source."""
     with pytest.MonkeyPatch.context() as mp:
         if source == "tree":
             mp.setattr(vdpc.dataset, "_BLOCK_CELLS", 0)
@@ -58,6 +74,13 @@ def forcing(source):
         else:
             mp.setattr(vdpc.dataset, "_TREE_MAX_DIM", 0)
         yield
+
+
+def pair_keys(nb, m):
+    """The ε-pairs of ``nb`` as ascending keys i*m + j, after checking that
+    each has i < j."""
+    assert np.all(nb.i < nb.j)
+    return np.sort(nb.i.astype(np.int64) * m + nb.j)
 
 
 def random_points(rng: np.random.Generator, n: int, dim: int = 2) -> np.ndarray:

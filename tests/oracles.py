@@ -211,6 +211,17 @@ def same_partition(a, b) -> bool:
 _EDGE = 1e-12  # the package's tolerance for densities on interval edges
 
 
+def csgraph_components(m: int, i, j) -> np.ndarray:
+    """Component ids of the undirected graph on 0..m-1 with the edges
+    (i[e], j[e]), by SciPy's ``connected_components`` of a CSR matrix:
+    the path DBSCAN and SNNC took before the package had its own union."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    graph = csr_matrix((np.ones(len(i), dtype=bool), (i, j)), shape=(m, m))
+    return connected_components(graph, directed=False)[1]
+
+
 def full_matrix(cd) -> np.ndarray:
     """The square matrix ``sq`` that the ``loop_*`` functions take,
     joined from the row blocks of the distances ``cd``."""

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist, squareform
 
@@ -26,7 +27,7 @@ from vdpc import (
 from vdpc.baselines import _dbscan_labels
 from vdpc.density import delta_and_neighbors, local_density
 
-from conftest import BEST_PARAMS, forcing, random_points
+from conftest import BEST_PARAMS, forcing, pair_keys, random_points, streamed
 from oracles import full_matrix, loop_delta_and_neighbors, loop_knn_sets
 
 
@@ -250,16 +251,39 @@ class TestBlocks:
         assert full_matrix(cd).tobytes() == full.tobytes()
 
 
-def names_scipy_sparse(node) -> bool:
-    """Whether an ``ast`` node imports or reads ``scipy.sparse``."""
+def names_scipy(node, part="") -> bool:
+    """Whether an ``ast`` node imports or reads SciPy, or with ``part``
+    (say "sparse"), the subpackage ``scipy.<part>``."""
+    package = "scipy." + part if part else "scipy"
     if isinstance(node, ast.ImportFrom):
         module = node.module or ""
-        return module.startswith("scipy.sparse") or (
-            module == "scipy" and any(a.name == "sparse" for a in node.names))
+        return (module == package or module.startswith(package + ".")) or (
+            module == "scipy" and any(a.name == part for a in node.names))
     if isinstance(node, ast.Import):
-        return any(a.name.startswith("scipy.sparse") for a in node.names)
-    return (isinstance(node, ast.Attribute) and node.attr == "sparse"
+        return any(a.name == package or a.name.startswith(package + ".")
+                   for a in node.names)
+    if not part:
+        return isinstance(node, ast.Name) and node.id == "scipy"
+    return (isinstance(node, ast.Attribute) and node.attr == part
             and isinstance(node.value, ast.Name) and node.value.id == "scipy")
+
+
+def test_scipy_is_imported_where_it_is_used():
+    # Held distances need NumPy alone, so no module imports SciPy when it
+    # is loaded: each import sits in the function that uses it, and only
+    # ``dataset`` names ``scipy.spatial`` (``cdist`` and the k-d tree of
+    # streamed distances).
+    leaks = []
+    for path in sorted(Path(vdpc.dataset.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        inside = {id(node) for f in functions for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if names_scipy(node) and id(node) not in inside:
+                leaks.append((path.name, "module level", node.lineno))
+            if path.name != "dataset.py" and names_scipy(node, "spatial"):
+                leaks.append((path.name, "scipy.spatial", node.lineno))
+    assert leaks == []
 
 
 def test_private_dataset_names_stay_in_dataset():
@@ -277,7 +301,7 @@ def test_private_dataset_names_stay_in_dataset():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         if path.name != "baselines.py":
             leaks += [(path.name, "scipy.sparse", node.lineno)
-                      for node in ast.walk(tree) if names_scipy_sparse(node)]
+                      for node in ast.walk(tree) if names_scipy(node, "sparse")]
         if path.name == "dataset.py":
             continue
         for node in ast.walk(tree):
@@ -307,10 +331,13 @@ def test_private_dataset_names_stay_in_dataset():
 
 def test_only_the_block_source_reads_or_computes_distances():
     # Held or streamed, every distance comes from ``_block`` (the matrix
-    # or ``cdist``) or ``_pairs`` (the matrix or the NumPy pair form):
-    # ``cdist`` and ``np.sqrt`` are named nowhere else in the package,
-    # and no other function of ``dataset`` reads the matrix.
-    source = {"_block": {"cdist", "_square"}, "_pairs": {"sqrt", "_square"}}
+    # or ``cdist``) or ``_pairs`` (the matrix or the NumPy pair form, which
+    # also fills the held matrix): ``cdist`` is named only where
+    # ``pairwise_distances`` imports it for streamed distances and called
+    # only in ``_block``, ``np.sqrt`` is named nowhere else in the
+    # package, and no other function of ``dataset`` reads the matrix.
+    source = {"_block": {"_cdist", "_square"}, "_pairs": {"sqrt", "_square"},
+              "pairwise_distances": {"cdist"}}
     leaks = []
     for path in sorted(Path(vdpc.dataset.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -326,6 +353,9 @@ def test_only_the_block_source_reads_or_computes_distances():
             elif (isinstance(node, ast.Attribute) and node.attr == "_square"
                   and isinstance(node.ctx, ast.Load)):
                 name = "_square"
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "_cdist"):
+                name = "_cdist"
             else:
                 continue
             where = owner.get(id(node))
@@ -422,13 +452,6 @@ def forced(cd, pts, eps, source):
     return nb
 
 
-def pair_keys(nb, m):
-    """The pairs of ``nb`` as ascending keys i*m + j, after checking that
-    each has i < j."""
-    assert np.all(nb.i < nb.j)
-    return np.sort(nb.i.astype(np.int64) * m + nb.j)
-
-
 def sizes(nb, m):
     """The size of each position's ε-neighbourhood, itself included."""
     return np.bincount(nb.i, minlength=m) + np.bincount(nb.j, minlength=m) + 1
@@ -466,9 +489,16 @@ class NoPairs(cKDTree):
 
 
 class TestEpsNeighbors:
-    def test_sources_agree_on_bundled_sets(self, distances):
+    def test_held_distances_never_use_the_tree(self, distances, monkeypatch):
+        monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)  # past one block
+        monkeypatch.setattr(scipy.spatial, "cKDTree", NoPairs)
+        cd = distances["flame"]
+        sparse = float(np.quantile(full_matrix(cd), 0.01, method="lower"))
+        assert cd.eps_neighbors(np.arange(cd.n), sparse).source == "matrix"
+
+    def test_sources_agree_on_bundled_sets(self, streamed_distances):
         rng = np.random.default_rng(5)
-        for cd in distances.values():
+        for cd in streamed_distances.values():
             upper = full_matrix(cd)[np.triu_indices(cd.n, 1)]
             half = np.sort(rng.choice(cd.n, cd.n // 2, replace=False))
             for q in (0.002, 0.01, 0.05, 0.2):
@@ -481,7 +511,7 @@ class TestEpsNeighbors:
     @pytest.mark.parametrize("eps", [1.0, math.sqrt(2.0)])
     def test_ties_at_eps_are_excluded_on_a_grid(self, eps):
         pts = np.array([(x, y) for x in range(12) for y in range(12)], float)
-        cd = pairwise_distances(Dataset(points=pts))
+        cd = streamed(pts)
         nb = both_sources(cd, np.arange(144), eps)
         # at eps = 1 only the point itself; at sqrt(2) its axis neighbours
         # join, and the diagonal ones, at exactly sqrt(2), do not
@@ -494,7 +524,7 @@ class TestEpsNeighbors:
     def test_sources_agree_in_any_dimension(self, dim):
         rng = np.random.default_rng(dim)
         pts = random_points(rng, 160, dim)
-        cd = pairwise_distances(Dataset(points=pts))
+        cd = streamed(pts)
         upper = full_matrix(cd)[np.triu_indices(cd.n, 1)]
         # quantiles tie with a pair; one ulp above a distance keeps the
         # pair, whose tree distance may round either side of eps
@@ -514,22 +544,22 @@ class TestEpsNeighbors:
         path.write_text("\n".join(map(repr, pdist(ds.points).tolist())))
         want = dbscan(pairwise_distances(ds), DbscanParams(1.0, 4))
         monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)  # past one block
-        monkeypatch.setattr(vdpc.dataset, "cKDTree", NoPairs)
+        monkeypatch.setattr(scipy.spatial, "cKDTree", NoPairs)
         cd = load_condensed_matrix(path, ds.n)
         assert cd.points is None
         assert cd.eps_neighbors(np.arange(ds.n), 1.0).source == "matrix"
         np.testing.assert_array_equal(dbscan(cd, DbscanParams(1.0, 4)), want)
 
-    def test_dense_eps_never_uses_the_tree(self, distances, monkeypatch):
+    def test_dense_eps_never_uses_the_tree(self, streamed_distances, monkeypatch):
         monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)  # past one block
-        monkeypatch.setattr(vdpc.dataset, "cKDTree", NoPairs)
-        for cd in distances.values():
+        monkeypatch.setattr(scipy.spatial, "cKDTree", NoPairs)
+        for cd in streamed_distances.values():
             for eps in (cd.max_distance, 2 * cd.max_distance):
                 labels = dbscan(cd, DbscanParams(eps, 2))
                 assert labels.min() == 0  # no noise once eps spans the set
 
     @pytest.mark.parametrize("block_cells", [None, 1000])
-    def test_a_subset_that_fits_one_block_is_read_once(self, distances,
+    def test_a_subset_that_fits_one_block_is_read_once(self, streamed_distances,
                                                        monkeypatch, block_cells):
         # flame's 240 points fit one block of 2^18 cells: any eps reads it
         # once and builds no tree; past one block (1,000 cells) the tree
@@ -537,7 +567,7 @@ class TestEpsNeighbors:
         # and a sparse one none
         if block_cells is not None:
             monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", block_cells)
-        cd = distances["flame"]
+        cd = streamed_distances["flame"]
         pts = np.arange(cd.n)
         sparse = float(np.quantile(full_matrix(cd), 0.01, method="lower"))
         built, reads = [], []
@@ -548,7 +578,7 @@ class TestEpsNeighbors:
                 super().__init__(*args, **kwargs)
 
         block = CondensedDistances._block
-        monkeypatch.setattr(vdpc.dataset, "cKDTree", Counted)
+        monkeypatch.setattr(scipy.spatial, "cKDTree", Counted)
         monkeypatch.setattr(CondensedDistances, "_block",
                             lambda self, *a, **k: reads.append(1) or block(self, *a, **k))
         fits = block_cells is None
@@ -568,7 +598,7 @@ class TestEpsNeighbors:
         want = vdpc_run(cd, params)
         monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)
         caplog.set_level(logging.DEBUG, logger="vdpc")
-        got = vdpc_run(pairwise_distances(datasets["pathbased"]), params)
+        got = vdpc_run(streamed(datasets["pathbased"].points), params)
         sources = [r.args[-1] for r in caplog.records if r.msg.startswith("dbscan")]
         assert got.derivations  # the level went through DBSCAN
         assert sources == ["tree"] * len(got.derivations)
@@ -577,14 +607,14 @@ class TestEpsNeighbors:
     def test_many_coordinates_use_the_matrix(self, monkeypatch):
         monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)  # past one block
         pts = random_points(np.random.default_rng(0), 200, 64)
-        cd = pairwise_distances(Dataset(points=pts))
+        cd = streamed(pts)
         eps = float(np.quantile(full_matrix(cd), 0.02))  # sparse, but 64-D
         assert cd.eps_neighbors(np.arange(cd.n), eps).source == "matrix"
 
-    def test_radius_too_small_to_square_uses_the_matrix(self, distances,
+    def test_radius_too_small_to_square_uses_the_matrix(self, streamed_distances,
                                                         monkeypatch):
         monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)  # past one block
-        cd = distances["flame"]
+        cd = streamed_distances["flame"]
         nb = cd.eps_neighbors(np.arange(cd.n), 1e-160)  # eps² underflows
         assert nb.source == "matrix"
         assert len(nb.i) == len(nb.j) == 0
@@ -595,14 +625,23 @@ class TestPowerOfTwoScale:
     @pytest.mark.parametrize("name", ["flame", "pathbased"])
     def test_scaled_points_give_scaled_distances_and_equal_labels(
             self, datasets, name, e, caplog, monkeypatch):
-        caplog.set_level(logging.DEBUG, logger="vdpc")
+        # held, the rows serve δ and kNN and the matrix the ε-pairs;
+        # streamed, the tree does
         ds, f = datasets[name], 2.0 ** e
-        cd = pairwise_distances(ds)
-        cd_f = pairwise_distances(Dataset(points=ds.points * f))
+        for build, sources in ((pairwise_distances, ("rows", "matrix")),
+                               (lambda ds: streamed(ds.points), ("tree", "tree"))):
+            caplog.clear()
+            caplog.set_level(logging.DEBUG, logger="vdpc")
+            with monkeypatch.context() as mp:
+                self.assert_scaled(ds, f, build, sources, caplog, mp)
+
+    def assert_scaled(self, ds, f, build, sources, caplog, monkeypatch):
+        cd = build(ds)
+        cd_f = build(Dataset(points=ds.points * f))
         assert cd_f.scale != 1.0
-        assert cd_f._square.tobytes() == (cd._square * f).tobytes()
+        assert full_matrix(cd_f).tobytes() == (full_matrix(cd) * f).tobytes()
         assert cd_f.max_distance == cd.max_distance * f
-        pct, delta_t = BEST_PARAMS[name]
+        pct, delta_t = BEST_PARAMS[ds.name]
         want = vdpc_run(cd, VdpcParams(pct, delta_t))
         got = vdpc_run(cd_f, VdpcParams(pct, delta_t * f))
         assert got.labels.tobytes() == want.labels.tobytes()
@@ -613,25 +652,25 @@ class TestPowerOfTwoScale:
         for k in (1, 7, 40):
             pts = np.arange(ds.n)
             assert cd_f.knn(pts, k).tobytes() == cd.knn(pts, k).tobytes()
-        assert {source for source, _, _ in decisions(caplog)} == {"tree"}
+        assert {source for source, _, _ in decisions(caplog)} == {sources[0]}
         assert [d.eps for _, d in got.derivations] == [
             d.eps * f for _, d in want.derivations]
         eps = float(np.quantile(full_matrix(cd), 0.02, method="lower"))
         monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)  # past one block
         nb, nb_f = (c.eps_neighbors(np.arange(ds.n), x)
                     for c, x in ((cd, eps), (cd_f, eps * f)))
-        assert nb_f.source == "tree"
+        assert nb_f.source == sources[1]
         assert pair_keys(nb_f, ds.n).tobytes() == pair_keys(nb, ds.n).tobytes()
         np.testing.assert_array_equal(
             dbscan(cd_f, DbscanParams(eps * f, 4)), dbscan(cd, DbscanParams(eps, 4)))
 
     def test_subnormal_distances_read_their_rows(self, datasets, caplog):
         # Coordinates below 2^-1050 are scaled by 2^1023 at most, so 1/s
-        # rounds the matrix values into subnormals, which tie far more
+        # rounds the streamed values into subnormals, which tie far more
         # often than the tree's distances; no bound is a normal float.
         caplog.set_level(logging.DEBUG, logger="vdpc")
         ds = datasets["flame"]
-        cd = pairwise_distances(Dataset(points=ds.points * 2.0 ** -1060))
+        cd = streamed(ds.points * 2.0 ** -1060)
         assert cd.scale == 2.0 ** 1023
         assert np.all(full_matrix(cd) < np.finfo(np.float64).tiny)
         rho = np.round(np.random.default_rng(0).random(ds.n) * 3)
@@ -713,6 +752,9 @@ class NoQuery(cKDTree):
 
 
 class TestTreeCandidates:
+    """The k-d tree's δ and kNN candidates, which serve streamed
+    coordinates only."""
+
     def grid(self, seed=0):
         """A 12-by-12 integer grid, whose points tie at every distance,
         and four ρ values, whose order breaks many ties by index."""
@@ -731,15 +773,14 @@ class TestTreeCandidates:
     def test_ties_at_the_bound_stay_out(self, tree, shrink, candidates,
                                         monkeypatch, caplog):
         caplog.set_level(logging.DEBUG, logger="vdpc")
-        monkeypatch.setattr(vdpc.dataset, "cKDTree", tree)
+        monkeypatch.setattr(scipy.spatial, "cKDTree", tree)
         monkeypatch.setattr(vdpc.dataset, "_CANDIDATES", candidates)
         monkeypatch.setattr(vdpc.dataset, "_KNN_EXTRA", candidates)
         if shrink is not None:
             monkeypatch.setattr(vdpc.dataset, "_SHRINK", shrink)
         for seed in range(3):
             pts, rho = self.grid(seed)
-            assert_loop_answers(pairwise_distances(Dataset(points=pts)), rho,
-                                (1, 3, 5, 9))
+            assert_loop_answers(streamed(pts), rho, (1, 3, 5, 9))
         assert min(read for _, _, read in decisions(caplog)) < len(pts) - 1
 
     def test_coincident_points_read_their_rows(self, caplog):
@@ -748,7 +789,7 @@ class TestTreeCandidates:
         caplog.set_level(logging.DEBUG, logger="vdpc")
         rng = np.random.default_rng(1)
         pts = np.vstack([np.zeros((20, 2)), random_points(rng, 40)])
-        cd = pairwise_distances(Dataset(points=pts))
+        cd = streamed(pts)
         assert_loop_answers(cd, np.round(rng.random(60) * 3), (2, 10))
         (_, _, delta_rows), *knn_rows = decisions(caplog)
         assert delta_rows >= 19 and all(read >= 20 for _, _, read in knn_rows)
@@ -758,14 +799,14 @@ class TestTreeCandidates:
         # point is a candidate, so every answer stands without a bound
         caplog.set_level(logging.DEBUG, logger="vdpc")
         rng = np.random.default_rng(2)
-        cd = pairwise_distances(Dataset(points=random_points(rng, 10)))
+        cd = streamed(random_points(rng, 10))
         assert_loop_answers(cd, np.round(rng.random(10) * 2), (6, 9))
         assert decisions(caplog) == [("tree", 10, 0)] * 3
 
-    def test_all_rows_forced(self, distances, caplog):
+    def test_all_rows_forced(self, streamed_distances, caplog):
         # one candidate, the point itself or a copy: no earlier point, and
         # no k-th answer below the bound, so every row is read
-        cd = distances["flame"]
+        cd = streamed_distances["flame"]
         rho = cutoff_rho(cd)
         want = delta_and_neighbors(cd, rho), cd.knn(np.arange(cd.n), 16)
         caplog.set_level(logging.DEBUG, logger="vdpc")
@@ -780,20 +821,33 @@ class TestTreeCandidates:
     def test_rows_without_coordinates_or_past_five(self, datasets, tmp_path,
                                                    monkeypatch, caplog):
         caplog.set_level(logging.DEBUG, logger="vdpc")
-        monkeypatch.setattr(vdpc.dataset, "cKDTree", NoQuery)
+        monkeypatch.setattr(scipy.spatial, "cKDTree", NoQuery)
         ds = datasets["flame"]
         path = tmp_path / "d.txt"
         path.write_text("\n".join(map(repr, pdist(ds.points).tolist())))
         six = np.hstack([ds.points, np.round(ds.points[:, :1] * 0.3)] * 3)
-        for cd in (load_condensed_matrix(path, ds.n),
-                   pairwise_distances(Dataset(points=six))):
+        for cd in (load_condensed_matrix(path, ds.n), streamed(six)):
             assert_loop_answers(cd, cutoff_rho(cd), (1, 15))
         assert decisions(caplog) == [("rows", 0, ds.n), ("rows", 0, ds.n),
                                      ("rows", 0, ds.n)] * 2
 
-    def test_each_call_logs_its_decision(self, distances, caplog):
+    @pytest.mark.parametrize("block_cells", [None, 1000, 1])
+    def test_held_distances_never_query_the_tree(self, distances, monkeypatch,
+                                                 caplog, block_cells):
+        # δ reads each point's distances to the points before it in the
+        # order, by row blocks of positions: one, 60 of four rows, or one
+        # row each
         caplog.set_level(logging.DEBUG, logger="vdpc")
-        cd = distances["compound"]
+        monkeypatch.setattr(scipy.spatial, "cKDTree", NoQuery)
+        if block_cells is not None:
+            monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", block_cells)
+        cd = distances["flame"]
+        assert_loop_answers(cd, cutoff_rho(cd), (1, 15))
+        assert decisions(caplog) == [("rows", 0, cd.n)] * 3
+
+    def test_each_call_logs_its_decision(self, streamed_distances, caplog):
+        caplog.set_level(logging.DEBUG, logger="vdpc")
+        cd = streamed_distances["compound"]
         delta_and_neighbors(cd, cutoff_rho(cd))
         cd.knn(np.arange(50), 20)
         (delta_log, knn_log) = [r.getMessage() for r in caplog.records]

@@ -22,7 +22,7 @@ from vdpc import (
     pairwise_distances,
     relabel_contiguous,
 )
-from vdpc.baselines import _dbscan_labels
+from vdpc.baselines import _components, _dbscan_labels
 from vdpc.density import delta_and_neighbors
 from vdpc.vdpc import (
     assign_noise,
@@ -31,8 +31,9 @@ from vdpc.vdpc import (
     reassign_boundary,
 )
 
-from conftest import forcing
+from conftest import forcing, streamed
 from oracles import (
+    csgraph_components,
     full_matrix,
     loop_assign_noise,
     loop_compute_levels,
@@ -103,18 +104,22 @@ def test_kth_smallest(sample_size, data):
 grids = grid() | grid(max_points=60, min_points=40)
 
 
-# the tree's candidates patched to 1 and 2, and the default
+# the tree's candidates patched to 1 and 2, and the default; the tree
+# serves the streamed distances, and the held ones read the triangle of
+# earlier points, with the candidates patched in blocks of 40 cells
 @pytest.mark.parametrize("candidates", [1, 2, None], ids=["1", "2", "default"])
 @given(st.data())
 def test_delta_and_neighbors(candidates, data):
     cd, rho, _ = data.draw(grids)
-    with pytest.MonkeyPatch.context() as mp:
-        if candidates is not None:
-            mp.setattr(vdpc.dataset, "_CANDIDATES", candidates)
-        delta, nneigh, order = delta_and_neighbors(cd, rho)
     want = loop_delta_and_neighbors(full_matrix(cd).tolist(), rho.tolist(),
                                     cd.max_distance)
-    assert (delta.tolist(), nneigh.tolist(), order.tolist()) == want
+    for distances in (cd, streamed(cd.points)):
+        with pytest.MonkeyPatch.context() as mp:
+            if candidates is not None:
+                mp.setattr(vdpc.dataset, "_CANDIDATES", candidates)
+                mp.setattr(vdpc.dataset, "_BLOCK_CELLS", 40)
+            delta, nneigh, order = delta_and_neighbors(distances, rho)
+        assert (delta.tolist(), nneigh.tolist(), order.tolist()) == want
 
 
 @given(st.data())
@@ -165,13 +170,14 @@ def test_knn_sets(candidates, data):
     cd, _, _ = data.draw(grids)
     k = data.draw(st.integers(1, cd.n - 1))
     points = subset(data.draw, cd.n, min_size=1)
-    with pytest.MonkeyPatch.context() as mp:
-        if candidates is not None:
-            mp.setattr(vdpc.dataset, "_KNN_EXTRA", candidates)
-        got = cd.knn(points, k)
-    assert got.shape == (len(points), k)
     want = loop_knn_sets(full_matrix(cd), points, k)
-    assert [sorted(row) for row in want] == got.tolist()  # ascending index
+    for distances in (cd, streamed(cd.points)):  # rows held, the tree streamed
+        with pytest.MonkeyPatch.context() as mp:
+            if candidates is not None:
+                mp.setattr(vdpc.dataset, "_KNN_EXTRA", candidates)
+            got = distances.knn(points, k)
+        assert got.shape == (len(points), k)
+        assert [sorted(row) for row in want] == got.tolist()  # ascending index
 
 
 @given(st.data())
@@ -259,6 +265,26 @@ def test_streamed_equals_held(data):
         b.source, b.i.tolist(), b.j.tolist())
 
 
+@given(st.data(), st.sampled_from([np.int32, np.int64]))
+def test_components_equal_csgraph(data, dtype):
+    # random edges over up to 60 points leave many components and
+    # isolated points; a path through the points in a random order needs
+    # many hooking rounds; duplicate, reversed and self edges change nothing
+    m = data.draw(st.integers(1, 60))
+    point = st.integers(0, m - 1)
+    pairs = data.draw(st.lists(st.tuples(point, point), max_size=80))
+    path = data.draw(st.permutations(range(m)))[: data.draw(st.integers(0, m))]
+    pairs += list(zip(path, path[1:]))
+    pairs += [(b, a) for a, b in pairs[:5]] + pairs[:3]
+    pairs += [(a, a) for a in data.draw(st.lists(point, max_size=4))]
+    data.draw(st.randoms()).shuffle(pairs)
+    i = np.array([a for a, _ in pairs], dtype=dtype)
+    j = np.array([b for _, b in pairs], dtype=dtype)
+    want = csgraph_components(m, i, j).tolist()
+    assert _components(m, i, j).tolist() == want
+    assert _components(m, i[:0], j[:0]).tolist() == list(range(m))
+
+
 @given(st.data())
 def test_dbscan_equals_the_textbook_expansion(data):
     # eps is one of the grid's distances, so pairs tie at exactly eps
@@ -269,7 +295,7 @@ def test_dbscan_equals_the_textbook_expansion(data):
     whole = data.draw(st.booleans())
     points = np.arange(cd.n) if whole else subset(data.draw, cd.n, min_size=1)
     want = naive_dbscan(cd.points[points].tolist(), eps, minpts)
-    for source in ("tree", "matrix"):
+    for source, distances in (("tree", streamed(cd.points)), ("matrix", cd)):
         with forcing(source):
-            assert cd.eps_neighbors(points, eps).source == source
-            assert _dbscan_labels(cd, points, eps, minpts).tolist() == want
+            assert distances.eps_neighbors(points, eps).source == source
+            assert _dbscan_labels(distances, points, eps, minpts).tolist() == want

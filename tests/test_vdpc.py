@@ -469,10 +469,11 @@ class TestVdpcRun:
             )
 
 
-def count_level_passes(monkeypatch) -> list:
-    """Patch the level clusterers to record each call; returns the record."""
+def count_level_passes(monkeypatch, names=("asnnc", "adbscan_level")) -> list:
+    """Patch the level clusterers, or the pipeline functions ``names``, to
+    record each call; returns the record."""
     calls = []
-    for name in ("asnnc", "adbscan_level"):
+    for name in names:
         fn = getattr(pipeline, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -548,6 +549,27 @@ class TestLevelMemo:
         assert len(calls) > passes
         assert [r.levels.numl for r in want] == [2, 3]
         assert want[0].representatives.tobytes() == want[1].representatives.tobytes()
+
+    @pytest.mark.parametrize("name", ["flame", "compound"])  # one level, two
+    def test_cells_of_one_pair_share_initial_labels_and_levels(
+            self, datasets, name, monkeypatch):
+        # two delta_t of the same representatives, each at two num: one
+        # DPC assignment, one segmentation per num, and results whose
+        # arrays are their own
+        pct, delta_t = BEST_PARAMS[name]
+        cells = [VdpcParams(pct, d, num) for d in (delta_t, delta_t * 1.001)
+                 for num in (10, 15)]
+        want = [vdpc_run(datasets[name], p) for p in cells]
+        assert len({w.representatives.tobytes() for w in want}) == 1
+        calls = count_level_passes(monkeypatch, ("dpc_assign", "compute_levels"))
+        cd = pairwise_distances(datasets[name])
+        for p, w in zip(cells, want):
+            got = vdpc_run(cd, p)
+            same_result(got, w)
+            for a in (got.labels, got.initial_labels, got.rep_level,
+                      got.point_level, got.pre_noise_labels):
+                a[:] = 7
+        assert sorted(calls) == ["compute_levels"] * 2 + ["dpc_assign"]
 
     def test_changing_a_result_leaves_later_hits_intact(self, datasets):
         name, first, second = SHARED_STATE["num"]

@@ -1,4 +1,4 @@
-"""The row-block passes run on a thread pool: the cdist fill, the d_c
+"""The row-block passes run on a thread pool: the held fill, the d_c
 count and ρ, held or streamed.  No result may depend on the number of
 worker threads, and no public function of the package may run off the
 main thread."""
@@ -95,16 +95,17 @@ def test_streamed_passes_equal_held_at_any_worker_count(monkeypatch, datasets,
 
 
 def fill_threads(monkeypatch):
-    """The threads that run the ``cdist`` calls of the distance fill, or
-    of the streamed passes."""
+    """The threads that run the block source: the pair form of the held
+    fill, or the ``cdist`` blocks of the streamed passes."""
     threads = set()
-    cdist = vdpc.dataset.cdist
+    for name in ("_block", "_pairs"):
+        source = getattr(vdpc.dataset.CondensedDistances, name)
 
-    def recorded(*args, **kwargs):
-        threads.add(threading.current_thread())
-        return cdist(*args, **kwargs)
+        def recorded(*args, _source=source, **kwargs):
+            threads.add(threading.current_thread())
+            return _source(*args, **kwargs)
 
-    monkeypatch.setattr(vdpc.dataset, "cdist", recorded)
+        monkeypatch.setattr(vdpc.dataset.CondensedDistances, name, recorded)
     return threads
 
 
