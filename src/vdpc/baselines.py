@@ -3,9 +3,9 @@
 These serve both as standalone baselines and as building blocks of the
 level-wise pipeline.  Labels are integer arrays; -1 marks noise and is
 only ever present in DBSCAN output.  DBSCAN and SNNC take the connected
-components of their graphs from one NumPy union (``_components``);
-SciPy's ``scipy.sparse`` is imported only for SNNC's shared-neighbour
-counts, when it runs.
+components of their graphs from one NumPy union (``_union``), and SNNC
+counts its shared neighbours from an inverted index of the kNN lists by
+row blocks, so the module needs NumPy alone.
 """
 
 from __future__ import annotations
@@ -85,32 +85,41 @@ def _roots(parent: np.ndarray) -> np.ndarray:
         parent = up
 
 
-def _components(m: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Connected components of the undirected graph on 0..m-1 with the
-    edges (i[e], j[e]), numbered 0.. in the order of their smallest point.
+def _union(parent: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``parent`` (each point's root, the smallest point of its component)
+    after joining the components of the edges (i[e], j[e]) between roots.
 
     A union by pointer jumping: each round hooks the larger end of every
     edge between two roots under the smaller one (the smallest offer
     wins), ``_roots`` brings every point to its root, and the edges move
-    to their ends' roots, dropping those inside one component.  A root
-    is the smallest point of its tree, so the final roots are the
-    components' smallest points.
+    to their ends' roots, dropping those inside one component.  ``parent``
+    may be overwritten.
     """
-    # one dtype for ``parent`` and the values given to ``np.minimum.at``:
-    # a cast there makes it about 20 times slower
-    parent = np.arange(m, dtype=np.result_type(i, j))
-    lo, hi = np.minimum(i, j), np.maximum(i, j)  # every point is a root yet
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
     while True:
         across = lo != hi
         lo, hi = lo[across], hi[across]
         if not len(lo):
-            break
+            return parent
         np.minimum.at(parent, hi, lo)
         parent = _roots(parent)
         a, b = parent[lo], parent[hi]  # the ends' roots, in either order
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-    first = parent == np.arange(m)
+
+
+def _component_ids(parent: np.ndarray) -> np.ndarray:
+    """Component ids 0.. in the order of their smallest point, from each
+    point's root as ``_union`` leaves it."""
+    first = parent == np.arange(len(parent))
     return (np.cumsum(first) - 1)[parent]
+
+
+def _components(m: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Connected components of the undirected graph on 0..m-1 with the
+    edges (i[e], j[e]), numbered 0.. in the order of their smallest point."""
+    # one dtype for ``parent`` and the values given to ``np.minimum.at``:
+    # a cast there makes it about 20 times slower; every point is a root yet
+    return _component_ids(_union(np.arange(m, dtype=np.result_type(i, j)), i, j))
 
 
 def dpc_assign(profile: DensityProfile, centers: np.ndarray) -> np.ndarray:
@@ -177,20 +186,49 @@ def _shared_neighbor_components(
 ) -> np.ndarray:
     """Connected components of the graph joining points that share more
     than one of their k nearest neighbors; returns per-point component
-    ids, numbered in the order of their smallest point."""
-    from scipy.sparse import csr_matrix
+    ids, numbered in the order of their smallest point.
 
+    The (neighbour, query) keys of the kNN lists, sorted once, are an
+    inverted index: each neighbour's holders in ascending query order, so
+    the holders after a query's own entry are the later queries that
+    share that neighbour.  Row blocks of queries list those holders for
+    each of their neighbours and count the pairs (a, b > a) by one
+    ``np.bincount`` over the block's size·m bins; a block holds at most
+    ``_BLOCK_CELLS`` bins and listed holders, and the blocks run on the
+    thread pool (``CondensedDistances.map_rows``).  The pairs counted
+    more than once join the components block by block.
+    """
     m = len(points)
-    member = csr_matrix(
-        (np.ones(m * k, dtype=np.int64), cd.knn(points, k).ravel(),
-         np.arange(0, m * k + 1, k)),
-        shape=(m, cd.n),
+    nbr = cd.knn(points, k).ravel()
+    order = np.argsort(nbr * m + np.repeat(np.arange(m), k))  # the keys are unique
+    at = np.empty_like(order)
+    at[order] = np.arange(m * k)  # each entry's place in that order
+    holder = np.floor_divide(order, k, out=order)  # the queries in that order
+    after = np.cumsum(np.bincount(nbr, minlength=cd.n))[nbr] - at - 1
+    at += 1  # where the holders after each entry start
+    per_row = after.reshape(m, k).sum(axis=1)
+
+    def shared(r: slice) -> tuple[np.ndarray, np.ndarray]:
+        e = slice(r.start * k, r.stop * k)
+        count = after[e]
+        pos = np.repeat(at[e] - (np.cumsum(count) - count), count)
+        pos += np.arange(len(pos))
+        bins = holder[pos]  # each listed holder b, at bin a·m + b of the block
+        bins += np.repeat(np.arange(0, (r.stop - r.start) * m, m), per_row[r])
+        pairs = np.flatnonzero(np.bincount(bins, minlength=(r.stop - r.start) * m) > 1)
+        return (pairs // m + r.start).astype(np.int32), (pairs % m).astype(np.int32)
+
+    blocks = cd.map_rows(shared, m, m + int(per_row.max()))
+    parent = np.arange(m, dtype=np.int32)
+    for i, j in blocks:
+        parent = _union(parent, parent[i], parent[j])
+    comp = _component_ids(parent)
+    log.debug(
+        "shared-neighbour graph of %d points: k=%d, %d blocks, %d pairs "
+        "sharing more than one neighbour, %d components",
+        m, k, len(blocks), sum(len(i) for i, _ in blocks), comp.max() + 1,
     )
-    shared = member @ member.T  # CSR shared-neighbor counts between queries
-    # one edge per pair: the product is symmetric, so its upper entries
-    rows = np.repeat(np.arange(m, dtype=shared.indices.dtype), np.diff(shared.indptr))
-    keep = (shared.data > 1) & (rows < shared.indices)
-    return _components(m, rows[keep], shared.indices[keep])
+    return comp
 
 
 def snnc(cd: CondensedDistances, k: int) -> np.ndarray:

@@ -35,7 +35,9 @@ upper row blocks (half of the pairs) as a rule, never from sorting all
 N(N-1)/2 distances.  The fill and every row-block pass spread their
 blocks over one thread per core the process may run on from
 ``_POOL_MIN_BLOCKS`` blocks on; each block is computed as on one
-thread, so no result depends on the core count.
+thread, so no result depends on the core count.  ``map_rows`` lends that
+pool and block size to passes over other arrays (aSNNC's
+shared-neighbour counts).
 """
 
 from __future__ import annotations
@@ -316,12 +318,19 @@ class CondensedDistances:
         for r in _slices(len(rows), self.n if cols is None else len(cols)):
             yield r, self._block(rows[r], cols)
 
+    @staticmethod
+    def map_rows(fn: Callable[[slice], object], size: int, width: int) -> list:
+        """``[fn(r) for r in _slices(size, width)]``: row blocks of at most
+        ``_BLOCK_CELLS`` cells of ``width`` columns, spread over one thread
+        per core by ``_map`` as the passes over the distances are; ``fn``
+        may only read shared state or write the rows ``r`` of its own
+        output."""
+        return _map(fn, _slices(size, width))
+
     def map_blocks(self, fn: Callable[[slice, np.ndarray], object]) -> list:
-        """``[fn(r, view) for r in _slices(n, n)]``, ``view`` the read-only
-        distances of the rows r to every point, spread over one thread per
-        core by ``_map``; ``fn`` may only read shared state or write the
-        rows ``r`` of its own output."""
-        return _map(lambda r: fn(r, _readonly(self._block(r))), _slices(self.n, self.n))
+        """``map_rows`` over the n rows, ``fn(r, view)`` with ``view`` the
+        read-only distances of the rows r to every point."""
+        return self.map_rows(lambda r: fn(r, _readonly(self._block(r))), self.n, self.n)
 
     def _upper_map(self, fn: Callable[[slice, np.ndarray], object]) -> list:
         """``map_blocks`` over the upper parts: ``view`` holds the
@@ -464,7 +473,8 @@ class CondensedDistances:
         and distance ties broken by ascending index; each row of the
         (m, k) result lists them in ascending index order.
 
-        With a tree (``_candidates``), a row is final when its k-th
+        With a tree (``_candidates``, by row blocks of at most
+        ``_BLOCK_CELLS`` candidates), a row is final when its k-th
         candidate by (distance, index) among k + 1 + ``_KNN_EXTRA`` is
         strictly below their bound, so every point tied with it is a
         candidate; the other rows read the matrix, as every row does
@@ -472,18 +482,19 @@ class CondensedDistances:
         """
         m = len(points)
         cols = np.empty((m, k), dtype=np.int64)
-        found = self._candidates(points, k + 1 + _KNN_EXTRA)
-        if found is None:
-            bad, source, count = np.arange(m), "rows", 0
-        else:
-            idx, bound = found
-            d = self._pairs(points[:, None], idx)
-            d[idx == points[:, None]] = np.inf  # self ranks last
+        ok = np.zeros(m, dtype=bool)  # rows decided by their candidates
+        count = min(k + 1 + _KNN_EXTRA, self.n) if self._treeable() else 0
+        for r in _slices(m, count) if count else ():
+            pts = points[r]
+            idx, bound = self._candidates(pts, count)
+            d = self._pairs(pts[:, None], idx)
+            d[idx == pts[:, None]] = np.inf  # self ranks last
             first = np.lexsort((idx, d))[:, :k]  # by (distance, index)
-            rows = np.arange(m)[:, None]
-            ok = d[rows, first[:, -1:]][:, 0] < bound
-            cols[ok] = np.sort(idx[rows, first], axis=1)[ok]
-            bad, source, count = np.flatnonzero(~ok), "tree", idx.shape[1]
+            rows = np.arange(len(pts))[:, None]
+            final = d[rows, first[:, -1:]][:, 0] < bound
+            cols[r][final] = np.sort(idx[rows, first], axis=1)[final]
+            ok[r] = final
+        bad = np.flatnonzero(~ok)
         for r, block in self._blocks(points[bad]):
             r = bad[r]
             block[np.arange(len(block)), points[r]] = np.inf  # self ranks last
@@ -497,7 +508,7 @@ class CondensedDistances:
             cols[r] = np.nonzero(keep)[1].reshape(-1, k)
         log.debug(
             "%d nearest of %d points: %s source, %d candidates, %d rows read",
-            k, m, source, count, len(bad),
+            k, m, "tree" if count else "rows", count, len(bad),
         )
         return cols
 

@@ -222,6 +222,24 @@ def csgraph_components(m: int, i, j) -> np.ndarray:
     return connected_components(graph, directed=False)[1]
 
 
+def sparse_shared_neighbor_components(cd, points, k: int) -> np.ndarray:
+    """Component ids of the graph joining the ``points`` whose k nearest
+    neighbours (``cd.knn``) share more than one point, from SciPy's sparse
+    product ``member @ member.T`` of their CSR membership rows: the path
+    SNNC took before the package counted shared neighbours itself."""
+    from scipy.sparse import csr_matrix
+
+    m = len(points)
+    member = csr_matrix(
+        (np.ones(m * k, dtype=np.int64), cd.knn(points, k).ravel(),
+         np.arange(0, m * k + 1, k)),
+        shape=(m, cd.n),
+    )
+    shared = (member @ member.T).tocoo()  # shared-neighbour counts
+    keep = shared.data > 1
+    return csgraph_components(m, shared.row[keep], shared.col[keep])
+
+
 def full_matrix(cd) -> np.ndarray:
     """The square matrix ``sq`` that the ``loop_*`` functions take,
     joined from the row blocks of the distances ``cd``."""

@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+import vdpc.dataset
 from vdpc import (
     Dataset,
     DbscanParams,
@@ -16,9 +17,16 @@ from vdpc import (
     relabel_contiguous,
     snnc,
 )
+from vdpc.baselines import _shared_neighbor_components
 
 from conftest import random_points
-from oracles import check_dbscan_closure, naive_dbscan, naive_snnc, same_partition
+from oracles import (
+    check_dbscan_closure,
+    naive_dbscan,
+    naive_snnc,
+    same_partition,
+    sparse_shared_neighbor_components,
+)
 
 
 def cd_of(points):
@@ -214,3 +222,37 @@ class TestSnnc:
             with pytest.raises(ParameterError, match="k must be an integer >= 1"):
                 snnc(cd, bad)
         assert len(snnc(cd, np.int64(2))) == 5
+
+    def test_small_blocks_give_the_same_components(self, distances, monkeypatch,
+                                                   caplog):
+        # flame's shared-neighbour graph (65 components at k = 4 on every
+        # other point) fits one block; blocks of one row, of a few rows and
+        # of a few dozen rows put block edges between its pairs
+        cd = distances["flame"]
+        points = np.arange(0, cd.n, 2)
+        want = sparse_shared_neighbor_components(cd, points, 4).tolist()
+        assert max(want) == 64
+        caplog.set_level(logging.DEBUG, logger="vdpc")
+        blocks = []
+        for cells in (1, 1000, 5000):
+            monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", cells)
+            caplog.clear()
+            assert _shared_neighbor_components(cd, points, 4).tolist() == want
+            (graph,) = [r for r in caplog.records if r.msg.startswith("shared")]
+            blocks.append(graph.args[2])
+        assert blocks[0] == len(points) > blocks[1] > blocks[2] > 1
+
+    def test_each_graph_logs_its_size(self, monkeypatch, caplog):
+        # two groups of four coincident points: each point's 3 nearest are
+        # the other three, so all 6 pairs of a group share 2 of them
+        cd = cd_of([[0, 0]] * 4 + [[9, 9]] * 4)
+        with caplog.at_level(logging.DEBUG, logger="vdpc"):
+            assert snnc(cd, 3).tolist() == [0] * 4 + [1] * 4
+            monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1)  # a row a block
+            snnc(cd, 3)
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records
+                if r.msg.startswith("shared")] == [
+            ("vdpc", logging.DEBUG, "shared-neighbour graph of 8 points: k=3, "
+             "%d blocks, 12 pairs sharing more than one neighbour, 2 components"
+             % blocks) for blocks in (1, 8)
+        ]

@@ -532,9 +532,9 @@ class TestPackage:
 
     def test_scipy_loads_only_where_a_run_needs_it(self, tmp_path):
         # Held distances need NumPy alone: a fresh interpreter that imports
-        # the CLI, then runs flame (one level), loads no SciPy module;
-        # compound's two levels load scipy.sparse for aSNNC's shared
-        # neighbours, and still nothing of scipy.spatial, linalg or csgraph.
+        # the CLI, then runs flame (one level), compound (two levels, so
+        # aSNNC's shared neighbours), a bench suite and SNNC loads no SciPy
+        # module at any step.
         src = str(Path(vdpc.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -544,17 +544,20 @@ class TestPackage:
             "from vdpc.cli import main\n"
             "def scipy():\n"
             "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "out = sys.argv[2] + '/'\n"
             "seen = [scipy()]\n"
             "for args in (['flame', '5', '5.5'], ['compound', '1.9', '1.39']):\n"
             "    main(['run', '--dataset', args[0], '--pct', args[1], '--delta-t',\n"
-            "          args[2], '--output-dir', sys.argv[2] + '/' + args[0]])\n"
+            "          args[2], '--output-dir', out + args[0]])\n"
             "    seen.append(scipy())\n"
+            "main(['bench', '--suite', 'synthetic-table4', '--output-dir', out + 'bench'])\n"
+            "seen.append(scipy())\n"
+            "main(['run', '--dataset', 'flame', '--algorithm', 'snnc', '--k', '5',\n"
+            "      '--output-dir', out + 'snnc'])\n"
+            "seen.append(scipy())\n"
             "open(sys.argv[1], 'w').write(json.dumps(seen))\n")
         proc = subprocess.run([sys.executable, "-c", code, str(seen), str(tmp_path)],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        imported, flame, compound = json.loads(seen.read_text())
-        assert imported == flame == []
-        assert "scipy.sparse" in compound
-        assert not [m for m in compound if m.startswith((
-            "scipy.spatial", "scipy.linalg", "scipy.sparse.csgraph"))]
+        imported, flame, compound, bench, snnc = json.loads(seen.read_text())
+        assert imported == flame == compound == bench == snnc == []

@@ -270,9 +270,10 @@ def names_scipy(node, part="") -> bool:
 
 def test_scipy_is_imported_where_it_is_used():
     # Held distances need NumPy alone, so no module imports SciPy when it
-    # is loaded: each import sits in the function that uses it, and only
+    # is loaded: each import sits in the function that uses it, only
     # ``dataset`` names ``scipy.spatial`` (``cdist`` and the k-d tree of
-    # streamed distances).
+    # streamed distances), and no module names ``scipy.sparse`` (DBSCAN's
+    # and SNNC's graphs are NumPy arrays).
     leaks = []
     for path in sorted(Path(vdpc.dataset.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -283,6 +284,8 @@ def test_scipy_is_imported_where_it_is_used():
                 leaks.append((path.name, "module level", node.lineno))
             if path.name != "dataset.py" and names_scipy(node, "spatial"):
                 leaks.append((path.name, "scipy.spatial", node.lineno))
+            if names_scipy(node, "sparse"):
+                leaks.append((path.name, "scipy.sparse", node.lineno))
     assert leaks == []
 
 
@@ -293,15 +296,10 @@ def test_private_dataset_names_stay_in_dataset():
     # (``np.square`` is NumPy's, not the matrix), and every neighbour
     # query is one of those methods: only ``dataset`` names the k-d tree,
     # and δ's matrix reads stay behind ``nearest_earlier``, so ``density``
-    # reads no row.  Likewise only ``baselines`` names ``scipy.sparse``:
-    # DBSCAN and SNNC build their graphs there, and ``dataset`` hands out
-    # plain arrays.
+    # reads no row.
     leaks = []
     for path in sorted(Path(vdpc.dataset.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        if path.name != "baselines.py":
-            leaks += [(path.name, "scipy.sparse", node.lineno)
-                      for node in ast.walk(tree) if names_scipy(node, "sparse")]
         if path.name == "dataset.py":
             continue
         for node in ast.walk(tree):

@@ -21,8 +21,9 @@ from vdpc import (
     dpc_assign,
     pairwise_distances,
     relabel_contiguous,
+    snnc,
 )
-from vdpc.baselines import _components, _dbscan_labels
+from vdpc.baselines import _components, _dbscan_labels, _shared_neighbor_components
 from vdpc.density import delta_and_neighbors
 from vdpc.vdpc import (
     assign_noise,
@@ -46,6 +47,7 @@ from oracles import (
     loop_reassign_boundary,
     loop_relabel_contiguous,
     naive_dbscan,
+    sparse_shared_neighbor_components,
 )
 
 
@@ -283,6 +285,46 @@ def test_components_equal_csgraph(data, dtype):
     want = csgraph_components(m, i, j).tolist()
     assert _components(m, i, j).tolist() == want
     assert _components(m, i[:0], j[:0]).tolist() == list(range(m))
+
+
+@st.composite
+def clusters(draw):
+    """Distances of up to 60 points in up to 12 tight clusters 100 apart,
+    some of one point, so that small k leave many components."""
+    n = draw(st.integers(2, 60))
+    home = draw(st.lists(st.integers(0, 11), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    pts = 100.0 * np.array(home, float)[:, None] + rng.normal(size=(n, 2))
+    return pairwise_distances(Dataset(points=pts))
+
+
+def neighbour_count(data, n):
+    """k from 1 to n - 1, the two ends drawn often."""
+    return data.draw(st.sampled_from([1, n - 1]) | st.integers(1, n - 1))
+
+
+# tie-heavy grids (coincident points by the dozen) and many components;
+# subsets down to one point, held and streamed
+@given(st.data())
+def test_shared_neighbours_equal_the_sparse_product(data):
+    cd = data.draw(grids.map(lambda g: g[0]) | clusters())
+    k = neighbour_count(data, cd.n)
+    which = data.draw(st.sampled_from(["all", "one", "some"]))
+    points = {"all": np.arange(cd.n), "one": np.array([cd.n - 1])}.get(which)
+    if points is None:
+        points = subset(data.draw, cd.n, min_size=1)
+    want = sparse_shared_neighbor_components(cd, points, k).tolist()
+    for distances in (cd, streamed(cd.points)):
+        assert _shared_neighbor_components(distances, points, k).tolist() == want
+
+
+@given(st.data())
+def test_snnc_equals_the_sparse_product(data):
+    # component ids numbered by smallest point are already contiguous
+    cd = data.draw(grids.map(lambda g: g[0]) | clusters())
+    k = neighbour_count(data, cd.n)
+    want = sparse_shared_neighbor_components(cd, np.arange(cd.n), k)
+    assert snnc(cd, k).tolist() == want.tolist()
 
 
 @given(st.data())
