@@ -9,14 +9,15 @@ by row slices of the condensed vector: 8·N² bytes, refused when larger
 than physical memory.  Held distances need NumPy alone.  Streamed
 (coordinates of more points), every pass computes its row blocks with
 ``cdist`` and drops them, and single pairs come from the pair form, so
-memory is O(N·block + tree + candidate pairs + DBSCAN's ε-pairs) while
-time stays O(N²); both modes give the same values bitwise.  SciPy's
-``scipy.spatial`` is imported only for streamed distances, in the
-calling thread before any pass.  ``CondensedDistances`` hides the mode:
-its block source (``_block``, ``_pairs``) is the one place that reads
-the matrix or computes a distance, and every query goes through one of
-its methods: ``map_blocks`` (read-only row blocks of all distances: ρ,
-the zero count); ``kth_smallest`` (d_c); ``row`` (one point's row:
+memory is O(N·block + tree + candidate pairs + DBSCAN's ε-pairs + the
+distances inside d_c's bracket) while time stays O(N²); both modes give
+the same values bitwise.  SciPy's ``scipy.spatial`` is imported only
+for streamed distances, in the calling thread before any pass.
+``CondensedDistances`` hides the mode: its block source (``_block``,
+``_pairs``) is the one place that reads the matrix or computes a
+distance, and every query goes through one of its methods:
+``map_blocks`` (row blocks of all distances: ρ, the zero count);
+``kth_smallest`` (d_c); ``row`` (one point's row:
 aDBSCAN's Eps and MinPts); ``nearest`` (each point's nearest member of a
 set: boundary, micro-cluster and noise steps); ``nearest_earlier``
 (each point's nearest earlier point in a total order: δ); ``knn`` (k
@@ -296,8 +297,11 @@ class CondensedDistances:
             tree = cKDTree(self.points[pts])
             if tree.count_neighbors(tree, r) * _SPARSE_SHARE <= m * m:
                 ij = tree.query_pairs(r, output_type="ndarray")
-                ij = ij[self._pairs(pts[ij[:, 0]], pts[ij[:, 1]]) < eps]
-                return EpsNeighbors(ij[:, 0], ij[:, 1], "tree")
+                keep = np.empty(len(ij), dtype=bool)
+                for c in _slices(len(ij), 4):  # ``_BLOCK_CELLS``/4 pairs at a time
+                    np.less(self._pairs(pts[ij[c, 0]], pts[ij[c, 1]]), eps, out=keep[c])
+                i, j = (ij[keep, side].astype(np.int32) for side in (0, 1))
+                return EpsNeighbors(i, j, "tree")
 
         def upper(rows: slice) -> tuple[np.ndarray, np.ndarray]:
             a = rows.start
@@ -328,9 +332,11 @@ class CondensedDistances:
         return _map(fn, _slices(size, width))
 
     def map_blocks(self, fn: Callable[[slice, np.ndarray], object]) -> list:
-        """``map_rows`` over the n rows, ``fn(r, view)`` with ``view`` the
-        read-only distances of the rows r to every point."""
-        return self.map_rows(lambda r: fn(r, _readonly(self._block(r))), self.n, self.n)
+        """``map_rows`` over the n rows, ``fn(r, block)`` with ``block`` the
+        distances of the rows r to every point: a read-only view of the
+        held matrix, or a streamed block of ``fn``'s own, which it may
+        overwrite (``block.flags.writeable`` tells which)."""
+        return self.map_rows(lambda r: fn(r, self._block(r)), self.n, self.n)
 
     def _upper_map(self, fn: Callable[[slice, np.ndarray], object]) -> list:
         """``map_blocks`` over the upper parts: ``view`` holds the
@@ -517,22 +523,26 @@ class CondensedDistances:
 
         A sampled selection, not a sort (Floyd and Rivest, 1975): the
         sorted distances of about m^(2/3) pairs drawn with a fixed seed
-        give a bracket [lo, hi] around rank k (``_bracket``).  One pass
-        over row blocks of the strict upper triangle counts the distances
-        below lo, equal to lo and equal to hi, and keeps those strictly
-        between, so a bracket end shared by many pairs costs no memory;
-        ``np.partition`` finishes among the kept ones.  If the k-th
-        distance is not in the bracket, the bracket is widened fourfold
-        and the pass repeated; it ends at the whole triangle, so the
-        answer is always exact and only the time depends on the sample.
+        give a bracket [lo, hi] of four standard deviations of the k-th's
+        sample rank each side (``_bracket``).  One pass over row blocks of
+        the strict upper triangle counts the distances below lo, equal to
+        lo and equal to hi, and keeps those strictly between (about
+        8·m^(2/3)·sqrt(q(1-q)) of them at q = k/m), so a bracket end
+        shared by many pairs costs no memory; ``np.partition`` finishes
+        among the kept ones.  If the k-th distance is not in the bracket,
+        the bracket is widened fourfold and the pass repeated; it ends at
+        the whole triangle, so the answer is always exact and only the
+        time depends on the sample.  Each selection logs its bracket, the
+        values held and the passes it took.
         """
         m = self.n * (self.n - 1) // 2
         if not 1 <= k <= m:
             raise IndexError("k=%d outside 1..%d" % (k, m))
         sample = _sample_distances(self._pairs, self.n, m)
-        width = 4.0
+        width, passes = 4.0, 0
         while True:
             lo, hi = _bracket(sample, k, m, width)
+            passes += 1
             find_max = self._max is None  # a streamed pass finds it on the way
 
             def count(r: slice, block: np.ndarray):
@@ -563,14 +573,22 @@ class CondensedDistances:
             below, at_lo, at_hi = (sum(c[i] for c in counts) for i in range(3))
             held = np.concatenate([v for c in counts for v in c[3]])
             j = k - below  # rank of the k-th among the distances in [lo, hi]
+            j_held = j - at_lo  # its rank among the held ones, strictly inside
             if 1 <= j <= at_lo:
-                return lo
-            j -= at_lo  # its rank among the held ones, strictly inside
-            if 1 <= j <= len(held):
-                return float(np.partition(held, j - 1)[j - 1])
-            if 1 <= j - len(held) <= at_hi:
-                return hi
-            width *= 4.0
+                kth = lo
+            elif 1 <= j_held <= len(held):
+                kth = float(np.partition(held, j_held - 1)[j_held - 1])
+            elif 1 <= j_held - len(held) <= at_hi:
+                kth = hi
+            else:
+                width *= 4.0
+                continue
+            log.debug(
+                "d_c selection: k=%d of m=%d distances, sample of %d, bracket "
+                "[%r, %r], %d values held, %d counting passes",
+                k, m, len(sample), lo, hi, len(held), passes,
+            )
+            return kth
 
 
 @functools.cache
@@ -617,11 +635,15 @@ def _sample_distances(pairs: Callable, n: int, m: int) -> np.ndarray:
 
 
 def _bracket(sample: np.ndarray, k: int, m: int, width: float) -> tuple[float, float]:
-    """Values at sample ranks r -/+ width*sqrt(S), r = (k - 1/2)/m * S, the
-    expected place of the k-th of m distances in the sorted sample of S;
-    -inf or +inf where a rank falls outside the sample."""
+    """Values at sample ranks r -/+ (width*sigma + 1), r = q*S with
+    q = (k - 1/2)/m, the expected place of the k-th of m distances in the
+    sorted sample of S, and sigma = sqrt(S*q*(1 - q)), the standard
+    deviation of that place (the count of sampled distances below the
+    k-th is binomial); -inf or +inf where a rank falls outside the
+    sample."""
     s = len(sample)
-    r, w = (k - 0.5) / m * s, width * math.sqrt(s)
+    q = (k - 0.5) / m
+    r, w = q * s, width * math.sqrt(s * q * (1.0 - q)) + 1.0
     a, b = math.floor(r - w), math.ceil(r + w)
     lo = float(sample[a]) if 0 <= a < s else -math.inf
     hi = float(sample[b]) if b < s else math.inf

@@ -76,8 +76,13 @@ def local_density(cd: CondensedDistances, d_c: float) -> np.ndarray:
     rho = np.empty(cd.n, dtype=np.float64)
     inv = 1.0 / d_c  # inf for a subnormal d_c, where only division is finite
 
-    def kernel(r: slice, view: np.ndarray) -> None:
-        block = view * inv if math.isfinite(inv) else view / d_c
+    def kernel(r: slice, block: np.ndarray) -> None:
+        # a held view is read-only and is copied; a streamed block is ours
+        out = block if block.flags.writeable else None
+        if math.isfinite(inv):
+            block = np.multiply(block, inv, out=out)
+        else:
+            block = np.divide(block, d_c, out=out)
         np.square(block, out=block)
         np.negative(block, out=block)
         np.exp(block, out=block)

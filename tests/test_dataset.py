@@ -602,6 +602,33 @@ class TestEpsNeighbors:
         assert sources == ["tree"] * len(got.derivations)
         assert got.labels.tobytes() == want.labels.tobytes()
 
+    def test_tree_pairs_are_checked_in_chunks(self, monkeypatch):
+        # A streamed 20-by-20 grid at eps = sqrt(2): the tree proposes the
+        # 760 axis pairs and the 722 diagonal ones, at exactly eps, and
+        # checks their distances ``_BLOCK_CELLS``/4 pairs at a time.  Chunks
+        # of one pair, of three and one chunk for all keep the same 760
+        # pairs bitwise, as int32 positions, which the matrix source finds.
+        pts = np.array([(x, y) for x in range(20) for y in range(20)], float)
+        cd, every, eps = streamed(pts), np.arange(400), math.sqrt(2.0)
+        pairs, chunks = CondensedDistances._pairs, []
+        monkeypatch.setattr(CondensedDistances, "_pairs", lambda self, i, j, **k:
+                            chunks.append(len(i)) or pairs(self, i, j, **k))
+        found = []
+        for cells in (0, 12, 1 << 16):  # past one block of the 400 points
+            with forcing("tree"), pytest.MonkeyPatch.context() as mp:
+                mp.setattr(vdpc.dataset, "_BLOCK_CELLS", cells)
+                chunks.clear()
+                nb = cd.eps_neighbors(every, eps)
+            assert nb.source == "tree" and nb.i.dtype == nb.j.dtype == np.int32
+            found.append((nb.i.tobytes(), nb.j.tobytes()))
+            assert (max(chunks), len(chunks)) == {
+                0: (1, 1482), 12: (3, 494), 1 << 16: (1482, 1)}[cells]
+        assert found[0] == found[1] == found[2]
+        matrix = forced(cd, every, eps, "matrix")
+        assert matrix.i.dtype == matrix.j.dtype == np.int32
+        assert len(nb.i) == 760
+        assert pair_keys(nb, 400).tobytes() == pair_keys(matrix, 400).tobytes()
+
     def test_many_coordinates_use_the_matrix(self, monkeypatch):
         monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)  # past one block
         pts = random_points(np.random.default_rng(0), 200, 64)
@@ -844,9 +871,10 @@ class TestTreeCandidates:
         assert decisions(caplog) == [("rows", 0, cd.n)] * 3
 
     def test_each_call_logs_its_decision(self, streamed_distances, caplog):
-        caplog.set_level(logging.DEBUG, logger="vdpc")
         cd = streamed_distances["compound"]
-        delta_and_neighbors(cd, cutoff_rho(cd))
+        rho = cutoff_rho(cd)  # before capturing: d_c logs a line of its own
+        caplog.set_level(logging.DEBUG, logger="vdpc")
+        delta_and_neighbors(cd, rho)
         cd.knn(np.arange(50), 20)
         (delta_log, knn_log) = [r.getMessage() for r in caplog.records]
         assert delta_log.startswith(

@@ -1,3 +1,4 @@
+import logging
 import math
 import os
 import re
@@ -187,6 +188,47 @@ class TestCutoffSelection:
                 tracemalloc.stop()
             assert got == [0.0, 0.0, 5.0, 5.0, 5.0]
             assert peak < 5e6 + blocks * 8 * vdpc.dataset._BLOCK_CELLS
+
+    @pytest.mark.parametrize("k, width, want", [
+        (1, 4.0, (-math.inf, 2.0)),
+        (1, 16.0, (-math.inf, 2.0)),
+        (50_000_000, 4.0, (4798.0, 5201.0)),
+        (50_000_000, 16.0, (4198.0, 5801.0)),
+        (100_000_000, 4.0, (9998.0, math.inf)),
+        (100_000_000, 16.0, (9998.0, math.inf)),
+    ], ids=["q~0", "q~0-widened", "q~1/2", "q~1/2-widened", "q~1", "q~1-widened"])
+    def test_bracket_half_width_is_the_sample_rank_deviation(self, k, width, want):
+        # A sample of S = 10^4 values equal to their ranks, out of m = 10^8.
+        # With q = (k - 1/2)/m the k-th lies near sample rank q*S, and
+        # width*sqrt(S*q*(1-q)) + 1 ranks on each side bound the bracket:
+        # at q ~ 1/2 that is 4*50 + 1 (16*50 + 1 widened); near q = 0 or
+        # 1 the deviation is about 0.007 and the half-width about 1 rank.
+        sample = np.arange(10_000.0)
+        assert vdpc.dataset._bracket(sample, k, 10**8, width) == want
+
+    def test_each_selection_logs_its_bracket(self, datasets, monkeypatch, caplog):
+        # one line per selection: k, m, the sample size, the final bracket,
+        # the values held inside it and the counting passes; the second
+        # selection's first bracket misses, as in the widening test
+        cd = pairwise_distances(datasets["flame"])
+        caplog.set_level(logging.DEBUG, logger="vdpc")
+        cutoff_distance(cd, 2)
+        bracket = vdpc.dataset._bracket
+
+        def narrow_first(sample, k, m, width):
+            x = float(sample[0])
+            return (x, x) if width == 4.0 else bracket(sample, k, m, width)
+
+        monkeypatch.setattr(vdpc.dataset, "_bracket", narrow_first)
+        cutoff_distance(cd, 50)
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("vdpc", logging.DEBUG, "d_c selection: k=574 of m=28680 distances, "
+             "sample of 937, bracket [0.471699056602829, 1.2349089035228473], "
+             "1004 values held, 1 counting passes"),
+            ("vdpc", logging.DEBUG, "d_c selection: k=14340 of m=28680 "
+             "distances, sample of 937, bracket [3.874596753211874, "
+             "8.176337811025178], 14396 values held, 2 counting passes"),
+        ]
 
 
 class TestLocalDensity:

@@ -9,7 +9,9 @@ and compare.
 
 import itertools
 import json
+import logging
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from vdpc import (
     pairwise_distances,
     vdpc_run,
 )
+from vdpc.baselines import _dbscan_labels
 from vdpc.cli import main
 from vdpc.density import delta_and_neighbors, local_density
 
@@ -174,6 +177,55 @@ def test_t710_cli_artifacts_are_byte_identical(monkeypatch, tmp_path):
             a, b = (json.loads(x) for x in (a, b))
             a.pop("runtime_ms"), b.pop("runtime_ms")
         assert a == b, rel
+
+
+@pytest.fixture(scope="module")
+def t710():
+    """t710's streamed distances and its run at pct 2, delta_t 25."""
+    cd = pairwise_distances(load_points_csv(T710, has_header=True))
+    return cd, vdpc_run(cd, VdpcParams(2, 25))
+
+
+def test_t710_cutoff_holds_a_narrow_bracket(t710, caplog):
+    # pct 2 is the 999,900th of 49,995,000 distances.  A bracket of four
+    # deviations of its sample rank (about 52 of 135,712 ranks) each side
+    # holds about 158 k values, found in one pass.
+    cd, _ = t710
+    caplog.set_level(logging.DEBUG, logger="vdpc")
+    assert cutoff_distance(cd, 2) == 38.5397894416148
+    ((k, m, s, lo, hi, held, passes),) = [
+        r.args for r in caplog.records if r.msg.startswith("d_c selection")]
+    assert (k, m, s, passes) == (999_900, 49_995_000, 135_712, 1)
+    assert (round(lo, 2), round(hi, 2)) == (38.01, 41.69)
+    assert held < 300_000
+
+
+def test_streamed_t710_transients_stay_near_one_block_per_worker(t710, monkeypatch):
+    # ``tracemalloc`` peaks with two worker threads, each computing 2 MB
+    # blocks: d_c's counting pass and the values in its bracket; ρ's
+    # kernel, which works in the block ``cdist`` returns; and DBSCAN on
+    # level 2 (9,993 points), whose tree pairs are checked by chunks and
+    # kept as int32 positions
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cd, run = t710
+    ((level, derivation),) = run.derivations
+    pts = np.flatnonzero(run.point_level == level)
+    assert (level, len(pts)) == (2, 9993)
+    stages = (
+        ("kth_smallest", lambda: cutoff_distance(cd, 2), 10e6),
+        ("local_density", lambda: local_density(cd, run.profile.d_c), 6e6),
+        ("_dbscan_labels", lambda: _dbscan_labels(
+            cd, pts, derivation.eps, derivation.minpts), 11e6),
+    )
+    peaks = {}
+    for name, stage, bound in stages:
+        tracemalloc.start()
+        try:
+            stage()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peaks[name] < bound, peaks
 
 
 def test_bundled_sets_hold_and_t710_streams(distances):
