@@ -32,7 +32,7 @@ import numpy as np
 
 from .baselines import DbscanParams, dbscan, dpc_assign, dpc_select_centers, snnc
 from .dataset import Dataset, load_points_csv, pairwise_distances
-from .density import _shared_profile, decision_graph, density_profile
+from .density import _shared_profile, density_profile
 from .errors import DataError, VdpcError
 from .metrics import adjusted_rand_index, normalized_mutual_information
 from .vdpc import ABLATION_CHOICES, AblationOptions, VdpcParams, vdpc_run
@@ -77,8 +77,21 @@ def _csv_text(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_rows(path: Path, header: list[str], rows) -> None:
-    _write_text(path, _csv_text(header, rows))
+def _column_text(header: list[str], columns: list[np.ndarray]) -> str:
+    """``_csv_text`` of the rows of equal-length arrays, one ``%`` format
+    per row: ``%d`` for an integer array and ``%.12g`` for a float one,
+    which is what ``_fmt`` writes for their elements."""
+    fmt = ",".join("%d" if c.dtype.kind in "biu" else "%.12g" for c in columns)
+    lines = [",".join(header)]
+    lines.extend(fmt % row for row in zip(*(c.tolist() for c in columns)))
+    return "\n".join(lines) + "\n"
+
+
+def _write_rows(path: Path, header: list[str], rows=(), columns=None) -> None:
+    """Write a CSV table of ``rows``, or of the rows of ``columns``, a list
+    of per-point arrays (``_column_text``)."""
+    _write_text(path, _csv_text(header, rows) if columns is None
+                else _column_text(header, columns))
 
 
 def _json_text(obj) -> str:
@@ -108,7 +121,13 @@ def _load_dataset(args) -> Dataset:
 
 
 def _write_indexed(path: Path, column: str, values: np.ndarray) -> None:
-    _write_rows(path, ["index", column], enumerate(values.tolist()))
+    _write_rows(path, ["index", column], columns=[np.arange(len(values)), values])
+
+
+def _write_decision_graph(path: Path, profile) -> None:
+    """``decision_graph(profile)`` as CSV rows."""
+    _write_rows(path, ["index", "rho", "delta"],
+                columns=[np.arange(profile.n), profile.rho, profile.delta])
 
 
 def _write_trace(outdir: Path, result) -> None:
@@ -132,19 +151,14 @@ def _write_trace(outdir: Path, result) -> None:
         ),
     )
     _write_indexed(trace / "point_levels.csv", "level", result.point_level)
-    _write_rows(
-        trace / "low_clusters.csv",
-        ["index", "cluster"],
-        itertools.chain(
-            ((int(p), c) for c, cluster in enumerate(result.low_clusters) for p in cluster),
-            ((int(p), -1) for p in result.low_noise),
-        ),
-    )
-    _write_rows(
-        trace / "boundary_points.csv",
-        ["index"],
-        ((int(b),) for b in result.boundary_points),
-    )
+    clusters = [*result.low_clusters, result.low_noise]
+    sizes = [len(c) for c in clusters]
+    ids = np.repeat(np.arange(len(clusters)), sizes)
+    ids[len(ids) - sizes[-1] :] = -1  # the noise
+    _write_rows(trace / "low_clusters.csv", ["index", "cluster"],
+                columns=[np.concatenate(clusters).astype(np.int64), ids])
+    _write_rows(trace / "boundary_points.csv", ["index"],
+                columns=[result.boundary_points.astype(np.int64)])
     _write_rows(
         trace / "derivations.csv",
         ["level", "x_low", "x_far", "x_high", "eps", "minpts_low", "minpts_high", "minpts"],
@@ -241,8 +255,7 @@ def cmd_run(args) -> int:
     outdir = Path(args.output_dir)
     _write_indexed(outdir / "labels.csv", "cluster", labels)
     if profile is not None:
-        _write_rows(outdir / "decision_graph.csv", ["index", "rho", "delta"],
-                    decision_graph(profile))
+        _write_decision_graph(outdir / "decision_graph.csv", profile)
     ari, nmi = _score(ds, labels)
     if ari is not None:
         metrics = {
@@ -270,7 +283,7 @@ def cmd_decision_graph(args) -> int:
     ds = _load_dataset(args)
     profile = density_profile(pairwise_distances(ds), args.pct)
     out = Path(args.output) if args.output else Path(args.output_dir) / "decision_graph.csv"
-    _write_rows(out, ["index", "rho", "delta"], decision_graph(profile))
+    _write_decision_graph(out, profile)
     _emit(args, ["dataset", "points", "d_c", "output"],
           [[ds.name, profile.n, profile.d_c, str(out)]])
     return 0

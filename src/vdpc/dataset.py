@@ -16,7 +16,8 @@ for streamed distances, in the calling thread before any pass.
 ``CondensedDistances`` hides the mode: its block source (``_block``,
 ``_pairs``) is the one place that reads the matrix or computes a
 distance, and every query goes through one of its methods:
-``map_blocks`` (row blocks of all distances: ρ, the zero count);
+``map_blocks`` (row blocks of all distances: ρ, which also finds the
+largest streamed distance, and the zero count);
 ``kth_smallest`` (d_c); ``row`` (one point's row:
 aDBSCAN's Eps and MinPts); ``nearest`` (each point's nearest member of a
 set: boundary, micro-cluster and noise steps); ``nearest_earlier``
@@ -31,12 +32,13 @@ without a tree; δ without a tree reads each point's distances to the
 points before it in the order, and ε-pairs without a tree come from one
 pass over the upper row blocks.  Both sources give the same answer
 bitwise.  The d_c percentile comes from an exact selection inside a
-bracket drawn from a fixed-seed sample, in one counting pass over the
-upper row blocks (half of the pairs) as a rule, never from sorting all
-N(N-1)/2 distances.  The fill and every row-block pass spread their
-blocks over one thread per core the process may run on from
-``_POOL_MIN_BLOCKS`` blocks on; each block is computed as on one
-thread, so no result depends on the core count.  ``map_rows`` lends that
+bracket drawn from a fixed-seed sample, in one counting pass as a rule,
+never from sorting all N(N-1)/2 distances: held, the pass reads the
+upper row blocks; streamed, it computes only the pairs within reach of
+the bracket's upper end along the widest coordinate.  The fill and
+every row-block pass spread their blocks over one thread per core the
+process may run on from ``_POOL_MIN_BLOCKS`` blocks on; each block is
+computed as on one thread, so no result depends on the core count.  ``map_rows`` lends that
 pool and block size to passes over other arrays (aSNNC's
 shared-neighbour counts).
 """
@@ -264,7 +266,7 @@ class CondensedDistances:
     @property
     def max_distance(self) -> float:
         """The largest pairwise distance; a streamed pass finds it on
-        first use unless the d_c count already has."""
+        first use unless ρ's pass (``map_blocks``) already has."""
         if self._max is None:
             self._max = max(self._upper_map(lambda r, block: _checked_max(block)))
         return self._max
@@ -335,17 +337,61 @@ class CondensedDistances:
         """``map_rows`` over the n rows, ``fn(r, block)`` with ``block`` the
         distances of the rows r to every point: a read-only view of the
         held matrix, or a streamed block of ``fn``'s own, which it may
-        overwrite (``block.flags.writeable`` tells which)."""
-        return self.map_rows(lambda r: fn(r, self._block(r)), self.n, self.n)
+        overwrite (``block.flags.writeable`` tells which).  A streamed
+        pass also keeps the largest distance while it is unknown."""
+        find_max = self._max is None
 
-    def _upper_map(self, fn: Callable[[slice, np.ndarray], object]) -> list:
+        def run(r: slice) -> tuple[object, float | None]:
+            block = self._block(r)
+            top = float(block.max()) if find_max else None  # before ``fn`` writes
+            return fn(r, block), top
+
+        found = self.map_rows(run, self.n, self.n)
+        if find_max:
+            self._max = max(top for _, top in found)
+        return [out for out, _ in found]
+
+    def _upper_map(self, fn: Callable[[slice, np.ndarray], object], window=None) -> list:
         """``map_blocks`` over the upper parts: ``view`` holds the
         distances of the rows r to the points from ``r.start`` on, so a
-        streamed pass computes about half of the pairs."""
+        streamed pass computes about half of the pairs.  With a
+        ``window`` (``_window``), r and the columns are positions in its
+        order, and each row block meets only the columns up to the window
+        end of its last row, in blocks of at most ``_BLOCK_CELLS`` cells
+        (``_window_slices``)."""
+        if window is None:
+            return _map(
+                lambda r: fn(r, _readonly(self._block(r, slice(r.start, None)))),
+                _slices(self.n, self.n),
+            )
+        _, order, ends = window
         return _map(
-            lambda r: fn(r, _readonly(self._block(r, slice(r.start, None)))),
-            _slices(self.n, self.n),
+            lambda r: fn(r, _readonly(self._block(order[r], order[r.start : ends[r.stop - 1]]))),
+            _window_slices(ends),
         )
+
+    def _window(self, hi: float) -> tuple[int, np.ndarray, np.ndarray] | None:
+        """For streamed coordinates and a normal float ``hi``: the widest
+        coordinate a, the order of the points along it, and for each
+        position p in that order the end of its window, one past the last
+        position within reach of p along a.  Every pair farther apart
+        along a than the reach is farther apart than hi, so a pass that
+        counts the distances up to hi may skip it.  None where the whole
+        triangle is read: held distances, read by slices, and hi inf or
+        not a normal float."""
+        if self._cdist is None or not np.finfo(np.float64).tiny <= hi < math.inf:
+            return None
+        pts = self.points
+        axis = int(np.argmax(np.ptp(pts, axis=0)))
+        order = np.argsort(pts[:, axis], kind="stable")
+        x = pts[order, axis]
+        # ``cdist``'s value is at least the gap along one coordinate less a
+        # few ulps, which hi widened by 2^-20 covers, as in ``eps_neighbors``.
+        # Four ulps of the largest coordinate cover the rounding of x + reach,
+        # and gaps too small for their squares to keep their precision (below
+        # 2^-511; the largest coordinate of scaled points is 2^-256 or more).
+        reach = hi * self.scale * _MARGIN + 4.0 * float(np.spacing(np.abs(pts).max()))
+        return axis, order, np.searchsorted(x, x + reach, side="right")
 
     def row(self, i: int) -> np.ndarray:
         """Point i's distances to every point, read-only."""
@@ -401,7 +447,7 @@ class CondensedDistances:
 
             self._tree = cKDTree(self.points)
         count = min(count, self.n)  # the tree would pad with inf and index n
-        t, idx = self._tree.query(self.points[points], count)
+        t, idx = self._tree.query(self.points[points], count, workers=_workers())
         idx = idx.reshape(len(points), count)
         if count == self.n:
             return idx, np.full(len(points), np.inf)
@@ -529,21 +575,25 @@ class CondensedDistances:
         lo and equal to hi, and keeps those strictly between (about
         8·m^(2/3)·sqrt(q(1-q)) of them at q = k/m), so a bracket end
         shared by many pairs costs no memory; ``np.partition`` finishes
-        among the kept ones.  If the k-th distance is not in the bracket,
-        the bracket is widened fourfold and the pass repeated; it ends at
-        the whole triangle, so the answer is always exact and only the
-        time depends on the sample.  Each selection logs its bracket, the
-        values held and the passes it took.
+        among the kept ones.  Streamed coordinates are sorted along their
+        widest one, and the pass computes only the pairs within reach of
+        hi along it (``_window``): every pair it skips is above hi, so the
+        counts are those of the whole triangle.  If the k-th distance is
+        not in the bracket, the bracket is widened fourfold and the pass
+        repeated; it ends at the whole triangle, so the answer is always
+        exact and only the time depends on the sample.  Each selection
+        logs its bracket, the values held, the passes it took, the cells
+        of the blocks they read or computed, and the window's coordinate,
+        or the whole triangle.
         """
         m = self.n * (self.n - 1) // 2
         if not 1 <= k <= m:
             raise IndexError("k=%d outside 1..%d" % (k, m))
         sample = _sample_distances(self._pairs, self.n, m)
-        width, passes = 4.0, 0
+        width, passes, cells = 4.0, 0, 0
         while True:
             lo, hi = _bracket(sample, k, m, width)
             passes += 1
-            find_max = self._max is None  # a streamed pass finds it on the way
 
             def count(r: slice, block: np.ndarray):
                 # The strict upper triangle of the upper part: the part right
@@ -552,7 +602,6 @@ class CondensedDistances:
                 tri = ~np.tri(size, dtype=bool)
                 below = at_lo = at_hi = 0
                 held = []
-                top = float(block.max()) if find_max else None
                 for v in (block[:, size:], block[:, :size][tri]):
                     low = v < lo
                     below += int(np.count_nonzero(low))
@@ -565,13 +614,13 @@ class CondensedDistances:
                     at_lo += int(np.count_nonzero(v == lo))
                     at_hi += int(np.count_nonzero(v == hi)) if hi != lo else 0
                     held.append(v[(lo < v) & (v < hi)])
-                return below, at_lo, at_hi, held, top
+                return below, at_lo, at_hi, held, block.size
 
-            counts = self._upper_map(count)
-            if find_max:
-                self._max = max(c[4] for c in counts)
+            window = self._window(hi)
+            counts = self._upper_map(count, window)
             below, at_lo, at_hi = (sum(c[i] for c in counts) for i in range(3))
             held = np.concatenate([v for c in counts for v in c[3]])
+            cells += sum(c[4] for c in counts)
             j = k - below  # rank of the k-th among the distances in [lo, hi]
             j_held = j - at_lo  # its rank among the held ones, strictly inside
             if 1 <= j <= at_lo:
@@ -585,8 +634,10 @@ class CondensedDistances:
                 continue
             log.debug(
                 "d_c selection: k=%d of m=%d distances, sample of %d, bracket "
-                "[%r, %r], %d values held, %d counting passes",
-                k, m, len(sample), lo, hi, len(held), passes,
+                "[%r, %r], %d values held, %d counting passes, %d block cells, %s",
+                k, m, len(sample), lo, hi, len(held), passes, cells,
+                "whole triangle" if window is None
+                else "window along coordinate %d" % window[0],
             )
             return kth
 
@@ -606,12 +657,32 @@ def _slices(size: int, width: int) -> list[slice]:
     return [slice(a, min(a + step, size)) for a in range(0, size, step)]
 
 
+def _window_slices(ends: np.ndarray) -> list[slice]:
+    """Consecutive slices a:b of the positions of ``_window``'s ``ends``
+    (ascending, ends[p] > p), each of at most ``_BLOCK_CELLS`` cells of
+    the columns a..ends[b-1] (one row at least)."""
+    n, a, out = len(ends), 0, []
+    most = math.isqrt(_BLOCK_CELLS)  # a block of s rows spans s columns or more
+    while a < n:
+        rows = np.arange(1, min(most, n - a) + 1)
+        cells = rows * (ends[a : a + len(rows)] - a)
+        b = a + max(1, int(np.searchsorted(cells, _BLOCK_CELLS, side="right")))
+        out.append(slice(a, b))
+        a = b
+    return out
+
+
+def _workers() -> int:
+    """The cores this process may run on (1 where it cannot tell)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def _map(fn: Callable[[slice], object], slices: list[slice]) -> list:
     """``[fn(r) for r in slices]``, spread over one thread per core this
     process may run on; inline with one core or fewer than
     ``_POOL_MIN_BLOCKS`` slices.  NumPy and ``cdist`` release the
     interpreter lock on a block, so the blocks of a pass run side by side."""
-    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = _workers()
     if workers < 2 or len(slices) < _POOL_MIN_BLOCKS:
         return [fn(r) for r in slices]
     return list(_pool(os.getpid(), workers).map(fn, slices))

@@ -196,6 +196,24 @@ class TestRun:
         assert payload[0]["ari"] == 1.0
 
 
+def test_column_writer_equals_the_row_writer():
+    # one ``%`` format per row, %d or %.12g by dtype, writes what ``_fmt``
+    # writes cell by cell, from Python numbers or NumPy scalars
+    floats = np.array([-0.0, 0.0, 3.0, -2.0, 2.0 ** 53, 1e300, -1e-300, 1e-310,
+                       0.1 + 0.2, 1 / 3, 9.9999999999995, 999999999999.5,
+                       123456789012.5, 1.234567890125e-5, 1e16, 5e-324])
+    n = len(floats)
+    columns = [np.arange(n), floats, -floats,
+               np.arange(n, dtype=np.int32) - 8, np.arange(n) % 2 == 0,
+               np.linspace(-2.0 ** 62, 2.0 ** 62, n).astype(np.int64)]
+    header = ["a", "b", "c", "d", "e", "f"]
+    text = vdpc.cli._column_text(header, columns)
+    assert text == vdpc.cli._csv_text(header, zip(*(c.tolist() for c in columns)))
+    assert text == vdpc.cli._csv_text(header, zip(*columns))
+    assert "-0," in text and "1e+300" in text and "10," in text
+    assert vdpc.cli._column_text(["index"], [np.array([], int)]) == "index\n"
+
+
 class TestExitCodes:
     def test_no_command_is_usage_error(self, capsys):
         assert run_cli() == 1

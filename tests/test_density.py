@@ -208,7 +208,9 @@ class TestCutoffSelection:
 
     def test_each_selection_logs_its_bracket(self, datasets, monkeypatch, caplog):
         # one line per selection: k, m, the sample size, the final bracket,
-        # the values held inside it and the counting passes; the second
+        # the values held inside it, the counting passes, and the cells of
+        # their blocks with their source (flame is held, so each pass reads
+        # its one 240-by-240 block of the whole triangle); the second
         # selection's first bracket misses, as in the widening test
         cd = pairwise_distances(datasets["flame"])
         caplog.set_level(logging.DEBUG, logger="vdpc")
@@ -224,10 +226,12 @@ class TestCutoffSelection:
         assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
             ("vdpc", logging.DEBUG, "d_c selection: k=574 of m=28680 distances, "
              "sample of 937, bracket [0.471699056602829, 1.2349089035228473], "
-             "1004 values held, 1 counting passes"),
+             "1004 values held, 1 counting passes, 57600 block cells, "
+             "whole triangle"),
             ("vdpc", logging.DEBUG, "d_c selection: k=14340 of m=28680 "
              "distances, sample of 937, bracket [3.874596753211874, "
-             "8.176337811025178], 14396 values held, 2 counting passes"),
+             "8.176337811025178], 14396 values held, 2 counting passes, "
+             "115200 block cells, whole triangle"),
         ]
 
 

@@ -7,6 +7,9 @@ few integers (so the total order breaks many ties by index).  Every
 comparison is exact.
 """
 
+import math
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -98,6 +101,69 @@ def test_kth_smallest(sample_size, data):
             mp.setattr(vdpc.dataset, "_sample_size", sample_size)
         got = [cd.kth_smallest(k) for k in range(1, len(ordered) + 1)]
     assert got == ordered
+
+
+@st.composite
+def window_points(draw):
+    """2 to 40 points for d_c's window: on a 4-wide integer grid (ties and
+    coincident points) or any floats in [-4, 4], perhaps all at one x, and
+    then offset by 2^40 or scaled by 2^600 or 2^-600 (through the
+    power-of-two rescale)."""
+    n, dim = draw(st.integers(2, 40)), draw(st.integers(1, 3))
+    cell = st.integers(0, 3).map(float) if draw(st.booleans()) else st.floats(-4, 4)
+    pts = np.reshape(draw(st.lists(cell, min_size=n * dim, max_size=n * dim)), (n, dim))
+    if draw(st.booleans()):
+        pts[:, 0] = pts[0, 0]
+    move = draw(st.sampled_from(["none", "offset", "2^600", "2^-600"]))
+    return {"none": pts, "offset": pts + 2.0 ** 40, "2^600": pts * 2.0 ** 600,
+            "2^-600": pts * 2.0 ** -600}[move]
+
+
+def upper_at_most(cd, hi, window):
+    """The distances up to ``hi`` in the strict upper triangle of each
+    block of ``cd._upper_map``, sorted."""
+    def at_most(r, block):
+        size = r.stop - r.start
+        v = np.concatenate([block[:, size:].ravel(),
+                            block[:, :size][~np.tri(size, dtype=bool)]])
+        return v[v <= hi]
+
+    return np.sort(np.concatenate(cd._upper_map(at_most, window)))
+
+
+# The streamed count sorts the points along their widest coordinate and
+# skips the pairs beyond hi's reach along it; every pair up to hi must
+# still be counted once, so each selection equals the full sort, whatever
+# the bracket, also when it misses and widens to the whole triangle.
+@pytest.mark.parametrize("workers", [1, 2, 8])
+@given(st.data())
+def test_windowed_count_equals_the_whole_triangle(workers, data):
+    pts = data.draw(window_points())
+    cd = streamed(pts)
+    n, m = len(pts), len(pts) * (len(pts) - 1) // 2
+    ordered = np.sort(full_matrix(pairwise_distances(Dataset(points=pts)))[
+        np.triu_indices(n, 1)])
+    values = sorted(set(ordered.tolist()))
+    tiny = np.finfo(np.float64).tiny
+    bracket = vdpc.dataset._bracket
+    lo, hi = sorted(data.draw(st.lists(st.sampled_from(values), min_size=2,
+                                       max_size=2)))
+    ks = sorted({1, m, data.draw(st.integers(1, m))})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+        mp.setattr(vdpc.dataset, "_BLOCK_CELLS",
+                   data.draw(st.sampled_from([1, 7, 40, 1 << 18])))
+        for end in (hi, math.inf):
+            window = cd._window(end)
+            assert (window is None) == (not tiny <= end < math.inf)
+            assert (upper_at_most(cd, end, window).tobytes()
+                    == ordered[ordered <= end].tobytes())
+        assert [cd.kth_smallest(k) for k in ks] == [ordered[k - 1] for k in ks]
+        # a first bracket [lo, hi] on the distances themselves, pairs at
+        # either end; where it misses the k-th, the real one widens
+        mp.setattr(vdpc.dataset, "_bracket", lambda sample, k, m, width: (
+            (lo, hi) if width == 4.0 else bracket(sample, k, m, width)))
+        assert [cd.kth_smallest(k) for k in ks] == [ordered[k - 1] for k in ks]
 
 
 # Up to 18 points the tree proposes every point as a candidate; 40 to 60

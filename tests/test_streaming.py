@@ -193,11 +193,59 @@ def test_t710_cutoff_holds_a_narrow_bracket(t710, caplog):
     cd, _ = t710
     caplog.set_level(logging.DEBUG, logger="vdpc")
     assert cutoff_distance(cd, 2) == 38.5397894416148
-    ((k, m, s, lo, hi, held, passes),) = [
+    ((k, m, s, lo, hi, held, passes, _, _),) = [
         r.args for r in caplog.records if r.msg.startswith("d_c selection")]
     assert (k, m, s, passes) == (999_900, 49_995_000, 135_712, 1)
     assert (round(lo, 2), round(hi, 2)) == (38.01, 41.69)
     assert held < 300_000
+
+
+def test_t710_cutoff_computes_under_a_quarter_of_the_pairs(t710, caplog):
+    # t710's 10,000 points span about 700 along x and 450 along y; a pair
+    # within 41.69 of each other lies within 41.69 along x, so sorted
+    # along x, the counting pass computes about 18% of the upper cells
+    cd, _ = t710
+    caplog.set_level(logging.DEBUG, logger="vdpc")
+    cutoff_distance(cd, 2)
+    ((_, m, *_, cells, source),) = [
+        r.args for r in caplog.records if r.msg.startswith("d_c selection")]
+    assert source == "window along coordinate 0"
+    assert cells < m / 4
+
+
+def test_the_window_reaches_a_gap_whose_square_underflows(monkeypatch):
+    # 1e-160 squared is subnormal, so ``cdist`` gives the pair 6 ppm less
+    # than its gap along x, below the gap less 2^-20; four ulps of the
+    # largest coordinate still bring it into the window of the first pass
+    # (of one row per block)
+    pts = np.array([[0.0, 0.0], [1e-160, 0.0], [1.0, 0.0], [1.0, 0.5]])
+    cd = build(pts, 0, monkeypatch)
+    monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1)
+    d = cd._pairs(np.array([0]), np.array([1]))[0]
+    assert cd.scale == 1.0 and d < 1e-160 * (1 - 2.0 ** -20)
+    widths = []
+    monkeypatch.setattr(vdpc.dataset, "_bracket", lambda sample, k, m, width: (
+        widths.append(width) or ((d, d) if width == 4.0 else (-np.inf, np.inf))))
+    assert cd.kth_smallest(1) == d and widths == [4.0]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_rho_pass_finds_the_largest_distance(workers, monkeypatch):
+    # the windowed d_c count skips the farthest pairs, so ρ's full pass
+    # keeps the largest distance, and no pass of its own runs for δ
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 20 * 600)  # 30 row blocks
+    pts, _ = density_mix(600)
+    held, streamed = both(pts, monkeypatch)
+    d_c = cutoff_distance(streamed, 2)
+    assert streamed._max is None
+    local_density(streamed, d_c)
+    full = max(streamed._upper_map(lambda r, block: block.max()))
+    assert streamed._max == full == held.max_distance
+    calls = []
+    monkeypatch.setattr(streamed, "_upper_map", lambda *a: calls.append(a))
+    delta_and_neighbors(streamed, local_density(held, d_c))
+    assert calls == []
 
 
 def test_streamed_t710_transients_stay_near_one_block_per_worker(t710, monkeypatch):

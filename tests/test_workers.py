@@ -18,7 +18,7 @@ from vdpc.cli import main
 from vdpc.density import cutoff_distance, local_density
 from vdpc.errors import DataError
 
-from conftest import BEST_PARAMS
+from conftest import BEST_PARAMS, density_mix, streamed
 from oracles import full_matrix
 
 LAYERS = ("cli", "vdpc", "density", "baselines", "metrics", "dataset")
@@ -92,6 +92,38 @@ def test_streamed_passes_equal_held_at_any_worker_count(monkeypatch, datasets,
         sys.setswitchinterval(interval)
     assert streamed == held
     assert bool(threads - {threading.main_thread()}) == (workers > 1)
+
+
+class QuerySpy:
+    """A k-d tree whose queries record the ``workers`` they are given."""
+
+    def __init__(self, tree):
+        self.tree, self.workers = tree, []
+
+    def query(self, *args, workers=1, **kwargs):
+        self.workers.append(workers)
+        return self.tree.query(*args, workers=workers, **kwargs)
+
+
+@pytest.mark.parametrize("workers", [2, 8])
+def test_tree_workers_never_change_delta_or_knn(monkeypatch, workers):
+    # δ and the k nearest take their candidates from k-d tree queries
+    # (one for δ, one per block of 40 points for knn), which run on one
+    # thread per core
+    from scipy.spatial import cKDTree
+
+    pts, _ = density_mix(600)
+    monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 40 * 12)
+    got = {}
+    for count in (1, workers):
+        cores(monkeypatch, count)
+        cd = streamed(pts)
+        cd._tree = spy = QuerySpy(cKDTree(cd.points))
+        order = np.random.default_rng(0).permutation(600)
+        got[count] = [v.tobytes() for v in (*cd.nearest_earlier(order),
+                                             cd.knn(np.arange(600), 7))]
+        assert len(spy.workers) == 1 + 600 // 40 and set(spy.workers) == {count}
+    assert got[1] == got[workers]
 
 
 def fill_threads(monkeypatch):
