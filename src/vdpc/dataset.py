@@ -38,9 +38,9 @@ upper row blocks; streamed, it computes only the pairs within reach of
 the bracket's upper end along the widest coordinate.  The fill and
 every row-block pass spread their blocks over one thread per core the
 process may run on from ``_POOL_MIN_BLOCKS`` blocks on; each block is
-computed as on one thread, so no result depends on the core count.  ``map_rows`` lends that
-pool and block size to passes over other arrays (aSNNC's
-shared-neighbour counts).
+computed as on one thread, so no result depends on the core count.
+``map_rows`` lends that pool and block size to passes over other arrays
+(aSNNC's shared-neighbour counts).
 """
 
 from __future__ import annotations
@@ -208,14 +208,16 @@ class CondensedDistances:
         self._max = max_distance  # None until a streamed pass finds it
         self.points = points
         self.scale = scale
-        self._profiles: dict = {}  # density profiles by cut-off rank
-        self._levels: dict = {}  # level-pass outcomes by level state (``vdpc_run``)
-        # ``vdpc_run``'s initial labels by (cut-off rank, representatives), and
-        # its levels by (rank, representatives, segment count)
-        self._initial: dict = {}
-        self._segments: dict = {}
+        self._memo: dict = {}  # what runs on these distances share (``_kept``)
         self._tree = None  # a k-d tree over streamed ``points``, built on first use
         self._cdist = None  # SciPy's ``cdist``, imported for streamed distances
+
+    def _kept(self, key, make: Callable[[], object]):
+        """``make()``, computed once per ``key`` on these distances; nothing
+        is kept when it raises."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
 
     # -- the block source: every distance is read or computed here ------
 
@@ -791,6 +793,17 @@ def pairwise_distances(ds: Dataset) -> CondensedDistances:
     return cd
 
 
+def _read_text(path: Path) -> str:
+    """The text of a UTF-8 file, less a byte order mark, with universal
+    newlines; a missing file or other bytes are a ``DataError``."""
+    if not path.is_file():
+        raise DataError(f"no such file: {path}")
+    try:
+        return path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+
+
 def load_points_csv(
     path: str | Path,
     has_header: bool = False,
@@ -804,34 +817,31 @@ def load_points_csv(
     integer ground truth.  Errors name the offending 1-based line.
     """
     path = Path(path)
-    if not path.is_file():
-        raise DataError(f"no such file: {path}")
     rows: list[list[float]] = []
     width = None
-    with path.open("r", encoding="utf-8-sig") as f:
-        for lineno, line in enumerate(f, start=1):
-            if lineno == 1 and has_header:
-                continue
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise DataError(
-                    f"{path}: line {lineno}: expected {width} cells, "
-                    f"got {len(cells)}"
-                )
-            try:
-                row = [float(c) for c in cells]
-            except ValueError:
-                raise DataError(
-                    f"{path}: line {lineno}: non-numeric cell"
-                ) from None
-            if not all(map(math.isfinite, row)):
-                raise DataError(f"{path}: line {lineno}: non-finite value")
-            rows.append(row)
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if lineno == 1 and has_header:
+            continue
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise DataError(
+                f"{path}: line {lineno}: expected {width} cells, "
+                f"got {len(cells)}"
+            )
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:
+            raise DataError(
+                f"{path}: line {lineno}: non-numeric cell"
+            ) from None
+        if not all(map(math.isfinite, row)):
+            raise DataError(f"{path}: line {lineno}: non-finite value")
+        rows.append(row)
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 data rows, got {len(rows)}")
     arr = np.asarray(rows, dtype=np.float64)
@@ -860,10 +870,7 @@ def load_condensed_matrix(path: str | Path, n: int) -> CondensedDistances:
     ``CondensedDistances`` checks their count and values.
     """
     path = Path(path)
-    if not path.is_file():
-        raise DataError(f"no such file: {path}")
-    text = path.read_text(encoding="utf-8-sig")
-    tokens = [t for t in re.split(r"[\s,]+", text) if t]
+    tokens = [t for t in re.split(r"[\s,]+", _read_text(path)) if t]
     try:
         values = np.array([float(t) for t in tokens], dtype=np.float64)
     except ValueError:

@@ -139,10 +139,7 @@ def density_profile(cd: CondensedDistances, pct: float) -> DensityProfile:
 def _shared_profile(cd: CondensedDistances, pct: float) -> DensityProfile:
     """``density_profile(cd, pct)``, computed once per cut-off rank of
     these distances: every pct of the same rank gets the same object."""
-    k = _rank(cd.n, pct)
-    if k not in cd._profiles:
-        cd._profiles[k] = density_profile(cd, pct)
-    return cd._profiles[k]
+    return cd._kept(("profile", _rank(cd.n, pct)), lambda: density_profile(cd, pct))
 
 
 def decision_graph(profile: DensityProfile) -> list[tuple[int, float, float]]:

@@ -401,55 +401,29 @@ def vdpc_run(
     """Run the full pipeline and return labels plus stage snapshots.
 
     Runs on the same distances that differ only in ``delta_t``, ``num``
-    or the options share one density profile (``_shared_profile``), and
-    runs with the same representatives share their initial labels, and,
-    with the same ``num``, their levels.  A multi-level run's level
-    stages depend only on the level state: the cut-off rank, the
-    representatives, the level intervals and the options.  Runs on the
-    same distances with the same state share one level pass.  All of
-    these are kept on the distances object; each run gets its own copies.
+    or the options share one density profile (``_shared_profile``).
+    Past the representatives and the levels, a run depends only on its
+    level state: the cut-off rank, the representatives, the level
+    intervals and the options.  Runs on the same distances with the same
+    state share one ``_cluster_levels`` pass, kept on the distances
+    object; each run gets its own copies of its arrays.
     """
     cd = data if isinstance(data, CondensedDistances) else pairwise_distances(data)
     profile = _shared_profile(cd, params.pct)
     reps = select_representatives(profile, params.delta_t)
+    levels = compute_levels(profile.rho[reps], params.num)
     k = _rank(cd.n, params.pct)
-    key = (k, reps.tobytes())
-    if key not in cd._initial:
-        cd._initial[key] = _readonly(dpc_assign(profile, reps))
-    initial = cd._initial[key]
-    segments = (*key, params.num)
-    if segments not in cd._segments:
-        levels = compute_levels(profile.rho[reps], params.num)
-        rep_level = _readonly(partition_points(profile.rho[reps], levels))
-        cd._segments[segments] = levels, rep_level
-    levels, rep_level = cd._segments[segments]
-
-    if levels.numl == 1:
-        return VdpcResult(
-            labels=initial.copy(),
-            profile=profile,
-            representatives=reps,
-            initial_labels=initial.copy(),
-            levels=levels,
-            rep_level=rep_level.copy(),
-            point_level=np.ones(cd.n, dtype=np.int64),
-            pre_noise_labels=initial.copy(),
-        )
-
-    state = (*key, levels.intervals, options)
-    if state in cd._levels:
+    state = (k, reps.tobytes(), levels.intervals, options)
+    if state in cd._memo:
         log.debug("level state seen before (k=%d, %d levels): its labels are "
                   "reused", k, levels.numl)
-    else:
-        cd._levels[state] = _cluster_levels(
-            cd, profile, reps, initial, levels, rep_level, options
-        )
+    kept = cd._kept(state, lambda: _cluster_levels(cd, profile, reps, levels,
+                                                   options))
     return VdpcResult(
         profile=profile,
         representatives=reps,
         levels=levels,
-        rep_level=rep_level.copy(),
-        **{name: _own_copy(v) for name, v in cd._levels[state].items()},
+        **{name: _own_copy(v) for name, v in kept.items()},
     )
 
 
@@ -457,13 +431,19 @@ def _cluster_levels(
     cd: CondensedDistances,
     profile: DensityProfile,
     reps: np.ndarray,
-    initial: np.ndarray,
     levels: DensityLevels,
-    rep_level: np.ndarray,
     options: AblationOptions,
 ) -> dict:
-    """The level stages of a multi-level run, as the ``VdpcResult`` fields
-    they set.  Of ``levels`` they read only the intervals, not ``w``."""
+    """What a run computes past its levels, as the ``VdpcResult`` fields
+    it sets: the DPC labels of the representatives and their levels,
+    which are the result when there is one level, and else the level
+    stages.  Of ``levels`` it reads only the intervals, not ``w``."""
+    initial = _readonly(dpc_assign(profile, reps))
+    rep_level = _readonly(partition_points(profile.rho[reps], levels))
+    if levels.numl == 1:
+        return dict(labels=initial, initial_labels=initial,
+                    pre_noise_labels=initial, rep_level=rep_level,
+                    point_level=np.ones(cd.n, dtype=np.int64))
     if options.level_assignment == "inherit":  # the representative's level
         point_level = rep_level[initial]
     else:
@@ -521,9 +501,10 @@ def _cluster_levels(
     pre_noise = labels.copy()
     labels = assign_noise(cd, np.flatnonzero(labels < 0), labels, profile)
     return dict(labels=relabel_contiguous(labels), initial_labels=initial,
-                point_level=point_level, low_clusters=low_clusters,
-                low_noise=low_noise, boundary_points=boundary,
-                derivations=derivations, pre_noise_labels=pre_noise)
+                rep_level=rep_level, point_level=point_level,
+                low_clusters=low_clusters, low_noise=low_noise,
+                boundary_points=boundary, derivations=derivations,
+                pre_noise_labels=pre_noise)
 
 
 def _own_copy(value):

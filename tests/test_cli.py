@@ -301,13 +301,45 @@ class TestExitCodes:
                        "--delta-t", "5.5", "--output-dir", str(tmp_path)) == 1
         assert "usage error" in capsys.readouterr().err
 
-    def test_output_dir_that_is_a_file_is_pipeline_error(self, tmp_path, capsys):
+    def test_output_dir_that_is_a_file_is_usage_error(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("")
         assert run_cli("run", "--dataset", "flame", "--algorithm", "dbscan",
-                       "--eps", "1", "--minpts", "6", "--output-dir", str(taken)) == 3
-        assert "vdpc: pipeline error: " in capsys.readouterr().err
+                       "--eps", "1", "--minpts", "6", "--output-dir", str(taken)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("vdpc: usage error: cannot write %s" % taken)
         assert taken.read_text() == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--dataset", "flame", "--pct", "5", "--delta-t", "5.5"],
+        ["sweep", "--dataset", "flame", "--pct", "5", "--delta-t", "5.5"],
+        ["bench", "--suite", "tiny"],
+        ["decision-graph", "--dataset", "flame", "--pct", "5", "--output"],
+    ], ids=lambda argv: argv[0])
+    def test_output_path_under_a_file_is_usage_error(self, tmp_path, capsys,
+                                                     monkeypatch, argv):
+        monkeypatch.setattr(vdpc.cli, "load_manifest",
+                            lambda: {"tiny": {"cells": []}})
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        below = taken / "out"
+        if argv[-1] != "--output":
+            argv = [*argv, "--output-dir"]
+        assert run_cli(*argv, str(below)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("vdpc: usage error: cannot write %s" % below)
+
+    def test_csv_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"0,0\n1,1\n2,\xff\n")
+        assert run_cli("run", "--dataset", str(bad), "--pct", "2",
+                       "--delta-t", "1", "--output-dir", str(tmp_path / "out")) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "vdpc: data error: %s: not UTF-8 text\n" % bad
+        assert not (tmp_path / "out").exists()
 
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0

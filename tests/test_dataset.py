@@ -105,6 +105,12 @@ class TestLoadPointsCsv:
         path.write_bytes(b"\xef\xbb\xbf0,0\n1,1\n")
         np.testing.assert_array_equal(load_points_csv(path).points, [[0, 0], [1, 1]])
 
+    def test_bytes_that_are_not_utf8_are_a_data_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"0,0\n1,\xff\n")
+        with pytest.raises(DataError, match="latin1.csv: not UTF-8 text$"):
+            load_points_csv(path)
+
     def test_arrays_are_readonly(self, tmp_path):
         ds = load_points_csv(write(tmp_path, "0,0\n1,1\n"))
         with pytest.raises(ValueError):
@@ -432,6 +438,12 @@ class TestLoadCondensedMatrix:
         path = tmp_path / "m.txt"
         path.write_text("1.0, 2.5\n3.25\n", encoding="utf-8-sig")
         assert load_condensed_matrix(path, n=3).kth_smallest(3) == 3.25
+
+    def test_bytes_that_are_not_utf8_are_a_data_error(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"1.0 2.5\n3.25\xff\n")
+        with pytest.raises(DataError, match="m.txt: not UTF-8 text$"):
+            load_condensed_matrix(path, n=3)
 
     def test_round_trips_through_d(self, tmp_path):
         pts = np.random.default_rng(4).normal(size=(30, 3))

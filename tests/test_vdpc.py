@@ -20,6 +20,7 @@ from vdpc import (
     pairwise_distances,
     vdpc_run,
 )
+from vdpc.cli import main
 from vdpc.vdpc import (
     assign_noise,
     derive_adbscan_params,
@@ -553,14 +554,15 @@ class TestLevelMemo:
     @pytest.mark.parametrize("name", ["flame", "compound"])  # one level, two
     def test_cells_of_one_pair_share_initial_labels_and_levels(
             self, datasets, name, monkeypatch):
-        # two delta_t of the same representatives, each at two num: one
-        # DPC assignment, one segmentation per num, and results whose
-        # arrays are their own
+        # two delta_t of the same representatives, each at two num, all of
+        # one level state: one DPC assignment, levels computed per cell,
+        # and results whose arrays are their own
         pct, delta_t = BEST_PARAMS[name]
         cells = [VdpcParams(pct, d, num) for d in (delta_t, delta_t * 1.001)
                  for num in (10, 15)]
         want = [vdpc_run(datasets[name], p) for p in cells]
-        assert len({w.representatives.tobytes() for w in want}) == 1
+        assert len({(w.representatives.tobytes(), w.levels.intervals)
+                    for w in want}) == 1
         calls = count_level_passes(monkeypatch, ("dpc_assign", "compute_levels"))
         cd = pairwise_distances(datasets[name])
         for p, w in zip(cells, want):
@@ -569,7 +571,27 @@ class TestLevelMemo:
             for a in (got.labels, got.initial_labels, got.rep_level,
                       got.point_level, got.pre_noise_labels):
                 a[:] = 7
-        assert sorted(calls) == ["compute_levels"] * 2 + ["dpc_assign"]
+        assert sorted(calls) == ["compute_levels"] * len(cells) + ["dpc_assign"]
+
+    def test_one_level_cells_share_their_state(self, datasets, caplog,
+                                               monkeypatch):
+        pct, delta_t = BEST_PARAMS["flame"]
+        first, second = VdpcParams(pct, delta_t, 10), VdpcParams(pct, delta_t, 15)
+        want = vdpc_run(datasets["flame"], second)
+        calls = count_level_passes(monkeypatch, ("dpc_assign",))
+        cd = pairwise_distances(datasets["flame"])
+        caplog.set_level(logging.DEBUG, logger="vdpc")
+        got = vdpc_run(cd, first)
+        assert got.levels.numl == 1
+        dpc = (got.labels, got.initial_labels, got.pre_noise_labels)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(dpc)
+                       for b in dpc[i + 1:])
+        for a in (*dpc, got.rep_level, got.point_level):
+            a[:] = 7
+        same_result(vdpc_run(cd, second), want)
+        assert calls == ["dpc_assign"]
+        hits = [r for r in caplog.records if "level state" in r.message]
+        assert [h.args for h in hits] == [(vdpc.density._rank(cd.n, pct), 1)]
 
     def test_changing_a_result_leaves_later_hits_intact(self, datasets):
         name, first, second = SHARED_STATE["num"]
@@ -606,8 +628,37 @@ class TestLevelMemo:
             patch.setattr(pipeline, "asnnc", failing)
             with pytest.raises(StageError):
                 vdpc_run(cd, first)
-        assert cd._levels == {}
+        assert list(cd._memo) == [("profile", vdpc.density._rank(cd.n, first.pct))]
         same_result(vdpc_run(cd, first), want)
+
+    def test_a_profile_whose_cutoff_is_zero_is_not_kept(self):
+        pts = np.array([[0.0, 0]] * 12 + [[5.0, 5]] * 12 + [[2.5, 2.5]])
+        cd = cd_of(pts)
+        with pytest.raises(ParameterError, match="d_c is 0"):
+            vdpc_run(cd, VdpcParams(20, 0.5))
+        assert cd._memo == {}
+
+    def test_the_sweep_grid_shares_profiles_and_level_states(
+            self, tmp_path, monkeypatch, capsys):
+        # the 450 cells of the benchmark's sweep grid: 30 profiles, 111
+        # level states (39 of them multi-level), one DPC assignment each
+        calls = count_level_passes(monkeypatch, ("dpc_assign", "asnnc"))
+        profile = vdpc.density.density_profile
+
+        def counted(*args):
+            calls.append("density_profile")
+            return profile(*args)
+
+        monkeypatch.setattr(vdpc.density, "density_profile", counted)
+        steps = (0.6, 0.8, 1.0, 1.2, 1.4)
+        for name, (pct, delta_t) in BEST_PARAMS.items():
+            assert main(["sweep", "--dataset", name,
+                         "--pct", ",".join("%.12g" % (pct * s) for s in steps),
+                         "--delta-t", ",".join("%.12g" % (delta_t * s) for s in steps),
+                         "--num", "5,10,15", "--output-dir", str(tmp_path)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 6 * 76
+        assert (calls.count("density_profile"), calls.count("dpc_assign"),
+                calls.count("asnnc")) == (30, 111, 39)
 
     def test_a_hit_is_logged_with_its_state(self, datasets, caplog):
         name, first, second = SHARED_STATE["num"]
