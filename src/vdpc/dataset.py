@@ -15,7 +15,9 @@ the same values bitwise.  SciPy's ``scipy.spatial`` is imported only
 for streamed distances, in the calling thread before any pass.
 ``CondensedDistances`` hides the mode: its block source (``_block``,
 ``_pairs``) is the one place that reads the matrix or computes a
-distance, and every query goes through one of its methods:
+distance, ``_scan`` the one reader of ranges of them (every pass's row
+blocks of at most ``_BLOCK_CELLS`` cells), and every query goes through
+one of its methods:
 ``map_blocks`` (row blocks of all distances: ρ, which also finds the
 largest streamed distance, and the zero count);
 ``kth_smallest`` (d_c); ``row`` (one point's row:
@@ -221,13 +223,12 @@ class CondensedDistances:
 
     # -- the block source: every distance is read or computed here ------
 
-    def _block(self, rows, cols=None, out: np.ndarray | None = None) -> np.ndarray:
+    def _block(self, rows, cols=None) -> np.ndarray:
         """Distances of the points ``rows`` to the points ``cols`` (all by
         default), each an index array or a slice.  Held: a read-only view
         of the matrix for slices, a copy for index arrays (gathered rows
         first, then columns).  Streamed: ``cdist`` of the coordinates
-        times 1/``scale``, written into ``out`` if given, equal to the
-        held matrix bitwise."""
+        times 1/``scale``, equal to the held matrix bitwise."""
         if self._square is not None:
             if cols is None:
                 return self._square[rows]
@@ -235,7 +236,7 @@ class CondensedDistances:
                 return np.take(self._square[rows], cols, axis=1)
             return self._square[rows, cols]
         pts = self.points
-        block = self._cdist(pts[rows], pts if cols is None else pts[cols], out=out)
+        block = self._cdist(pts[rows], pts if cols is None else pts[cols])
         if self.scale != 1.0:
             with np.errstate(over="ignore"):  # see ``pairwise_distances``
                 block *= 1.0 / self.scale
@@ -263,6 +264,34 @@ class CondensedDistances:
                 out *= 1.0 / self.scale
         return out
 
+    def _scan(self, fn: Callable[[slice, np.ndarray], object],
+              order=None, begin=None, end=None) -> list:
+        """The results of ``fn(r, block)``, in order, for consecutive row
+        blocks r of the m positions of ``order`` (all points by default),
+        run by ``_map``: the one reader of ranges of the distances.  ``block`` holds the
+        distances of the points at positions r to those at positions
+        begin[r.start] up to end[r.stop - 1] (0 up to m by default): a
+        read-only view of a held matrix without ``order``, else ``fn``'s
+        own, which it may overwrite.  Each begin[p] is 0 or p, so it rises
+        by at most one a position, and below end[p]; a block of s rows
+        then spans at most s + W columns, W the largest end - begin, and
+        the blocks of ``_slices(m, W + isqrt(_BLOCK_CELLS))`` hold at most
+        ``_BLOCK_CELLS`` cells each (one row at least)."""
+        m = self.n if order is None else len(order)
+        if m == 0:
+            return []
+        begin = np.broadcast_to(0 if begin is None else begin, m)
+        end = np.broadcast_to(m if end is None else end, m)
+
+        def run(r: slice):
+            cols = slice(int(begin[r.start]), int(end[r.stop - 1]))
+            if order is None:
+                return fn(r, self._block(r, cols))
+            return fn(r, self._block(order[r], order[cols]))
+
+        width = int((end - begin).max())
+        return _map(run, _slices(m, width + math.isqrt(_BLOCK_CELLS)))
+
     # -- readers ---------------------------------------------------------
 
     @property
@@ -270,7 +299,7 @@ class CondensedDistances:
         """The largest pairwise distance; a streamed pass finds it on
         first use unless ρ's pass (``map_blocks``) already has."""
         if self._max is None:
-            self._max = max(self._upper_map(lambda r, block: _checked_max(block)))
+            self._max = max(self._scan(lambda r, b: _checked_max(b), begin=np.arange(self.n)))
         return self._max
 
     def eps_neighbors(self, pts: np.ndarray, eps: float) -> EpsNeighbors:
@@ -307,24 +336,14 @@ class CondensedDistances:
                 i, j = (ij[keep, side].astype(np.int32) for side in (0, 1))
                 return EpsNeighbors(i, j, "tree")
 
-        def upper(rows: slice) -> tuple[np.ndarray, np.ndarray]:
-            a = rows.start
-            i, j = np.nonzero(np.triu(self._block(pts[rows], pts[a:]) < eps, 1))
-            return i.astype(np.int32) + a, j.astype(np.int32) + a
+        def upper(r: slice, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            i, j = np.nonzero(np.triu(block < eps, 1))
+            return i.astype(np.int32) + r.start, j.astype(np.int32) + r.start
 
-        found = _map(upper, _slices(m, m))
-        return EpsNeighbors(
-            np.concatenate([i for i, _ in found]),
-            np.concatenate([j for _, j in found]),
-            "matrix",
-        )
-
-    def _blocks(self, rows: np.ndarray, cols: np.ndarray | None = None):
-        """The distances of ``rows`` to ``cols`` (all points by default) by
-        row blocks: ``(r, block)`` for the ``_slices`` r of ``rows``,
-        ``block`` being a copy that the caller may overwrite."""
-        for r in _slices(len(rows), self.n if cols is None else len(cols)):
-            yield r, self._block(rows[r], cols)
+        found = self._scan(upper, pts, np.arange(m))
+        none = np.empty(0, dtype=np.int32)  # the pairs of an empty subset
+        i, j = (np.concatenate([none, *(f[side] for f in found)]) for side in (0, 1))
+        return EpsNeighbors(i, j, "matrix")
 
     @staticmethod
     def map_rows(fn: Callable[[slice], object], size: int, width: int) -> list:
@@ -336,41 +355,21 @@ class CondensedDistances:
         return _map(fn, _slices(size, width))
 
     def map_blocks(self, fn: Callable[[slice, np.ndarray], object]) -> list:
-        """``map_rows`` over the n rows, ``fn(r, block)`` with ``block`` the
+        """``_scan`` over the n rows, ``fn(r, block)`` with ``block`` the
         distances of the rows r to every point: a read-only view of the
         held matrix, or a streamed block of ``fn``'s own, which it may
         overwrite (``block.flags.writeable`` tells which).  A streamed
         pass also keeps the largest distance while it is unknown."""
         find_max = self._max is None
 
-        def run(r: slice) -> tuple[object, float | None]:
-            block = self._block(r)
+        def run(r: slice, block: np.ndarray) -> tuple[object, float | None]:
             top = float(block.max()) if find_max else None  # before ``fn`` writes
             return fn(r, block), top
 
-        found = self.map_rows(run, self.n, self.n)
+        found = self._scan(run)
         if find_max:
             self._max = max(top for _, top in found)
         return [out for out, _ in found]
-
-    def _upper_map(self, fn: Callable[[slice, np.ndarray], object], window=None) -> list:
-        """``map_blocks`` over the upper parts: ``view`` holds the
-        distances of the rows r to the points from ``r.start`` on, so a
-        streamed pass computes about half of the pairs.  With a
-        ``window`` (``_window``), r and the columns are positions in its
-        order, and each row block meets only the columns up to the window
-        end of its last row, in blocks of at most ``_BLOCK_CELLS`` cells
-        (``_window_slices``)."""
-        if window is None:
-            return _map(
-                lambda r: fn(r, _readonly(self._block(r, slice(r.start, None)))),
-                _slices(self.n, self.n),
-            )
-        _, order, ends = window
-        return _map(
-            lambda r: fn(r, _readonly(self._block(order[r], order[r.start : ends[r.stop - 1]]))),
-            _window_slices(ends),
-        )
 
     def _window(self, hi: float) -> tuple[int, np.ndarray, np.ndarray] | None:
         """For streamed coordinates and a normal float ``hi``: the widest
@@ -411,11 +410,15 @@ class CondensedDistances:
         """
         rows, cols = np.asarray(rows), np.asarray(cols)
         out = np.empty(len(rows), dtype=np.intp)
-        for r, block in self._blocks(rows, cols):
+
+        def scan(r: slice) -> None:
+            block = self._block(rows[r], cols)
             if rank is not None:
                 later = rank[cols] >= rank[rows[r, None]]
                 block[later & ~later.all(axis=1, keepdims=True)] = np.inf
             out[r] = block.argmin(axis=1)  # the first of equal minima
+
+        _map(scan, _slices(len(rows), len(cols)))
         return out
 
     def _treeable(self) -> bool:
@@ -508,17 +511,14 @@ class CondensedDistances:
         dist = np.empty(n)
         near = np.empty(n, dtype=np.int64)
 
-        def earlier(r: slice) -> tuple[np.ndarray, np.ndarray]:
-            block = self._block(order[r], order[: r.stop])
+        def earlier(r: slice, block: np.ndarray) -> None:
             size = r.stop - r.start
             block[:, r.start :][~np.tri(size, k=-1, dtype=bool)] = np.inf
             at = block.argmin(axis=1)
-            return at, block[np.arange(size), at]
-
-        slices = _slices(n, n)
-        for r, (at, d) in zip(slices, _map(earlier, slices)):
             near[order[r]] = order[at]
-            dist[order[r]] = d
+            dist[order[r]] = block[np.arange(size), at]
+
+        self._scan(earlier, order, end=np.arange(1, n + 1))
         dist[order[0]], near[order[0]] = np.inf, -1
         return dist, near
 
@@ -549,9 +549,11 @@ class CondensedDistances:
             cols[r][final] = np.sort(idx[rows, first], axis=1)[final]
             ok[r] = final
         bad = np.flatnonzero(~ok)
-        for r, block in self._blocks(points[bad]):
-            r = bad[r]
-            block[np.arange(len(block)), points[r]] = np.inf  # self ranks last
+
+        def scan(r: slice) -> None:
+            rows = bad[r]
+            block = self._block(points[rows])
+            block[np.arange(len(block)), points[rows]] = np.inf  # self ranks last
             # The k smallest by (distance, index): every value below the k-th,
             # then the lowest-indexed values equal to it, up to k of them.
             kth = np.partition(block, k - 1, axis=1)[:, k - 1 : k]
@@ -559,7 +561,9 @@ class CondensedDistances:
             tied = block == kth
             room = k - keep.sum(axis=1, keepdims=True)
             keep |= tied & (np.cumsum(tied, axis=1) <= room)
-            cols[r] = np.nonzero(keep)[1].reshape(-1, k)
+            cols[rows] = np.nonzero(keep)[1].reshape(-1, k)
+
+        _map(scan, _slices(len(bad), self.n))
         log.debug(
             "%d nearest of %d points: %s source, %d candidates, %d rows read",
             k, m, "tree" if count else "rows", count, len(bad),
@@ -618,8 +622,8 @@ class CondensedDistances:
                     held.append(v[(lo < v) & (v < hi)])
                 return below, at_lo, at_hi, held, block.size
 
-            window = self._window(hi)
-            counts = self._upper_map(count, window)
+            axis, order, ends = self._window(hi) or (None, None, None)
+            counts = self._scan(count, order, np.arange(self.n), ends)
             below, at_lo, at_hi = (sum(c[i] for c in counts) for i in range(3))
             held = np.concatenate([v for c in counts for v in c[3]])
             cells += sum(c[4] for c in counts)
@@ -638,8 +642,8 @@ class CondensedDistances:
                 "d_c selection: k=%d of m=%d distances, sample of %d, bracket "
                 "[%r, %r], %d values held, %d counting passes, %d block cells, %s",
                 k, m, len(sample), lo, hi, len(held), passes, cells,
-                "whole triangle" if window is None
-                else "window along coordinate %d" % window[0],
+                "whole triangle" if order is None
+                else "window along coordinate %d" % axis,
             )
             return kth
 
@@ -657,21 +661,6 @@ def _slices(size: int, width: int) -> list[slice]:
     cells of ``width`` columns (one row at least)."""
     step = max(1, _BLOCK_CELLS // max(width, 1))
     return [slice(a, min(a + step, size)) for a in range(0, size, step)]
-
-
-def _window_slices(ends: np.ndarray) -> list[slice]:
-    """Consecutive slices a:b of the positions of ``_window``'s ``ends``
-    (ascending, ends[p] > p), each of at most ``_BLOCK_CELLS`` cells of
-    the columns a..ends[b-1] (one row at least)."""
-    n, a, out = len(ends), 0, []
-    most = math.isqrt(_BLOCK_CELLS)  # a block of s rows spans s columns or more
-    while a < n:
-        rows = np.arange(1, min(most, n - a) + 1)
-        cells = rows * (ends[a : a + len(rows)] - a)
-        b = a + max(1, int(np.searchsorted(cells, _BLOCK_CELLS, side="right")))
-        out.append(slice(a, b))
-        a = b
-    return out
 
 
 def _workers() -> int:
@@ -795,13 +784,16 @@ def pairwise_distances(ds: Dataset) -> CondensedDistances:
 
 def _read_text(path: Path) -> str:
     """The text of a UTF-8 file, less a byte order mark, with universal
-    newlines; a missing file or other bytes are a ``DataError``."""
+    newlines; a missing or unreadable file or other bytes are a
+    ``DataError``."""
     if not path.is_file():
         raise DataError(f"no such file: {path}")
     try:
         return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
+    except OSError as e:
+        raise DataError(f"{path}: cannot read: {e.strerror or e}") from None
 
 
 def load_points_csv(

@@ -1,3 +1,4 @@
+import errno
 import importlib
 import itertools
 import json
@@ -341,6 +342,22 @@ class TestExitCodes:
         assert err == "vdpc: data error: %s: not UTF-8 text\n" % bad
         assert not (tmp_path / "out").exists()
 
+    def test_csv_that_cannot_be_read_is_data_error(self, tmp_path, capsys,
+                                                   monkeypatch):
+        path = tmp_path / "points.csv"
+        path.write_text("0,0\n1,1\n2,2\n")
+
+        def unreadable(self, *args, **kwargs):  # as a read of /proc/self/mem fails
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(Path, "read_text", unreadable)
+        assert run_cli("run", "--dataset", str(path), "--pct", "2",
+                       "--delta-t", "1", "--output-dir", str(tmp_path / "out")) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "vdpc: data error: %s: cannot read: Input/output error\n" % path
+        assert not (tmp_path / "out").exists()
+
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0
 
@@ -353,6 +370,16 @@ class TestExitCodes:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "decision-graph" in proc.stdout
+
+    def test_the_distribution_is_the_package_at_its_version(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        root = Path(__file__).resolve().parents[1]
+        meta = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+        assert meta["project"]["name"] == "vdpc"
+        assert "version" not in meta["project"]
+        assert meta["project"]["dynamic"] == ["version"]
+        assert meta["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "vdpc.__version__"}
 
     def test_decision_log_stays_off_the_console(self, tmp_path):
         # compound's run logs its DBSCAN level at debug level

@@ -1,6 +1,8 @@
 import ast
+import errno
 import logging
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,12 @@ def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def unreadable(path, *args, **kwargs):
+    """``Path.read_text`` of a file whose read fails, as that of
+    /proc/self/mem does."""
+    raise OSError(errno.EIO, os.strerror(errno.EIO))
 
 
 class TestLoadPointsCsv:
@@ -109,6 +117,12 @@ class TestLoadPointsCsv:
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"0,0\n1,\xff\n")
         with pytest.raises(DataError, match="latin1.csv: not UTF-8 text$"):
+            load_points_csv(path)
+
+    def test_a_file_that_cannot_be_read_is_a_data_error(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "0,0\n1,1\n")
+        monkeypatch.setattr(Path, "read_text", unreadable)
+        with pytest.raises(DataError, match="data.csv: cannot read: Input/output error$"):
             load_points_csv(path)
 
     def test_arrays_are_readonly(self, tmp_path):
@@ -205,41 +219,61 @@ class TestCondensedDistances:
 
 
 class TestBlocks:
-    """``CondensedDistances``' row-block readers (``map_blocks``,
-    ``_blocks``) and ``row`` against direct indexing of the matrix."""
+    """``CondensedDistances._scan``, the one reader of ranges of the
+    distances, and ``row`` against direct indexing of the matrix."""
 
     @pytest.mark.parametrize("block_cells", [1, 3000])
     def test_blocks_join_into_direct_indexing(self, monkeypatch, block_cells):
+        # The five forms of the passes: whole rows (ρ, the zero count), the
+        # upper triangle (the d_c count, the largest distance), the lower
+        # triangle in an order (δ), the upper triangle of a subset (ε-pairs)
+        # and a window along a sorted coordinate (the streamed d_c count).
         monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", block_cells)
         rng = np.random.default_rng(5)
-        cd = pairwise_distances(Dataset(points=rng.normal(size=(150, 2))))
-        sq = cd._square
-        rows, cols = rng.permutation(150)[:100], rng.permutation(150)[:40]
-        for parts, want in ((cd.map_blocks(lambda r, view: (r, view)), sq),
-                            (list(cd._blocks(rows)), sq[rows]),
-                            (list(cd._blocks(rows, cols)), sq[np.ix_(rows, cols)])):
-            step = max(1, block_cells // want.shape[1])  # as many rows as fit
-            assert [(r.start, r.stop) for r, _ in parts] == [
-                (a, min(a + step, len(want))) for a in range(0, len(want), step)]
-            for r, block in parts:
-                assert len(block) == 1 or block.size <= block_cells
-                assert block.shape == (r.stop - r.start, want.shape[1])
-            assert np.concatenate([b for _, b in parts]).tobytes() == want.tobytes()
-        assert list(cd._blocks(rows[:0])) == []
-        assert list(cd._blocks(rows[:0], cols)) == []
+        pts = rng.normal(size=(150, 2))
+        held = pairwise_distances(Dataset(points=pts))
+        sq = held._square
+        every, order = np.arange(150), rng.permutation(150)
+        subset = np.sort(order[:100])
+        _, along, ends = streamed(pts)._window(float(np.quantile(sq, 0.1)))
+        forms = [  # ``_scan``'s arguments, and the order, begin and end they mean
+            ((), every, 0, 150),
+            ((None, every), every, every, 150),
+            ((order, None, every + 1), order, 0, every + 1),
+            ((subset, np.arange(100)), subset, np.arange(100), 100),
+            ((along, every, ends), along, every, ends),
+        ]
+        for cd in (held, streamed(pts)):
+            for args, p, begin, end in forms:
+                begin, end = np.broadcast_to(begin, len(p)), np.broadcast_to(end, len(p))
+                parts = cd._scan(lambda r, block: (r, block), *args)
+                assert [r.start for r, _ in parts] == [0] + [r.stop for r, _ in parts[:-1]]
+                assert parts[-1][0].stop == len(p)
+                for r, block in parts:
+                    want = sq[np.ix_(p[r], p[begin[r.start] : end[r.stop - 1]])]
+                    assert block.shape == want.shape
+                    assert block.tobytes() == want.tobytes()
+                    assert len(block) == 1 or block.size <= block_cells
+            assert cd._scan(lambda r, block: block, every[:0]) == []
 
     def test_only_row_selections_may_be_written(self):
         rng = np.random.default_rng(6)
         cd = pairwise_distances(Dataset(points=rng.normal(size=(20, 2))))
         before = cd._square.copy()
-        for view in cd.map_blocks(lambda r, view: view):
-            assert np.shares_memory(view, cd._square)
-            with pytest.raises(ValueError):
-                view[0, 0] = -1.0
-        rows = np.array([3, 0, 7])
-        for args in ((rows,), (rows, rows)):
-            for _, block in cd._blocks(*args):
-                block[...] = -1.0
+        every, rows = np.arange(20), np.array([3, 0, 7])
+        for args in ((), (None, every)):  # held slices are read-only views
+            for view in cd._scan(lambda r, view: view, *args):
+                assert np.shares_memory(view, cd._square)
+                with pytest.raises(ValueError):
+                    view[0, 0] = -1.0
+
+        def overwrite(r, block):
+            block[...] = -1.0
+
+        cd._scan(overwrite, rows)
+        cd._scan(overwrite, every[::-1], None, every + 1)
+        for block in (cd._block(rows), cd._block(rows, rows)):
+            block[...] = -1.0
         assert cd._square.tobytes() == before.tobytes()
 
     def test_rows_equal_blocks_and_only_selections_may_be_written(self, distances):
@@ -298,8 +332,9 @@ def test_scipy_is_imported_where_it_is_used():
 def test_private_dataset_names_stay_in_dataset():
     # The matrix layout and its row-block readers are ``dataset``'s to
     # know; other modules read the distances through the public methods
-    # of ``CondensedDistances``, never its matrix or its row blocks
-    # (``np.square`` is NumPy's, not the matrix), and every neighbour
+    # of ``CondensedDistances``, never its matrix, its range scans
+    # (``_scan``) or its block source (``_block``, ``_pairs``);
+    # ``np.square`` is NumPy's, not the matrix.  Every neighbour
     # query is one of those methods: only ``dataset`` names the k-d tree,
     # and δ's matrix reads stay behind ``nearest_earlier``, so ``density``
     # reads no row.
@@ -325,8 +360,8 @@ def test_private_dataset_names_stay_in_dataset():
             if isinstance(node, ast.FunctionDef) and node.name == "_knn_sets":
                 leaks.append((path.name, node.name, node.lineno))
             if (isinstance(node, ast.Attribute)
-                    and node.attr in ("square", "_square", "blocks", "_blocks",
-                                      "_knn_sets")
+                    and node.attr in ("square", "_square", "blocks", "_scan",
+                                      "_block", "_pairs", "_knn_sets")
                     and not (isinstance(node.value, ast.Name)
                              and node.value.id in ("np", "numpy"))):
                 leaks.append((path.name, node.attr, node.lineno))
@@ -445,6 +480,12 @@ class TestLoadCondensedMatrix:
         with pytest.raises(DataError, match="m.txt: not UTF-8 text$"):
             load_condensed_matrix(path, n=3)
 
+    def test_a_file_that_cannot_be_read_is_a_data_error(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "1 2 3\n", name="m.txt")
+        monkeypatch.setattr(Path, "read_text", unreadable)
+        with pytest.raises(DataError, match="m.txt: cannot read: Input/output error$"):
+            load_condensed_matrix(path, n=3)
+
     def test_round_trips_through_d(self, tmp_path):
         pts = np.random.default_rng(4).normal(size=(30, 3))
         ref = pdist(pts)
@@ -499,6 +540,12 @@ class NoPairs(cKDTree):
 
 
 class TestEpsNeighbors:
+    def test_an_empty_subset_has_no_pairs(self, distances, streamed_distances):
+        for cd in (distances["flame"], streamed_distances["flame"]):
+            nb = cd.eps_neighbors(np.array([], dtype=np.int64), 1.0)
+            assert (nb.i.dtype, nb.j.dtype, len(nb.i), len(nb.j)) == (
+                np.int32, np.int32, 0, 0)
+
     def test_held_distances_never_use_the_tree(self, distances, monkeypatch):
         monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)  # past one block
         monkeypatch.setattr(scipy.spatial, "cKDTree", NoPairs)
@@ -573,7 +620,7 @@ class TestEpsNeighbors:
                                                        monkeypatch, block_cells):
         # flame's 240 points fit one block of 2^18 cells: any eps reads it
         # once and builds no tree; past one block (1,000 cells) the tree
-        # counts the pairs first, a dense eps reads the 60 upper row blocks
+        # counts the pairs first, a dense eps reads the upper row blocks
         # and a sparse one none
         if block_cells is not None:
             monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", block_cells)
@@ -592,7 +639,9 @@ class TestEpsNeighbors:
         monkeypatch.setattr(CondensedDistances, "_block",
                             lambda self, *a, **k: reads.append(1) or block(self, *a, **k))
         fits = block_cells is None
-        for eps, read in ((cd.max_distance / 2, 60), (sparse, 0)):
+        # the upper row blocks of the 240 points under ``_scan``'s rule
+        blocks = 1 if fits else len(vdpc.dataset._slices(cd.n, cd.n + math.isqrt(block_cells)))
+        for eps, read in ((cd.max_distance / 2, blocks), (sparse, 0)):
             nb = cd.eps_neighbors(pts, eps)
             assert nb.source == ("matrix" if fits or read else "tree")
             assert (built, len(reads)) == (([], 1) if fits else ([1], read))

@@ -121,14 +121,16 @@ def window_points(draw):
 
 def upper_at_most(cd, hi, window):
     """The distances up to ``hi`` in the strict upper triangle of each
-    block of ``cd._upper_map``, sorted."""
+    upper block of ``cd._scan``, in the order and up to the ends of a
+    ``window`` if given, sorted."""
     def at_most(r, block):
         size = r.stop - r.start
         v = np.concatenate([block[:, size:].ravel(),
                             block[:, :size][~np.tri(size, dtype=bool)]])
         return v[v <= hi]
 
-    return np.sort(np.concatenate(cd._upper_map(at_most, window)))
+    _, order, ends = window or (None, None, None)
+    return np.sort(np.concatenate(cd._scan(at_most, order, np.arange(cd.n), ends)))
 
 
 # The streamed count sorts the points along their widest coordinate and
@@ -164,6 +166,32 @@ def test_windowed_count_equals_the_whole_triangle(workers, data):
         mp.setattr(vdpc.dataset, "_bracket", lambda sample, k, m, width: (
             (lo, hi) if width == 4.0 else bracket(sample, k, m, width)))
         assert [cd.kth_smallest(k) for k in ks] == [ordered[k - 1] for k in ks]
+
+
+# Every pass over a range of the distances reads it through ``_scan``:
+# for any begin of 0 or the position itself and any ascending end above
+# it, the blocks tile the positions, each reads its rows' range, and each
+# is one row or at most ``_BLOCK_CELLS`` cells.
+@given(st.data())
+def test_scan_blocks_tile_the_positions_within_the_cell_bound(data):
+    n = data.draw(st.integers(2, 60))
+    cd = pairwise_distances(Dataset(points=np.arange(float(n))[:, None]))
+    m = data.draw(st.integers(0, n))
+    order = np.array(data.draw(st.permutations(range(n))))[:m]
+    upper = data.draw(st.booleans())
+    end = np.sort(data.draw(st.lists(st.integers(1, max(m, 1)), min_size=m, max_size=m)))
+    begin = np.arange(m) if upper else np.zeros(m, dtype=int)
+    end = np.maximum(end, begin + 1)
+    cells = data.draw(st.integers(0, 400))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vdpc.dataset, "_BLOCK_CELLS", cells)
+        parts = cd._scan(lambda r, block: (r, block.shape), order,
+                         begin if upper else None, end)
+    assert [r.start for r, _ in parts] + [m] == [0] + [r.stop for r, _ in parts]
+    for r, shape in parts:
+        assert r.stop > r.start
+        assert shape == (r.stop - r.start, end[r.stop - 1] - begin[r.start])
+        assert shape[0] == 1 or shape[0] * shape[1] <= cells
 
 
 # Up to 18 points the tree proposes every point as a candidate; 40 to 60

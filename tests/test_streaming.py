@@ -77,8 +77,9 @@ class TestPairForm:
         assert streamed._block(slice(0, n)).tobytes() == want.tobytes()
         rows, cols = np.array([5, 0, n - 1, 5]), np.arange(n)[::-3]
         for cd in (held, streamed):
-            got = np.concatenate([b for _, b in cd._blocks(rows, cols)])
-            assert got.tobytes() == want[np.ix_(rows, cols)].tobytes()
+            assert cd._block(rows, cols).tobytes() == want[np.ix_(rows, cols)].tobytes()
+            got = np.concatenate(cd._scan(lambda r, block: block, cols))
+            assert got.tobytes() == want[np.ix_(cols, cols)].tobytes()
 
 
 def assert_same_answers(held, streamed, pct, eps_quantiles=(0.01, 0.05)):
@@ -240,10 +241,10 @@ def test_rho_pass_finds_the_largest_distance(workers, monkeypatch):
     d_c = cutoff_distance(streamed, 2)
     assert streamed._max is None
     local_density(streamed, d_c)
-    full = max(streamed._upper_map(lambda r, block: block.max()))
+    full = max(streamed._scan(lambda r, block: block.max()))
     assert streamed._max == full == held.max_distance
     calls = []
-    monkeypatch.setattr(streamed, "_upper_map", lambda *a: calls.append(a))
+    monkeypatch.setattr(streamed, "_scan", lambda *a, **k: calls.append(a))
     delta_and_neighbors(streamed, local_density(held, d_c))
     assert calls == []
 

@@ -1,5 +1,6 @@
 """The row-block passes run on a thread pool: the held fill, the d_c
-count and ρ, held or streamed.  No result may depend on the number of
+count, ρ, δ's triangle, ``nearest``, ``knn``'s row scan and the
+ε-pairs, held or streamed.  No result may depend on the number of
 worker threads, and no public function of the package may run off the
 main thread."""
 
@@ -38,8 +39,16 @@ def grid_points():
 def results(pts, ks):
     cd = pairwise_distances(Dataset(points=pts))
     d_c = cutoff_distance(cd, 5)  # the grid's zeros are 3.2% of its pairs
+    n, every = len(pts), np.arange(len(pts))
+    order = np.random.default_rng(0).permutation(n)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = every
+    nb = cd.eps_neighbors(every, d_c)  # pair keys: the tree's come in its order
     return (full_matrix(cd).tobytes(), cd.max_distance,
-            [cd.kth_smallest(k) for k in ks], local_density(cd, d_c).tobytes())
+            [cd.kth_smallest(k) for k in ks], local_density(cd, d_c).tobytes(),
+            [v.tobytes() for v in cd.nearest_earlier(order)],
+            cd.nearest(every, order[: n // 3], rank).tobytes(),
+            cd.knn(every, 5).tobytes(), np.sort(nb.i * np.int64(n) + nb.j).tobytes())
 
 
 @pytest.mark.parametrize("workers", [2, 8])
@@ -65,6 +74,7 @@ def test_worker_count_never_changes_a_result(monkeypatch, datasets, name, worker
     assert inline[1] == pooled[1]
     assert inline[2] == pooled[2]
     assert inline[3] == pooled[3]
+    assert inline[4:] == pooled[4:]
     if name == "grid":
         assert inline[2] == sorted(full_matrix(
             pairwise_distances(Dataset(points=pts)))[np.triu_indices(n, 1)].tolist())
