@@ -10,7 +10,8 @@ sweep           evaluate a parameter grid, one CSV row per grid point
 decision-graph  export the density/separation scatter for center picking
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 pipeline error,
-4 benchmark cell outside its declared tolerance.
+4 benchmark cell outside its declared tolerance.  An error writes one
+``vdpc:`` line to stderr; its class (``errors.py``) carries the exit code.
 
 Everything is deterministic: re-running a command on the same inputs
 reproduces every artifact byte for byte, except the wall-clock
@@ -49,8 +50,11 @@ SUITES = (
 )
 
 
-class UsageError(Exception):
-    """Bad command line or configuration; maps to exit code 1."""
+class UsageError(VdpcError):
+    """Bad command line or configuration."""
+
+    exit_code = 1
+    kind = "usage error: "
 
 
 class _Parser(argparse.ArgumentParser):
@@ -192,8 +196,7 @@ def run_algorithm(cd, algorithm: str, params: dict):
     (labels, profile or None, VdpcResult or None).
     """
     if algorithm == "vdpc":
-        vp = VdpcParams(pct=params["pct"], delta_t=params["delta_t"],
-                        num=params.get("num", 10))
+        vp = VdpcParams(**{n: params[n] for n in PARAMS["vdpc"] if n in params})
         options = AblationOptions(**{k: params[k] for k in ABLATIONS if k in params})
         result = vdpc_run(cd, vp, options)
         return result.labels, result.profile, result
@@ -221,23 +224,18 @@ def _cli_params(args) -> dict:
     return params
 
 
-def _score(ds: Dataset, labels: np.ndarray):
-    if ds.ground_truth is None:
-        return None, None
-    return (
-        adjusted_rand_index(labels, ds.ground_truth),
-        normalized_mutual_information(labels, ds.ground_truth),
-    )
-
-
 def _scorer(ds: Dataset):
-    """``_score`` on ``ds``, computed once per distinct labelling."""
+    """(ARI, NMI) of a labelling against ``ds``'s ground truth, (None,
+    None) without one; computed once per distinct labelling."""
     scores: dict = {}
+    truth = ds.ground_truth
 
     def score(labels: np.ndarray):  # every algorithm labels in int64
         key = labels.tobytes()
         if key not in scores:
-            scores[key] = _score(ds, labels)
+            scores[key] = (None, None) if truth is None else (
+                adjusted_rand_index(labels, truth),
+                normalized_mutual_information(labels, truth))
         return scores[key]
 
     return score
@@ -260,7 +258,7 @@ def cmd_run(args) -> int:
     _write_indexed(outdir / "labels.csv", "cluster", labels)
     if profile is not None:
         _write_decision_graph(outdir / "decision_graph.csv", profile)
-    ari, nmi = _score(ds, labels)
+    ari, nmi = _scorer(ds)(labels)
     if ari is not None:
         metrics = {
             "dataset": ds.name,
@@ -273,11 +271,10 @@ def cmd_run(args) -> int:
         _write_text(outdir / "metrics.json", _json_text(metrics))
     if args.trace and result is not None:
         _write_trace(outdir, result)
-    n_clusters = int(labels.max()) + 1 if labels.size else 0
     _emit(
         args,
         ["dataset", "algorithm", "clusters", "ari", "nmi"],
-        [[ds.name, args.algorithm, n_clusters,
+        [[ds.name, args.algorithm, int(labels.max()) + 1,
           "" if ari is None else ari, "" if nmi is None else nmi]],
     )
     return 0
@@ -327,11 +324,10 @@ def _bench_dataset(name: str, cells: list[dict]) -> dict[int, tuple]:
     }
 
 
-def _judge_cell(cell: dict, ari: float, nmi: float):
+def _judge_cell(cell: dict, ari: float, nmi: float, tol: float):
     """pass/fail vs the stored expectation; 'info' when none is stored."""
     if cell.get("expected_ari") is None:
         return "info"
-    tol = cell.get("tol", 0.01)
     ok = abs(ari - cell["expected_ari"]) <= tol
     if ok and cell.get("expected_nmi") is not None:
         ok = abs(nmi - cell["expected_nmi"]) <= tol
@@ -367,7 +363,8 @@ def cmd_bench(args) -> int:
         scores.update(_bench_dataset(name, suite["cells"]))
     for i, cell in enumerate(suite["cells"]):
         ari, nmi = scores[i]
-        status = _judge_cell(cell, ari, nmi)
+        tol = cell.get("tol", 0.01)
+        status = _judge_cell(cell, ari, nmi, tol)
         gated = bool(cell.get("gated", False))
         if status == "fail" and gated:
             gated_failures.append(
@@ -380,7 +377,7 @@ def cmd_bench(args) -> int:
             "ari": ari,
             "nmi": nmi,
             "expected_ari": cell.get("expected_ari"),
-            "tol": cell.get("tol", 0.01),
+            "tol": tol,
             "status": status,
             "gated": gated,
             "note": cell.get("note", ""),
@@ -416,7 +413,7 @@ def cmd_bench(args) -> int:
 
 def _run_check(check: dict, records: list[dict]) -> str:
     combo_ari = {
-        r["params"].get("combo", "snnc+dbscan"): r["ari"]
+        r["params"].get("combo", AblationOptions.combo): r["ari"]
         for r in records
         if "params" in r and r["dataset"] == check["dataset"] and r["algorithm"] == "vdpc"
     }
@@ -432,12 +429,15 @@ def _run_check(check: dict, records: list[dict]) -> str:
 
 
 def _list_of(kind):
-    """argparse type: a comma-separated list of ``kind`` values."""
+    """argparse type: a non-empty comma-separated list of ``kind`` values."""
     def parse(text: str) -> list:
         try:
-            return [kind(t) for t in text.split(",") if t.strip() != ""]
+            values = [kind(t) for t in text.split(",") if t.strip() != ""]
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc))
+        if not values:
+            raise argparse.ArgumentTypeError("no values in %r" % text)
+        return values
     return parse
 
 
@@ -468,7 +468,7 @@ def _add_ablation_args(p: _Parser) -> None:
 def build_parser() -> _Parser:
     parser = _Parser(prog="vdpc", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     run = sub.add_parser("run",
                          help="cluster one dataset and write artifacts")
@@ -478,7 +478,7 @@ def build_parser() -> _Parser:
                      help="distance percentile (vdpc, dpc)")
     run.add_argument("--delta-t", type=float, default=None,
                      help="representative delta cut-off (vdpc)")
-    run.add_argument("--num", type=int, default=10, help="density segment count")
+    run.add_argument("--num", type=int, default=VdpcParams.num, help="density segment count")
     _add_ablation_args(run)
     run.add_argument("--rho-min", type=float, default=None,
                      help="decision-graph density threshold (dpc)")
@@ -508,7 +508,7 @@ def build_parser() -> _Parser:
                        help="comma-separated percentile values")
     sweep.add_argument("--delta-t", type=_list_of(float), required=True,
                        help="comma-separated delta cut-offs")
-    sweep.add_argument("--num", type=_list_of(int), default=[10],
+    sweep.add_argument("--num", type=_list_of(int), default=[VdpcParams.num],
                        help="comma-separated segment counts")
     _add_ablation_args(sweep)
     _add_common_output(sweep)
@@ -532,18 +532,9 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help exits via argparse
             return int(exc.code or 0)
-        if getattr(args, "func", None) is None:
-            parser.print_usage(sys.stderr)
-            return 1
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write("vdpc: usage error: %s\n" % exc)
-        return 1
-    except DataError as exc:
-        sys.stderr.write("vdpc: data error: %s\n" % exc)
-        return 2
     except VdpcError as exc:
-        sys.stderr.write("vdpc: %s\n" % exc)
+        sys.stderr.write("vdpc: %s%s\n" % (exc.kind, exc))
         return exc.exit_code
     except Exception as exc:  # anything else counts as a pipeline failure
         sys.stderr.write("vdpc: pipeline error: %s\n" % exc)

@@ -226,13 +226,18 @@ class CondensedDistances:
     def _block(self, rows, cols=None) -> np.ndarray:
         """Distances of the points ``rows`` to the points ``cols`` (all by
         default), each an index array or a slice.  Held: a read-only view
-        of the matrix for slices, a copy for index arrays (gathered rows
-        first, then columns).  Streamed: ``cdist`` of the coordinates
+        of the matrix for slices, a copy for index arrays (whole rows
+        gathered first, at most ``_BLOCK_CELLS`` cells of them at a time,
+        then their columns).  Streamed: ``cdist`` of the coordinates
         times 1/``scale``, equal to the held matrix bitwise."""
         if self._square is not None:
             if cols is None:
                 return self._square[rows]
             if isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray):
+                step = max(1, _BLOCK_CELLS // self.n)
+                if len(rows) > step:  # few columns: bound the row gather
+                    return np.concatenate([self._block(rows[a:a + step], cols)
+                                           for a in range(0, len(rows), step)])
                 return np.take(self._square[rows], cols, axis=1)
             return self._square[rows, cols]
         pts = self.points

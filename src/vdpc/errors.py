@@ -1,9 +1,10 @@
 """Exception hierarchy shared by the library and the CLI.
 
-Each class carries the process exit code the CLI maps it to:
-data/ingestion problems exit 2, any pipeline or parameter problem
-exits 3.  Usage errors (exit 1) and bench-tolerance failures (exit 4)
-are raised by the CLI layer itself.
+Each class carries the process exit code the CLI returns for it and the
+prefix of its ``vdpc:`` message: data/ingestion problems exit 2
+(``data error:``), any pipeline or parameter problem exits 3.  The CLI's
+own ``UsageError`` (exit 1) is a ``VdpcError`` too; a bench cell outside
+its tolerance (exit 4) is a result, not an error.
 """
 
 from __future__ import annotations
@@ -16,24 +17,22 @@ class VdpcError(Exception):
     """Base class for all library errors."""
 
     exit_code = 3
+    kind = ""
 
 
 class DataError(VdpcError):
     """Raised when an input file cannot be ingested."""
 
     exit_code = 2
+    kind = "data error: "
 
 
 class ParameterError(VdpcError):
     """Raised when a parameter value is outside its valid domain."""
 
-    exit_code = 3
-
 
 class StageError(VdpcError):
     """Raised when a pipeline stage cannot proceed; names the stage."""
-
-    exit_code = 3
 
     def __init__(self, stage: str, message: str):
         super().__init__(f"{stage}: {message}")

@@ -1,16 +1,21 @@
+import contextlib
 import errno
 import importlib
+import io
 import itertools
 import json
 import os
 import pkgutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vdpc
 import vdpc.cli
@@ -45,6 +50,65 @@ def score_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(vdpc.cli, "adjusted_rand_index", counted)
     return calls
+
+
+# cells that no coordinate may hold, or only at an extreme of float64
+ODD_CELLS = ["nan", "NaN", "-inf", "Infinity", "1e400", "-1e400", "1e-400", "5e-324",
+             "1e308", "abc", "", " "]
+ALGORITHM_ARGS = [
+    ["--pct", "2", "--delta-t", "1"],
+    ["--pct", "50", "--delta-t", "1e9"],
+    ["--algorithm", "dpc", "--pct", "2", "--rho-min", "0", "--delta-min", "0"],
+    ["--algorithm", "dbscan", "--eps", "1", "--minpts", "2"],
+    ["--algorithm", "snnc", "--k", "3"],
+]
+
+
+@st.composite
+def csv_inputs(draw):
+    """CSV bytes and the ``run`` flags that read them: 2 to 12 points on a
+    small grid, so that duplicates are common, with up to two defects (an
+    odd cell, a ragged row, a blank line); a header, a label column, CRLF,
+    a final newline, a byte order mark and a byte that is not UTF-8 are
+    drawn apart."""
+    width = draw(st.integers(1, 3))
+    coord = st.one_of(st.integers(-3, 3).map(str), st.floats(-5, 5).map(repr))
+    rows = draw(st.lists(st.lists(coord, min_size=width, max_size=width),
+                         min_size=2, max_size=12))
+    lines = [",".join(r) for r in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        defect = draw(st.sampled_from(["cell", "ragged", "blank"]))
+        if defect == "blank":
+            lines.insert(i, "")
+            continue
+        cells = lines[i].split(",")
+        if defect == "cell":
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(ODD_CELLS))
+        else:
+            cells = cells[1:] if draw(st.booleans()) else cells + ["1"]
+        lines[i] = ",".join(cells)
+    flags = []
+    if draw(st.booleans()):
+        lines.insert(0, ",".join("xyz"[:width]))
+        flags.append("--has-header")
+    if draw(st.integers(0, 3)) == 1:
+        flags += ["--label-column", draw(st.sampled_from(["-1", "0"]))]
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    data = (eol.join(lines) + draw(st.sampled_from(["", eol]))).encode()
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.integers(0, 9)) == 1:
+        data += b"\xff"
+    return data, flags + draw(st.sampled_from(ALGORITHM_ARGS))
+
+
+def with_each_odd_cell(test):
+    """``test`` with an example of each odd cell, of an empty file and of
+    one row, which the drawn examples may miss."""
+    for data in [b"", b"1,2\n"] + [b"0,0\n1,%s\n2,2\n" % c.encode() for c in ODD_CELLS]:
+        test = example((data, ALGORITHM_ARGS[0]))(test)
+    return test
 
 
 class TestRun:
@@ -218,6 +282,29 @@ def test_column_writer_equals_the_row_writer():
 class TestExitCodes:
     def test_no_command_is_usage_error(self, capsys):
         assert run_cli() == 1
+        assert capsys.readouterr() == (
+            "", "vdpc: usage error: the following arguments are required: command\n")
+
+    # each example takes a few milliseconds; more of them reach more of
+    # the defects' combinations
+    @settings(max_examples=200)
+    @with_each_odd_cell
+    @given(csv_inputs())
+    def test_any_csv_ends_in_one_documented_line(self, case):
+        data, flags = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.csv"
+            path.write_bytes(data)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run_cli("run", "--dataset", str(path), *flags, "--output-dir", tmp)
+        assert code in (0, 1, 2, 3)
+        if code:
+            message = err.getvalue()
+            assert out.getvalue() == ""
+            assert message.count("\n") == 1 and message.endswith("\n")
+            assert message.startswith("vdpc: ")
+            assert not message.startswith("vdpc: pipeline error:")
 
     def test_unknown_algorithm(self, tmp_path, capsys):
         assert run_cli("run", "--dataset", "flame", "--algorithm", "kmeans") == 1
@@ -574,11 +661,17 @@ class TestSweep:
                 "--output-dir", str(tmp_path))
         assert len(set(scored)) == len(scored) < 18
 
-    def test_empty_grid_header_only(self, tmp_path, capsys):
-        code = run_cli("sweep", "--dataset", "flame", "--pct", ",",
-                       "--delta-t", "1.0", "--output-dir", str(tmp_path))
-        assert code == 0
-        assert (tmp_path / "sweep.csv").read_text() == "pct,delta_t,num,ari,nmi\n"
+    def test_empty_grid_is_usage_error(self, tmp_path, capsys):
+        grid = {"--pct": "5", "--delta-t": "1.0", "--num": "10"}
+        for flag in grid:
+            for empty in ("", ",", " , "):
+                argv = itertools.chain(*{**grid, flag: empty}.items())
+                code = run_cli("sweep", "--dataset", "flame", *argv,
+                               "--output-dir", str(tmp_path))
+                assert code == 1
+                assert capsys.readouterr() == (
+                    "", "vdpc: usage error: argument %s: no values in %r\n" % (flag, empty))
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestDecisionGraphCommand:

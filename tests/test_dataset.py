@@ -3,6 +3,7 @@ import errno
 import logging
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,23 @@ class TestBlocks:
         for block in (cd._block(rows), cd._block(rows, rows)):
             block[...] = -1.0
         assert cd._square.tobytes() == before.tobytes()
+
+    def test_a_gather_of_few_columns_copies_about_one_block(self):
+        # ``nearest`` sizes its blocks by its columns, so ten columns of
+        # 2,000 held points are one block of every row; gathering those
+        # whole rows at once would copy the 32 MB matrix
+        cd = pairwise_distances(Dataset(points=np.random.default_rng(7).random((2000, 2))))
+        every, few = np.arange(2000), np.arange(10)
+        tracemalloc.start()
+        try:
+            block = cd._block(every, few)
+            near = cd.nearest(every, few)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * vdpc.dataset._BLOCK_CELLS * 8, peak
+        assert block.tobytes() == cd._square[:, :10].tobytes()
+        assert np.array_equal(near, cd._square[:, :10].argmin(axis=1))
 
     def test_rows_equal_blocks_and_only_selections_may_be_written(self, distances):
         cd = distances["flame"]
