@@ -34,13 +34,15 @@ without a tree; δ without a tree reads each point's distances to the
 points before it in the order, and ε-pairs without a tree come from one
 pass over the upper row blocks.  Both sources give the same answer
 bitwise.  The d_c percentile comes from an exact selection inside a
-bracket drawn from a fixed-seed sample, in one counting pass as a rule,
+bracket read off a fixed sample of pairs (a splitmix64 stream, so no
+held run loads ``numpy.random``), in one counting pass as a rule,
 never from sorting all N(N-1)/2 distances: held, the pass reads the
 upper row blocks; streamed, it computes only the pairs within reach of
 the bracket's upper end along the widest coordinate.  The fill and
 every row-block pass spread their blocks over one thread per core the
 process may run on from ``_POOL_MIN_BLOCKS`` blocks on; each block is
 computed as on one thread, so no result depends on the core count.
+A k-d tree query spreads over those cores from ``_TREE_POOL_MIN`` points.
 ``map_rows`` lends that pool and block size to passes over other arrays
 (aSNNC's shared-neighbour counts).
 """
@@ -77,6 +79,12 @@ _HOLD_LIMIT = 4096
 # Fewer blocks than this run inline: such a pass takes a few milliseconds,
 # and its thread hand-offs can cost as much on a loaded host.
 _POOL_MIN_BLOCKS = 8
+# A k-d tree query of fewer points than this runs on the calling thread.
+# For 17 neighbours among t710's 10,000 points (2-core host, medians of
+# 20 to 2,000 queries), 7 points took 29 us on one thread against 133 us
+# on two, 512 points 1.2 against 1.4 ms, 1,024 points 3.0 against 2.4 ms,
+# and all 10,000 (δ's one query) 28 against 19 ms.
+_TREE_POOL_MIN = 1024
 _SPARSE_SHARE = 32  # the k-d tree finds ε-pairs up to m²/32 ordered pairs
 _TREE_MAX_DIM = 5  # and only up to 5 coordinates; past that the scan is faster
 _MARGIN = 1 + 2.0**-20  # tree radius over eps (see ``eps_neighbors``)
@@ -457,7 +465,8 @@ class CondensedDistances:
 
             self._tree = cKDTree(self.points)
         count = min(count, self.n)  # the tree would pad with inf and index n
-        t, idx = self._tree.query(self.points[points], count, workers=_workers())
+        workers = _workers() if len(points) >= _TREE_POOL_MIN else 1
+        t, idx = self._tree.query(self.points[points], count, workers=workers)
         idx = idx.reshape(len(points), count)
         if count == self.n:
             return idx, np.full(len(points), np.inf)
@@ -579,28 +588,29 @@ class CondensedDistances:
         """Exact k-th smallest (1-based) of the n(n-1)/2 distances i < j.
 
         A sampled selection, not a sort (Floyd and Rivest, 1975): the
-        sorted distances of about m^(2/3) pairs drawn with a fixed seed
-        give a bracket [lo, hi] of four standard deviations of the k-th's
-        sample rank each side (``_bracket``).  One pass over row blocks of
-        the strict upper triangle counts the distances below lo, equal to
-        lo and equal to hi, and keeps those strictly between (about
-        8·m^(2/3)·sqrt(q(1-q)) of them at q = k/m), so a bracket end
-        shared by many pairs costs no memory; ``np.partition`` finishes
-        among the kept ones.  Streamed coordinates are sorted along their
-        widest one, and the pass computes only the pairs within reach of
-        hi along it (``_window``): every pair it skips is above hi, so the
-        counts are those of the whole triangle.  If the k-th distance is
-        not in the bracket, the bracket is widened fourfold and the pass
+        sorted distances of about m^(2/3) pairs, the same on every call
+        (``_sample_pairs``), give a bracket [lo, hi] of four standard
+        deviations of the k-th's sample rank each side (``_bracket``).
+        One pass over row blocks of the strict upper triangle counts the
+        distances below lo, equal to lo and equal to hi, and keeps those
+        strictly between (about 8·m^(2/3)·sqrt(q(1-q)) of them at
+        q = k/m), so a bracket end shared by many pairs costs no memory;
+        ``np.partition`` finishes among the kept ones.  Streamed
+        coordinates are sorted along their widest one, and the pass
+        computes only the pairs within reach of hi along it
+        (``_window``): every pair it skips is above hi, so the counts
+        are those of the whole triangle.  If the k-th distance is not in
+        the bracket, the bracket is widened fourfold and the pass
         repeated; it ends at the whole triangle, so the answer is always
         exact and only the time depends on the sample.  Each selection
         logs its bracket, the values held, the passes it took, the cells
-        of the blocks they read or computed, and the window's coordinate,
-        or the whole triangle.
+        of the blocks they read or computed, and the window's
+        coordinate, or the whole triangle.
         """
         m = self.n * (self.n - 1) // 2
         if not 1 <= k <= m:
             raise IndexError("k=%d outside 1..%d" % (k, m))
-        sample = _sample_distances(self._pairs, self.n, m)
+        sample = np.sort(self._pairs(*_sample_pairs(self.n, _sample_size(m))))
         width, passes, cells = 4.0, 0, 0
         while True:
             lo, hi = _bracket(sample, k, m, width)
@@ -685,20 +695,31 @@ def _map(fn: Callable[[slice], object], slices: list[slice]) -> list:
 
 
 def _sample_size(m: int) -> int:
-    """Pairs drawn by ``_sample_distances`` out of m: about m^(2/3)."""
+    """Pairs in d_c's sample out of m: about m^(2/3)."""
     return math.ceil(m ** (2.0 / 3.0))
 
 
-def _sample_distances(pairs: Callable, n: int, m: int) -> np.ndarray:
-    """Sorted distances ``pairs(i, j)`` of S = ``_sample_size(m)`` pairs
-    i != j of n points, drawn with replacement by a fixed-seed local
-    generator."""
-    s = _sample_size(m)
-    rng = np.random.default_rng(0)
-    i = rng.integers(0, n, s)
-    j = rng.integers(0, n - 1, s)
-    j += j >= i  # any other point, uniformly
-    return np.sort(pairs(i, j))
+def _sample_pairs(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """s pairs i != j of n points, the same on every call: the first s
+    values of the splitmix64 stream from state 0 (Steele, Lea and Flood,
+    OOPSLA 2014), whose high and low 32 bits pick i among n and j among
+    the other n - 1 points by multiply-shift (exact for n up to 2^32)."""
+    z = np.arange(1, s + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)  # the state after each step
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    i = z >> np.uint64(32)
+    i *= np.uint64(n)
+    i >>= np.uint64(32)
+    z &= np.uint64(0xFFFFFFFF)
+    z *= np.uint64(n - 1)
+    z >>= np.uint64(32)
+    i, j = i.view(np.int64), z.view(np.int64)  # both below 2^32
+    j += j >= i  # any other point
+    return i, j
 
 
 def _bracket(sample: np.ndarray, k: int, m: int, width: float) -> tuple[float, float]:
@@ -801,6 +822,27 @@ def _read_text(path: Path) -> str:
         raise DataError(f"{path}: cannot read: {e.strerror or e}") from None
 
 
+def _checked_lines(path: Path, lines: list[tuple[int, str]]) -> np.ndarray:
+    """The cells of numbered CSV lines, parsed one line at a time; the
+    first line with a cell count unlike the first line's, a non-numeric
+    cell or a non-finite value is a ``DataError`` naming it."""
+    rows, width = [], len(lines[0][1].split(","))
+    for lineno, line in lines:
+        cells = line.split(",")
+        if len(cells) != width:
+            raise DataError(
+                f"{path}: line {lineno}: expected {width} cells, got {len(cells)}"
+            )
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: non-numeric cell") from None
+        if not all(map(math.isfinite, row)):
+            raise DataError(f"{path}: line {lineno}: non-finite value")
+        rows.append(row)
+    return np.array(rows, dtype=np.float64)
+
+
 def load_points_csv(
     path: str | Path,
     has_header: bool = False,
@@ -814,34 +856,30 @@ def load_points_csv(
     integer ground truth.  Errors name the offending 1-based line.
     """
     path = Path(path)
-    rows: list[list[float]] = []
-    width = None
+    lines = []  # (line number, text) of each data line
     for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
-        if lineno == 1 and has_header:
-            continue
         line = line.strip()
-        if not line:
-            continue
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise DataError(
-                f"{path}: line {lineno}: expected {width} cells, "
-                f"got {len(cells)}"
-            )
-        try:
-            row = [float(c) for c in cells]
-        except ValueError:
-            raise DataError(
-                f"{path}: line {lineno}: non-numeric cell"
-            ) from None
-        if not all(map(math.isfinite, row)):
-            raise DataError(f"{path}: line {lineno}: non-finite value")
-        rows.append(row)
-    if len(rows) < 2:
-        raise DataError(f"{path}: need at least 2 data rows, got {len(rows)}")
-    arr = np.asarray(rows, dtype=np.float64)
+        if line and not (lineno == 1 and has_header):
+            lines.append((lineno, line))
+    width = len(lines[0][1].split(",")) if lines else 0
+
+    def cells():
+        for _, line in lines:
+            row = line.split(",")
+            if len(row) != width:
+                raise ValueError("ragged line")
+            yield from row
+
+    # NumPy parses each cell as ``float`` does, and holds no list of them.
+    try:
+        arr = np.fromiter(cells(), np.float64, len(lines) * width)
+    except ValueError:  # a ragged line or a non-numeric cell
+        arr = None
+    if arr is None or not np.isfinite(arr).all():
+        arr = _checked_lines(path, lines)  # raises at the first bad line
+    arr = arr.reshape(len(lines), width)
+    if len(arr) < 2:
+        raise DataError(f"{path}: need at least 2 data rows, got {len(arr)}")
     gt = None
     if label_column is not None:
         col = label_column if label_column >= 0 else arr.shape[1] + label_column

@@ -34,6 +34,31 @@ def naive_cutoff(distances, pct: float) -> float:
     return ordered[k - 1]
 
 
+def splitmix64(count: int) -> list[int]:
+    """The first ``count`` values of splitmix64 from state 0, one step at a
+    time in Python integers (Steele, Lea and Flood, OOPSLA 2014)."""
+    mask, state, out = (1 << 64) - 1, 0, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def loop_sample_pairs(n: int, s: int) -> list[tuple[int, int]]:
+    """The d_c sample's s pairs of n points: i from the high 32 bits of a
+    splitmix64 value and j from its low 32 bits, each by multiply-shift,
+    with j moved past i."""
+    pairs = []
+    for z in splitmix64(s):
+        i = ((z >> 32) * n) >> 32
+        j = ((z & 0xFFFFFFFF) * (n - 1)) >> 32
+        pairs.append((i, j + 1 if j >= i else j))
+    return pairs
+
+
 def naive_rho(points, d_c: float) -> list[float]:
     """Gaussian-kernel density, self excluded, via a double loop."""
     n = len(points)

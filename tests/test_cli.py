@@ -701,10 +701,11 @@ class TestPackage:
                     mod.__name__, name)
 
     def test_scipy_loads_only_where_a_run_needs_it(self, tmp_path):
-        # Held distances need NumPy alone: a fresh interpreter that imports
-        # the CLI, then runs flame (one level), compound (two levels, so
-        # aSNNC's shared neighbours), a bench suite and SNNC loads no SciPy
-        # module at any step.
+        # Held distances need NumPy alone, and d_c's sample no generator: a
+        # fresh interpreter that imports the CLI, then runs flame (one
+        # level), compound (two levels, so aSNNC's shared neighbours), a
+        # bench suite and SNNC loads no SciPy and no ``numpy.random`` module
+        # at any step.
         src = str(Path(vdpc.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -712,19 +713,20 @@ class TestPackage:
         code = (
             "import json, sys\n"
             "from vdpc.cli import main\n"
-            "def scipy():\n"
-            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.split('.')[0] == 'scipy' or m.startswith('numpy.random'))\n"
             "out = sys.argv[2] + '/'\n"
-            "seen = [scipy()]\n"
+            "seen = [loaded()]\n"
             "for args in (['flame', '5', '5.5'], ['compound', '1.9', '1.39']):\n"
             "    main(['run', '--dataset', args[0], '--pct', args[1], '--delta-t',\n"
             "          args[2], '--output-dir', out + args[0]])\n"
-            "    seen.append(scipy())\n"
+            "    seen.append(loaded())\n"
             "main(['bench', '--suite', 'synthetic-table4', '--output-dir', out + 'bench'])\n"
-            "seen.append(scipy())\n"
+            "seen.append(loaded())\n"
             "main(['run', '--dataset', 'flame', '--algorithm', 'snnc', '--k', '5',\n"
             "      '--output-dir', out + 'snnc'])\n"
-            "seen.append(scipy())\n"
+            "seen.append(loaded())\n"
             "open(sys.argv[1], 'w').write(json.dumps(seen))\n")
         proc = subprocess.run([sys.executable, "-c", code, str(seen), str(tmp_path)],
                               capture_output=True, text=True, env=env)

@@ -101,6 +101,27 @@ class TestLoadPointsCsv:
         with pytest.raises(DataError, match="line %d: non-finite value" % line):
             load_points_csv(path, has_header=bool(header))
 
+    @pytest.mark.parametrize("bad", [
+        ("2,inf", "non-finite value"), ("2", "expected 2 cells, got 1"),
+        ("2,x", "non-numeric cell")], ids=["non-finite", "ragged", "non-numeric"])
+    def test_the_first_bad_line_is_named_whatever_follows(self, tmp_path, bad):
+        # every kind of fault follows on a later line
+        path = write(tmp_path, "\n".join(["0,0", bad[0], "3,nan", "3", "3,?", "4,4"]))
+        with pytest.raises(DataError, match="line 2: %s$" % bad[1]):
+            load_points_csv(path)
+
+    def test_cells_parse_as_float_does(self, tmp_path):
+        # the spellings ``float`` accepts, and t710's values, bit for bit
+        cells = ["1.5", " 1.5", "1_0", "-0.0", "+.5e1", "4.9e-324", "1e-400",
+                 "0.1", "\u00a07", "12345678901234567890"]
+        path = write(tmp_path, "\n".join(c + "," + c for c in cells) + "\n")
+        want = np.array([[float(c)] * 2 for c in cells])
+        assert load_points_csv(path).points.tobytes() == want.tobytes()
+        t710 = Path(__file__).parent / "data" / "t710.csv"
+        rows = t710.read_text().split()[1:]
+        want = np.array([[float(c) for c in r.split(",")] for r in rows])
+        assert load_points_csv(t710, has_header=True).points.tobytes() == want.tobytes()
+
     def test_labels_beyond_float_integers_are_refused(self, tmp_path):
         # 1e20 and 2e20 would both cast to -2^63; 2^53 itself is exact
         path = write(tmp_path, "0,0,%d\n1,1,1\n" % 2**53)

@@ -101,6 +101,20 @@ class TestCutoffSelection:
                 assert got == naive_cutoff(ordered, pct), (name, pct)
             assert cutoff_distance(cd, 100 / m) == ordered[0]
 
+    @pytest.mark.parametrize("limit", [1 << 62, 0], ids=["held", "streamed"])
+    def test_tie_heavy_grids_equal_sorted_oracle(self, monkeypatch, limit):
+        # The real sample size on 40 to 400 points at the sites of 3- to
+        # 5-wide integer grids: most distances tie, so bracket ends fall on
+        # values shared by many pairs, at 41 ranks from the first to the last.
+        monkeypatch.setattr(vdpc.dataset, "_HOLD_LIMIT", limit)
+        rng = np.random.default_rng(5)
+        for width, n in ((3, 40), (4, 150), (5, 400)):
+            pts = rng.integers(0, width, (n, 2)).astype(float)
+            ordered = np.sort(pdist(pts))
+            cd = pairwise_distances(Dataset(points=pts))
+            for k in np.unique(np.linspace(1, len(ordered), 41).astype(int)):
+                assert cd.kth_smallest(int(k)) == ordered[k - 1], (n, k)
+
     @pytest.mark.parametrize("side", ["below", "above"])
     def test_missed_bracket_is_widened(self, datasets, monkeypatch, side):
         # The first bracket holds only the smallest or only the largest
@@ -189,6 +203,18 @@ class TestCutoffSelection:
             assert got == [0.0, 0.0, 5.0, 5.0, 5.0]
             assert peak < 5e6 + blocks * 8 * vdpc.dataset._BLOCK_CELLS
 
+    def test_sample_pairs_hold_about_two_index_arrays(self):
+        # the stream works in place: its peak is i and j (8 bytes each per
+        # pair) and a mask, where chained expressions held twice as much
+        s = 1 << 20
+        tracemalloc.start()
+        try:
+            vdpc.dataset._sample_pairs(100_000, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * s
+
     @pytest.mark.parametrize("k, width, want", [
         (1, 4.0, (-math.inf, 2.0)),
         (1, 16.0, (-math.inf, 2.0)),
@@ -225,12 +251,12 @@ class TestCutoffSelection:
         cutoff_distance(cd, 50)
         assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
             ("vdpc", logging.DEBUG, "d_c selection: k=574 of m=28680 distances, "
-             "sample of 937, bracket [0.471699056602829, 1.2349089035228473], "
-             "1004 values held, 1 counting passes, 57600 block cells, "
+             "sample of 937, bracket [0.46097722286464377, 1.1543396380615207], "
+             "871 values held, 1 counting passes, 57600 block cells, "
              "whole triangle"),
             ("vdpc", logging.DEBUG, "d_c selection: k=14340 of m=28680 "
-             "distances, sample of 937, bracket [3.874596753211874, "
-             "8.176337811025178], 14396 values held, 2 counting passes, "
+             "distances, sample of 937, bracket [3.4014702703389883, "
+             "8.155519603311612], 15712 values held, 2 counting passes, "
              "115200 block cells, whole triangle"),
         ]
 

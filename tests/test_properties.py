@@ -49,8 +49,10 @@ from oracles import (
     loop_paint_level_noise,
     loop_reassign_boundary,
     loop_relabel_contiguous,
+    loop_sample_pairs,
     naive_dbscan,
     sparse_shared_neighbor_components,
+    splitmix64,
 )
 
 
@@ -101,6 +103,28 @@ def test_kth_smallest(sample_size, data):
             mp.setattr(vdpc.dataset, "_sample_size", sample_size)
         got = [cd.kth_smallest(k) for k in range(1, len(ordered) + 1)]
     assert got == ordered
+
+
+def test_splitmix64_oracle_starts_as_the_reference():
+    # the first values from state 0 of the reference C code
+    assert splitmix64(3) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+                             0x06C45D188009454F]
+
+
+@pytest.mark.parametrize("n, s", [(2, 64), (240, 937), (10_000, 135_712)],
+                         ids=["two points", "flame", "t710"])
+def test_sample_pairs_equal_the_loop(n, s):
+    i, j = vdpc.dataset._sample_pairs(n, s)
+    assert list(zip(i.tolist(), j.tolist())) == loop_sample_pairs(n, s)
+
+
+@given(st.integers(2, 2**32 - 1), st.integers(0, 300))
+def test_sample_pairs_are_distinct_points_in_range_on_every_call(n, s):
+    i, j = vdpc.dataset._sample_pairs(n, s)
+    assert list(zip(i.tolist(), j.tolist())) == loop_sample_pairs(n, s)
+    assert ((0 <= i) & (i < n) & (0 <= j) & (j < n) & (i != j)).all()
+    again = vdpc.dataset._sample_pairs(n, s)
+    assert np.array_equal(i, again[0]) and np.array_equal(j, again[1])
 
 
 @st.composite

@@ -190,21 +190,22 @@ def t710():
 def test_t710_cutoff_holds_a_narrow_bracket(t710, caplog):
     # pct 2 is the 999,900th of 49,995,000 distances.  A bracket of four
     # deviations of its sample rank (about 52 of 135,712 ranks) each side
-    # holds about 158 k values, found in one pass.
+    # holds about 148 k values, found in one pass.
     cd, _ = t710
     caplog.set_level(logging.DEBUG, logger="vdpc")
     assert cutoff_distance(cd, 2) == 38.5397894416148
     ((k, m, s, lo, hi, held, passes, _, _),) = [
         r.args for r in caplog.records if r.msg.startswith("d_c selection")]
     assert (k, m, s, passes) == (999_900, 49_995_000, 135_712, 1)
-    assert (round(lo, 2), round(hi, 2)) == (38.01, 41.69)
+    assert (round(lo, 2), round(hi, 2)) == (37.37, 40.85)
     assert held < 300_000
 
 
 def test_t710_cutoff_computes_under_a_quarter_of_the_pairs(t710, caplog):
     # t710's 10,000 points span about 700 along x and 450 along y; a pair
-    # within 41.69 of each other lies within 41.69 along x, so sorted
-    # along x, the counting pass computes about 18% of the upper cells
+    # within the bracket's upper end (40.85 above) of each other lies
+    # within it along x, so sorted along x, the counting pass computes
+    # about 16% of the upper cells
     cd, _ = t710
     caplog.set_level(logging.DEBUG, logger="vdpc")
     cutoff_distance(cd, 2)

@@ -119,11 +119,12 @@ class QuerySpy:
 def test_tree_workers_never_change_delta_or_knn(monkeypatch, workers):
     # δ and the k nearest take their candidates from k-d tree queries
     # (one for δ, one per block of 40 points for knn), which run on one
-    # thread per core
+    # thread per core here however few points they hold
     from scipy.spatial import cKDTree
 
     pts, _ = density_mix(600)
     monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 40 * 12)
+    monkeypatch.setattr(vdpc.dataset, "_TREE_POOL_MIN", 1)
     got = {}
     for count in (1, workers):
         cores(monkeypatch, count)
@@ -134,6 +135,21 @@ def test_tree_workers_never_change_delta_or_knn(monkeypatch, workers):
                                              cd.knn(np.arange(600), 7))]
         assert len(spy.workers) == 1 + 600 // 40 and set(spy.workers) == {count}
     assert got[1] == got[workers]
+
+
+def test_small_tree_queries_stay_on_the_calling_thread(monkeypatch):
+    # δ's one query of all 1,200 points runs on every core; a kNN query of
+    # one point fewer than the cutoff runs on the calling thread
+    from scipy.spatial import cKDTree
+
+    limit = vdpc.dataset._TREE_POOL_MIN
+    cores(monkeypatch, 2)
+    cd = streamed(density_mix(1200)[0])
+    cd._tree = spy = QuerySpy(cKDTree(cd.points))
+    cd.nearest_earlier(np.arange(1200))
+    cd.knn(np.arange(limit - 1), 3)
+    cd.knn(np.arange(limit), 3)
+    assert spy.workers == [2, 1, 2]
 
 
 def fill_threads(monkeypatch):
