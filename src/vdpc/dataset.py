@@ -16,11 +16,12 @@ for streamed distances, in the calling thread before any pass.
 ``CondensedDistances`` hides the mode: its block source (``_block``,
 ``_pairs``) is the one place that reads the matrix or computes a
 distance, ``_scan`` the one reader of ranges of them (every pass's row
-blocks of at most ``_BLOCK_CELLS`` cells), and every query goes through
-one of its methods:
-``map_blocks`` (row blocks of all distances: ρ, which also finds the
-largest streamed distance, and the zero count);
-``kth_smallest`` (d_c); ``row`` (one point's row:
+blocks of at most ``_BLOCK_CELLS`` cells) but ρ's tiles, and every
+query goes through one of its methods:
+``row_sums`` (each point's sum of a kernel of its distances, by tiles of
+the upper triangle cut along NumPy's row-sum tree, so each kernel value
+is computed once: ρ, which also finds the largest streamed distance, and
+the zero count); ``kth_smallest`` (d_c); ``row`` (one point's row:
 aDBSCAN's Eps and MinPts); ``nearest`` (each point's nearest member of a
 set: boundary, micro-cluster and noise steps); ``nearest_earlier``
 (each point's nearest earlier point in a total order: δ); ``knn`` (k
@@ -38,10 +39,11 @@ bracket read off a fixed sample of pairs (a splitmix64 stream, so no
 held run loads ``numpy.random``), in one counting pass as a rule,
 never from sorting all N(N-1)/2 distances: held, the pass reads the
 upper row blocks; streamed, it computes only the pairs within reach of
-the bracket's upper end along the widest coordinate.  The fill and
-every row-block pass spread their blocks over one thread per core the
-process may run on from ``_POOL_MIN_BLOCKS`` blocks on; each block is
-computed as on one thread, so no result depends on the core count.
+the bracket's upper end along the widest coordinate.  The fill, every
+row-block pass and the tile pass (by segments of rows) spread their
+blocks over one thread per core the process may run on from
+``_POOL_MIN_BLOCKS`` tasks on; each block is computed as on one thread,
+so no result depends on the core count.
 A k-d tree query spreads over those cores from ``_TREE_POOL_MIN`` points.
 ``map_rows`` lends that pool and block size to passes over other arrays
 (aSNNC's shared-neighbour counts).
@@ -85,6 +87,16 @@ _POOL_MIN_BLOCKS = 8
 # on two, 512 points 1.2 against 1.4 ms, 1,024 points 3.0 against 2.4 ms,
 # and all 10,000 (δ's one query) 28 against 19 ms.
 _TREE_POOL_MIN = 1024
+# ``row_sums`` tiles the distances by nodes of NumPy's row-sum tree of at
+# most _TILE columns, a tile of at most _TILE² = _BLOCK_CELLS cells.  On a
+# 2-core host, ρ at pct 2 took 0.141 s on t710 at 512 columns against
+# 0.192 s at 256 and 0.167 s at 1,024 (medians of 9), and 3.03 s on a 25k
+# ``density_mix`` against 3.25 s and 3.16 s (medians of 3).  Past _SEGMENTS
+# such nodes (about 32k points) the sums are kept for nodes a tree level
+# wider, so they take at most 512 bytes a point.
+_TILE = 512
+_SEGMENTS = 64
+_LEAF = 128  # NumPy sums a node of at most 128 columns without a split
 _SPARSE_SHARE = 32  # the k-d tree finds ε-pairs up to m²/32 ordered pairs
 _TREE_MAX_DIM = 5  # and only up to 5 coordinates; past that the scan is faster
 _MARGIN = 1 + 2.0**-20  # tree radius over eps (see ``eps_neighbors``)
@@ -310,7 +322,7 @@ class CondensedDistances:
     @property
     def max_distance(self) -> float:
         """The largest pairwise distance; a streamed pass finds it on
-        first use unless ρ's pass (``map_blocks``) already has."""
+        first use unless ρ's tile pass (``row_sums``) already has."""
         if self._max is None:
             self._max = max(self._scan(lambda r, b: _checked_max(b), begin=np.arange(self.n)))
         return self._max
@@ -367,22 +379,83 @@ class CondensedDistances:
         output."""
         return _map(fn, _slices(size, width))
 
-    def map_blocks(self, fn: Callable[[slice, np.ndarray], object]) -> list:
-        """``_scan`` over the n rows, ``fn(r, block)`` with ``block`` the
-        distances of the rows r to every point: a read-only view of the
-        held matrix, or a streamed block of ``fn``'s own, which it may
-        overwrite (``block.flags.writeable`` tells which).  A streamed
-        pass also keeps the largest distance while it is unknown."""
+    def row_sums(self, kernel: Callable[[np.ndarray, np.ndarray], object]) -> np.ndarray:
+        """Each point's sum of the kernel of its distances to every point,
+        itself included, bitwise equal to ``sum(axis=1)`` of its full row
+        of kernel values, with each value computed once.  ``kernel(block,
+        out)`` writes the elementwise kernel of a block of distances into
+        ``out``: the block itself when streamed, a fresh array when held.
+
+        NumPy sums a C-contiguous row by a fixed tree over its column
+        positions (``_half``), so the sum over a node's columns alone is
+        that node's partial sum.  The columns are cut into segments, the
+        nodes of at most ``_TILE`` columns (``_nodes``), and for each pair
+        of segments p <= q one tile, the kernel of ``_block(p, q)``, gives
+        the rows of p their sums over q and, transposed, the rows of q
+        their sums over p: the distances are bitwise symmetric.  Each
+        row's segment sums are then added up the tree (``_fold``).  Past
+        ``_SEGMENTS`` segments the sums are kept for coarser nodes, each
+        folded from its tiles, so a pass holds at most ``_SEGMENTS``·n
+        floats of sums besides, per worker, one tile of at most
+        ``_TILE``² = ``_BLOCK_CELLS`` cells and a ``_LEAF``-row part of its
+        transpose.  One task per coarse segment of rows runs its tiles by
+        ``_map``; tasks write disjoint sums, so no result depends on the
+        core count.  A streamed pass also keeps the largest distance while
+        it is unknown.  Each pass logs its points, source, segments and
+        tiles.
+        """
+        n = self.n
+        width = _TILE
+        while len(coarse := _nodes(0, n, width)) > _SEGMENTS:
+            width *= 2
+        fine = _nodes(0, n, _TILE)
+        parts = [[f for f in fine if a <= f[0] < b] for a, b in coarse]
+        sums = np.empty((len(coarse), n))  # sums[c, i]: row i over coarse[c]
         find_max = self._max is None
+        streamed = self._cdist is not None
 
-        def run(r: slice, block: np.ndarray) -> tuple[object, float | None]:
-            top = float(block.max()) if find_max else None  # before ``fn`` writes
-            return fn(r, block), top
+        def tile(rows: slice, cols: slice, across: np.ndarray,
+                 down: np.ndarray | None) -> float:
+            """The kernel of one tile: its row sums into ``across``, those of
+            its transpose into ``down`` unless None; its largest distance."""
+            block = self._block(rows, cols)
+            top = float(block.max()) if find_max else -math.inf  # before ``kernel``
+            terms = block if streamed else np.empty(block.shape)
+            kernel(block, terms)
+            across[:] = terms.sum(axis=1)
+            for c in range(0, terms.shape[1], _LEAF) if down is not None else ():
+                # the transpose, copied a bounded part at a time
+                part = np.ascontiguousarray(terms[:, c : c + _LEAF].T)
+                down[c : c + _LEAF] = part.sum(axis=1)
+            return top
 
-        found = self._scan(run)
+        def task(p: int) -> float:
+            (pa, pb), top = coarse[p], -math.inf
+            for q in range(p, len(coarse)):
+                qa, qb = coarse[q]
+                here = np.empty((len(parts[q]), pb - pa))  # rows of p over q's tiles
+                there = here if q == p else np.empty((len(parts[p]), qb - qa))
+                for a, (ra, rb) in enumerate(parts[p]):
+                    for b, (ca, cb) in enumerate(parts[q]):
+                        if q > p or b >= a:
+                            top = max(top, tile(
+                                slice(ra, rb), slice(ca, cb), here[b, ra - pa : rb - pa],
+                                there[a, ca - qa : cb - qa] if ra != ca else None))
+                sums[q, pa:pb] = _fold(here, parts[q], qa, qb)
+                if q != p:
+                    sums[p, qa:qb] = _fold(there, parts[p], pa, pb)
+            return top
+
+        tops = _map(task, list(range(len(coarse))))
         if find_max:
-            self._max = max(top for _, top in found)
-        return [out for out, _ in found]
+            self._max = max(tops)
+        log.debug(
+            "row sums of %d points: %s, %d segments of at most %d columns, "
+            "%d tiles, largest distance %s", n, "streamed" if streamed else "held",
+            len(coarse), width, len(fine) * (len(fine) + 1) // 2,
+            "found" if find_max else "known",
+        )
+        return _fold(sums, coarse, 0, n)
 
     def _window(self, hi: float) -> tuple[int, np.ndarray, np.ndarray] | None:
         """For streamed coordinates and a normal float ``hi``: the widest
@@ -678,20 +751,47 @@ def _slices(size: int, width: int) -> list[slice]:
     return [slice(a, min(a + step, size)) for a in range(0, size, step)]
 
 
+def _half(m: int) -> int:
+    """Where NumPy's pairwise sum splits a node of m > ``_LEAF`` columns:
+    at half of m, rounded down to a multiple of 8."""
+    h = m // 2
+    return h - h % 8
+
+
+def _nodes(a: int, b: int, width: int) -> list[tuple[int, int]]:
+    """The nodes of NumPy's pairwise tree over the columns a..b that have
+    at most ``width`` columns and a parent with more, in column order; a
+    leaf of at most ``_LEAF`` columns is never split."""
+    if b - a <= max(width, _LEAF):
+        return [(a, b)]
+    h = a + _half(b - a)
+    return _nodes(a, h, width) + _nodes(h, b, width)
+
+
+def _fold(sums: np.ndarray, nodes: list[tuple[int, int]], a: int, b: int) -> np.ndarray:
+    """The row sums over the node a..b of NumPy's pairwise tree, given in
+    ``sums[c]`` the row sums over ``nodes[c]``, consecutive nodes covering
+    a..b: each node's sum is its left child's plus its right child's."""
+    if (a, b) in nodes:
+        return sums[nodes.index((a, b))]
+    h = a + _half(b - a)
+    return _fold(sums, nodes, a, h) + _fold(sums, nodes, h, b)
+
+
 def _workers() -> int:
     """The cores this process may run on (1 where it cannot tell)."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _map(fn: Callable[[slice], object], slices: list[slice]) -> list:
-    """``[fn(r) for r in slices]``, spread over one thread per core this
-    process may run on; inline with one core or fewer than
-    ``_POOL_MIN_BLOCKS`` slices.  NumPy and ``cdist`` release the
+def _map(fn: Callable, tasks: list) -> list:
+    """``[fn(t) for t in tasks]`` (row slices as a rule), spread over one
+    thread per core this process may run on; inline with one core or
+    fewer than ``_POOL_MIN_BLOCKS`` tasks.  NumPy and ``cdist`` release the
     interpreter lock on a block, so the blocks of a pass run side by side."""
     workers = _workers()
-    if workers < 2 or len(slices) < _POOL_MIN_BLOCKS:
-        return [fn(r) for r in slices]
-    return list(_pool(os.getpid(), workers).map(fn, slices))
+    if workers < 2 or len(tasks) < _POOL_MIN_BLOCKS:
+        return [fn(t) for t in tasks]
+    return list(_pool(os.getpid(), workers).map(fn, tasks))
 
 
 def _sample_size(m: int) -> int:
@@ -905,9 +1005,9 @@ def load_condensed_matrix(path: str | Path, n: int) -> CondensedDistances:
     ``CondensedDistances`` checks their count and values.
     """
     path = Path(path)
-    tokens = [t for t in re.split(r"[\s,]+", _read_text(path)) if t]
-    try:
-        values = np.array([float(t) for t in tokens], dtype=np.float64)
+    tokens = (t[0] for t in re.finditer(r"[^\s,]+", _read_text(path)))
+    try:  # NumPy parses each token as ``float`` does, and holds no list of them
+        values = np.fromiter(tokens, np.float64)
     except ValueError:
         raise DataError(f"{path}: non-numeric entry") from None
     return CondensedDistances(n=n, d=values)

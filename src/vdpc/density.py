@@ -2,7 +2,9 @@
 
 The cut-off distance d_c is the k-th smallest pairwise distance, k the
 rank of a percentile, found by an exact selection, not a sort.  Local
-density is a Gaussian-kernel sum over all other points.  Delta is each
+density is a Gaussian-kernel sum over all other points, computed once
+per pair on tiles of the upper triangle (``row_sums``) and summed in the
+order of ``sum(axis=1)`` over the whole row.  Delta is each
 point's distance to its nearest neighbor of strictly higher density
 under a fixed total order (descending density, ties by ascending
 index); the density argmax instead receives the maximum pairwise
@@ -70,26 +72,22 @@ def cutoff_distance(cd: CondensedDistances, pct: float) -> float:
 
 
 def local_density(cd: CondensedDistances, d_c: float) -> np.ndarray:
-    """Gaussian-kernel local density, self excluded, ascending-j order."""
+    """Gaussian-kernel local density, self excluded: each point's kernel
+    values summed as ``sum(axis=1)`` sums its whole row (``row_sums``)."""
     if d_c <= 0:
         raise ParameterError("d_c must be > 0 (degenerate kernel)")
-    rho = np.empty(cd.n, dtype=np.float64)
     inv = 1.0 / d_c  # inf for a subnormal d_c, where only division is finite
 
-    def kernel(r: slice, block: np.ndarray) -> None:
-        # a held view is read-only and is copied; a streamed block is ours
-        out = block if block.flags.writeable else None
+    def kernel(block: np.ndarray, out: np.ndarray) -> None:
         if math.isfinite(inv):
-            block = np.multiply(block, inv, out=out)
+            np.multiply(block, inv, out=out)
         else:
-            block = np.divide(block, d_c, out=out)
-        np.square(block, out=block)
-        np.negative(block, out=block)
-        np.exp(block, out=block)
-        rho[r] = block.sum(axis=1) - 1.0  # remove the self term exp(0)
+            np.divide(block, d_c, out=out)
+        np.square(out, out=out)
+        np.negative(out, out=out)
+        np.exp(out, out=out)
 
-    cd.map_blocks(kernel)
-    return rho
+    return cd.row_sums(kernel) - 1.0  # remove the self term exp(0)
 
 
 def delta_and_neighbors(
@@ -115,7 +113,9 @@ def _zero_cutoff_message(cd: CondensedDistances, pct: float) -> str:
     """Why d_c is 0 at ``pct``, and the smallest pct (four digits, rounded
     up) whose cut-off rank passes all the zero distances."""
     n, m = cd.n, cd.n * (cd.n - 1) // 2
-    zeros = (sum(cd.map_blocks(lambda r, v: np.count_nonzero(v == 0))) - n) // 2
+    # each row's count of zeros, self included, as float64: exact below 2^53
+    rows = cd.row_sums(lambda v, out: np.equal(v, 0.0, out=out))
+    zeros = (int(rows.sum()) - n) // 2
     if zeros == m:
         return "d_c is 0: every pairwise distance is zero"
     start = 100.0 * (zeros + 0.5) / m  # rank zeros + 1 begins here

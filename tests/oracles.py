@@ -268,7 +268,47 @@ def sparse_shared_neighbor_components(cd, points, k: int) -> np.ndarray:
 def full_matrix(cd) -> np.ndarray:
     """The square matrix ``sq`` that the ``loop_*`` functions take,
     joined from the row blocks of the distances ``cd``."""
-    return np.concatenate(cd.map_blocks(lambda r, view: view))
+    return np.concatenate(cd._scan(lambda r, block: block))
+
+
+def row_block_rho(cd, d_c: float) -> np.ndarray:
+    """ρ as the package computed it before its tile pass: the kernel of
+    each full row block of distances, summed by ``sum(axis=1)``, less the
+    self term."""
+    inv = 1.0 / d_c
+
+    def kernel(r, block):
+        block = block * inv if math.isfinite(inv) else block / d_c
+        return np.exp(-np.square(block)).sum(axis=1) - 1.0
+
+    return np.concatenate(cd._scan(kernel))
+
+
+def pairwise_row_sum(a) -> np.ndarray:
+    """Each row's sum by NumPy's pairwise summation, rebuilt from its rules:
+    a row of fewer than 8 values adds them in order; one of up to 128 sums
+    eight interleaved accumulators, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then adds its remainder in order;
+    a longer one splits at half its length rounded down to a multiple of
+    8 and adds the sums of its two parts."""
+    a = np.asarray(a, dtype=np.float64)
+    m = a.shape[1]
+    if m < 8:
+        total = np.zeros(len(a))
+        for i in range(m):
+            total = total + a[:, i]
+        return total
+    if m <= 128:
+        r = a[:, :8].copy()
+        for i in range(8, m - m % 8, 8):
+            r = r + a[:, i : i + 8]
+        total = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + (
+            (r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
+        for i in range(m - m % 8, m):
+            total = total + a[:, i]
+        return total
+    h = m // 2 - m // 2 % 8
+    return pairwise_row_sum(a[:, :h]) + pairwise_row_sum(a[:, h:])
 
 
 def loop_relabel_contiguous(labels) -> list[int]:

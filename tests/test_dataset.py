@@ -535,6 +535,42 @@ class TestLoadCondensedMatrix:
         assert cd.max_distance == ref.max()
 
 
+    def test_values_equal_float_of_each_token(self, tmp_path):
+        # every spelling ``float`` takes, between any mix of separators
+        n = 60
+        d = pdist(np.random.default_rng(5).normal(size=(n, 2)))
+        forms = (repr, "%.17g".__mod__, "%.6f".__mod__, "%.3E".__mod__,
+                 lambda v: "%d" % round(v), lambda v: "%.2f" % v + "_0")
+        tokens = [forms[i % len(forms)](v) for i, v in enumerate(d.tolist())]
+        seps = [", ", "\t", "\n", ",,", " \r\n ", ","]
+        path = tmp_path / "m.txt"
+        path.write_text("".join(t + seps[i % len(seps)] for i, t in enumerate(tokens)))
+        cd = load_condensed_matrix(path, n)
+        want = np.array([float(t) for t in tokens])
+        assert cd._square[np.triu_indices(n, 1)].tobytes() == want.tobytes()
+
+    def test_a_non_numeric_entry_is_a_data_error(self, tmp_path):
+        path = write(tmp_path, "1.0, 2.5, x3\n", name="m.txt")
+        with pytest.raises(DataError, match="m.txt: non-numeric entry$"):
+            load_condensed_matrix(path, n=3)
+
+    def test_the_load_holds_no_python_float_per_distance(self, tmp_path):
+        # the text, the matrix and the vector twice over at most; a list of
+        # tokens and floats held 10 times the vector on top (20.6 MB here)
+        n = 600
+        m = n * (n - 1) // 2
+        text = "\n".join(repr(v) for v in pdist(
+            np.random.default_rng(4).normal(size=(n, 3))).tolist())
+        path = write(tmp_path, text, name="m.txt")
+        tracemalloc.start()
+        try:
+            load_condensed_matrix(path, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(text) + 8 * n * n + 2 * 8 * m
+
+
 def forced(cd, pts, eps, source):
     with forcing(source):
         nb = cd.eps_neighbors(pts, eps)

@@ -289,6 +289,35 @@ class TestLocalDensity:
         np.testing.assert_allclose(rho, direct, atol=1e-9)
 
 
+    def test_each_pass_logs_its_tiles(self, datasets, monkeypatch, caplog):
+        # one line per pass: the points, held or streamed, the segments and
+        # their width, the tiles, and whether it found the largest distance
+        # (held distances know it; a streamed pass finds it once)
+        flame = pairwise_distances(datasets["flame"])
+        monkeypatch.setattr(vdpc.dataset, "_HOLD_LIMIT", 0)
+        cd = pairwise_distances(Dataset(points=random_points(np.random.default_rng(6), 1000)))
+        d_c = cutoff_distance(cd, 2)
+        caplog.set_level(logging.DEBUG, logger="vdpc")
+        local_density(flame, 0.5)
+        monkeypatch.setattr(vdpc.dataset, "_TILE", 128)
+        local_density(flame, 0.5)
+        local_density(cd, d_c)
+        local_density(cd, d_c)
+        monkeypatch.setattr(vdpc.dataset, "_SEGMENTS", 4)
+        local_density(cd, d_c)
+        line = "row sums of %d points: %s, %d segments of at most %d columns, %d tiles, "
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("vdpc", logging.DEBUG, line % (240, "held", 1, 512, 1) + "largest distance known"),
+            ("vdpc", logging.DEBUG, line % (240, "held", 2, 128, 3) + "largest distance known"),
+            ("vdpc", logging.DEBUG, line % (1000, "streamed", 8, 128, 36)
+             + "largest distance found"),
+            ("vdpc", logging.DEBUG, line % (1000, "streamed", 8, 128, 36)
+             + "largest distance known"),
+            ("vdpc", logging.DEBUG, line % (1000, "streamed", 4, 256, 36)
+             + "largest distance known"),
+        ]
+
+
 class TestDelta:
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(21)

@@ -10,6 +10,7 @@ and compare.
 import itertools
 import json
 import logging
+import math
 import os
 import tracemalloc
 
@@ -29,9 +30,10 @@ from vdpc import (
 )
 from vdpc.baselines import _dbscan_labels
 from vdpc.cli import main
-from vdpc.density import delta_and_neighbors, local_density
+from vdpc.density import _zero_cutoff_message, delta_and_neighbors, local_density
 
-from conftest import BEST_PARAMS, density_mix, pair_keys
+from conftest import BEST_PARAMS, BUNDLED, density_mix, pair_keys
+from oracles import full_matrix, pairwise_row_sum, row_block_rho
 
 HOLD_ALL = 1 << 62
 T710 = os.path.join(os.path.dirname(__file__), "data", "t710.csv")
@@ -80,6 +82,21 @@ class TestPairForm:
             assert cd._block(rows, cols).tobytes() == want[np.ix_(rows, cols)].tobytes()
             got = np.concatenate(cd._scan(lambda r, block: block, cols))
             assert got.tobytes() == want[np.ix_(cols, cols)].tobytes()
+
+
+class TestRowSumTree:
+    # ``row_sums`` rests on NumPy summing each row of a C-contiguous block
+    # by a fixed pairwise tree; a NumPy whose tree differs fails here first
+    LENGTHS = [*range(1, 301), 1000, 4097, 8191, 8192, 8193, 10000]
+
+    @pytest.mark.parametrize("values", ["normal", "kernel"])
+    def test_the_oracle_rebuilds_sum_axis_1(self, values):
+        rng = np.random.default_rng(len(values))
+        for m in self.LENGTHS:
+            a = rng.normal(size=(4, m))
+            if values == "kernel":  # ρ's terms, in [0, 1]
+                a = np.exp(-np.square(a * 3))
+            assert pairwise_row_sum(a).tobytes() == a.sum(axis=1).tobytes(), m
 
 
 def assert_same_answers(held, streamed, pct, eps_quantiles=(0.01, 0.05)):
@@ -333,3 +350,80 @@ def test_only_held_matrices_need_memory(monkeypatch, tmp_path):
     path.write_text(" ".join(map(repr, streamed._pairs(*np.triu_indices(600, 1)).tolist())))
     with pytest.raises(DataError, match="needs 2880000 bytes"):
         vdpc.dataset.load_condensed_matrix(path, 600)
+
+
+class TestTilePass:
+    """ρ by ``row_sums``' tiles against the full row blocks it replaced."""
+
+    @pytest.mark.parametrize("tile", [512, 128])
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_rho_equals_the_row_blocks_on_bundled_sets(
+            self, name, tile, distances, streamed_distances, monkeypatch):
+        monkeypatch.setattr(vdpc.dataset, "_TILE", tile)
+        for cd in (distances[name], streamed_distances[name]):
+            for pct in (0.5, 2, 5):
+                d_c = cutoff_distance(cd, pct)
+                assert local_density(cd, d_c).tobytes() == row_block_rho(cd, d_c).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 128, 129, 130, 257])
+    def test_rho_at_the_tree_edges(self, n, monkeypatch):
+        # fewer than 8 columns, one leaf, and the first splits of a node
+        monkeypatch.setattr(vdpc.dataset, "_TILE", 128)
+        pts = np.random.default_rng(n).normal(size=(n, 3))
+        for cd in both(pts, monkeypatch):
+            d_c = cutoff_distance(cd, 2)
+            assert local_density(cd, d_c).tobytes() == row_block_rho(cd, d_c).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_rho_at_each_worker_count(self, workers, monkeypatch):
+        # tiles of at most 128 columns: 1,000 points make 8 segments, one
+        # task each; capped at 4 or 1, the sums are kept for coarser nodes
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+        monkeypatch.setattr(vdpc.dataset, "_TILE", 128)
+        pts = np.random.default_rng(5).normal(size=(1000, 3))
+        for cd in both(pts, monkeypatch):
+            d_c = cutoff_distance(cd, 2)
+            want = row_block_rho(cd, d_c).tobytes()
+            for segments in (64, 4, 1):
+                monkeypatch.setattr(vdpc.dataset, "_SEGMENTS", segments)
+                assert local_density(cd, d_c).tobytes() == want, segments
+
+    def test_rho_at_a_subnormal_cutoff(self, datasets, monkeypatch):
+        # 1/d_c overflows, so the kernel divides by d_c
+        monkeypatch.setattr(vdpc.dataset, "_TILE", 128)
+        for cd in both(datasets["flame"].points * 2.0 ** -1060, monkeypatch):
+            d_c = cutoff_distance(cd, 5)
+            assert not math.isfinite(1.0 / d_c)
+            assert local_density(cd, d_c).tobytes() == row_block_rho(cd, d_c).tobytes()
+
+    @pytest.mark.parametrize("pct", [0.5, 2])
+    def test_rho_on_t710(self, t710, pct, monkeypatch):
+        cd, _ = t710
+        d_c = cutoff_distance(cd, pct)
+        want = row_block_rho(cd, d_c).tobytes()
+        for workers in (1, 2, 8):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(workers)))
+            assert local_density(cd, d_c).tobytes() == want
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_the_pass_finds_the_largest_distance(self, workers, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+        monkeypatch.setattr(vdpc.dataset, "_TILE", 128)
+        pts, _ = density_mix(1000)
+        streamed = build(pts, 0, monkeypatch)
+        assert streamed._max is None
+        local_density(streamed, cutoff_distance(streamed, 2))
+        assert streamed._max == vdpc.dataset._checked_max(full_matrix(streamed))
+
+    @pytest.mark.parametrize("limit", [HOLD_ALL, 0])
+    def test_zero_count_of_duplicate_points(self, limit, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(vdpc.dataset, "_TILE", 128)
+        pts = rounded_points(2, n=1000, copies=300)  # 1,300 points: 16 segments
+        cd = build(pts, limit, monkeypatch)
+        upper = full_matrix(cd)[np.triu_indices(cd.n, 1)]
+        zeros, m = np.count_nonzero(upper == 0), len(upper)
+        assert zeros >= 300
+        assert ("%.4g%% of the %d pairwise distances are zero"
+                % (100.0 * zeros / m, m)) in _zero_cutoff_message(cd, 0.01)
