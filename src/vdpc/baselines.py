@@ -157,10 +157,10 @@ def _dbscan_labels(
     label of ``pts[i]``.
     """
     m = len(pts)
-    i, j, source = cd.eps_neighbors(pts, eps)
+    i, j, _ = cd.eps_neighbors(pts, eps)
     log.debug(
-        "dbscan on %d points: Eps=%r MinPts=%d, %d pairs within Eps (%s source)",
-        m, eps, minpts, len(i), source,
+        "dbscan on %d points: Eps=%r MinPts=%d, %d pairs within Eps",
+        m, eps, minpts, len(i),
     )
     core = np.bincount(i, minlength=m) + np.bincount(j, minlength=m) + 1 >= minpts
     both = core[i] & core[j]

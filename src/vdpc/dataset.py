@@ -4,49 +4,26 @@ A dataset is an (N, D) array of feature vectors with optional integer
 ground-truth labels.  Its Euclidean distances are held or streamed.
 Held (coordinates of at most ``_HOLD_LIMIT`` points, or a condensed
 file), they are one symmetric N-by-N float64 matrix, filled by row
-blocks of a NumPy pair form that equals SciPy's ``cdist`` bitwise, or
-by row slices of the condensed vector: 8·N² bytes, refused when larger
-than physical memory.  Held distances need NumPy alone.  Streamed
-(coordinates of more points), every pass computes its row blocks with
-``cdist`` and drops them, and single pairs come from the pair form, so
-memory is O(N·block + tree + candidate pairs + DBSCAN's ε-pairs + the
-distances inside d_c's bracket) while time stays O(N²); both modes give
-the same values bitwise.  SciPy's ``scipy.spatial`` is imported only
-for streamed distances, in the calling thread before any pass.
+blocks of a NumPy pair form that equals SciPy's ``cdist`` bitwise;
+held distances need NumPy alone.  Streamed (coordinates of more
+points), every pass computes its blocks with ``cdist`` and drops them,
+and SciPy is imported in the calling thread before any pass.  Both
+modes give the same values bitwise; README "Known limitations" gives
+their memory and time.
 ``CondensedDistances`` hides the mode: its block source (``_block``,
 ``_pairs``) is the one place that reads the matrix or computes a
-distance, ``_scan`` the one reader of ranges of them (every pass's row
-blocks of at most ``_BLOCK_CELLS`` cells) but ρ's tiles, and every
-query goes through one of its methods:
-``row_sums`` (each point's sum of a kernel of its distances, by tiles of
-the upper triangle cut along NumPy's row-sum tree, so each kernel value
-is computed once: ρ, which also finds the largest streamed distance, and
-the zero count); ``kth_smallest`` (d_c); ``row`` (one point's row:
-aDBSCAN's Eps and MinPts); ``nearest`` (each point's nearest member of a
-set: boundary, micro-cluster and noise steps); ``nearest_earlier``
-(each point's nearest earlier point in a total order: δ); ``knn`` (k
-nearest neighbours: aSNNC); and ``eps_neighbors`` (the pairs closer
-than ε: DBSCAN).  On streamed coordinates of at most ``_TREE_MAX_DIM``
-dimensions the last three take candidates from a k-d tree (for ε-pairs,
-only past one block and when they are sparse), and the distances decide
-among them.  For δ and kNN a strict bound proves that no other point
-could win, and a point that fails it reads its row, as every point does
-without a tree; δ without a tree reads each point's distances to the
-points before it in the order, and ε-pairs without a tree come from one
-pass over the upper row blocks.  Both sources give the same answer
-bitwise.  The d_c percentile comes from an exact selection inside a
-bracket read off a fixed sample of pairs (a splitmix64 stream, so no
-held run loads ``numpy.random``), in one counting pass as a rule,
-never from sorting all N(N-1)/2 distances: held, the pass reads the
-upper row blocks; streamed, it computes only the pairs within reach of
-the bracket's upper end along the widest coordinate.  The fill, every
-row-block pass and the tile pass (by segments of rows) spread their
-blocks over one thread per core the process may run on from
-``_POOL_MIN_BLOCKS`` tasks on; each block is computed as on one thread,
-so no result depends on the core count.
-A k-d tree query spreads over those cores from ``_TREE_POOL_MIN`` points.
-``map_rows`` lends that pool and block size to passes over other arrays
-(aSNNC's shared-neighbour counts).
+distance, ``_scan`` the one reader of ranges of them but ρ's tiles
+(``row_sums``), and every query goes through one of its methods.  On
+streamed coordinates of at most ``_TREE_MAX_DIM`` dimensions, δ and
+kNN take candidates from a k-d tree, and a strict bound proves that no
+other point could win; d_c's count and DBSCAN's ε-pairs read only the
+pairs within reach of their radius along the widest coordinate
+(``_window``).  Every pass spreads its blocks over one thread per core
+the process may run on from ``_POOL_MIN_BLOCKS`` tasks on, and a k-d
+tree query from ``_TREE_POOL_MIN`` points; each block is computed as on
+one thread, so no result depends on the core count.  ``map_rows``
+lends that pool to passes over other arrays (aSNNC's shared-neighbour
+counts).
 """
 
 from __future__ import annotations
@@ -97,9 +74,8 @@ _TREE_POOL_MIN = 1024
 _TILE = 512
 _SEGMENTS = 64
 _LEAF = 128  # NumPy sums a node of at most 128 columns without a split
-_SPARSE_SHARE = 32  # the k-d tree finds ε-pairs up to m²/32 ordered pairs
-_TREE_MAX_DIM = 5  # and only up to 5 coordinates; past that the scan is faster
-_MARGIN = 1 + 2.0**-20  # tree radius over eps (see ``eps_neighbors``)
+_TREE_MAX_DIM = 5  # δ's and kNN's k-d tree serves up to 5 coordinates
+_MARGIN = 1 + 2.0**-20  # a bound widened past ``cdist``'s rounding (``_window``)
 _SHRINK = 1 - 2.0**-20  # bound over the last tree distance (see ``_candidates``)
 _CANDIDATES = 16  # tree candidates of a point for δ, besides itself
 _KNN_EXTRA = 4  # and for its k nearest, besides itself and k
@@ -179,7 +155,7 @@ class EpsNeighbors(NamedTuple):
 
     i: np.ndarray  # the lower position of each pair
     j: np.ndarray  # the higher one
-    source: str  # "tree" or "matrix"
+    source: str  # "window" or "matrix"
 
 
 class CondensedDistances:
@@ -329,46 +305,33 @@ class CondensedDistances:
 
     def eps_neighbors(self, pts: np.ndarray, eps: float) -> EpsNeighbors:
         """The pairs of positions i < j in the ascending point subset
-        ``pts`` with dist(pts[i], pts[j]) < eps.
+        ``pts`` with dist(pts[i], pts[j]) < eps, as int32.
 
-        Held distances, and a subset whose m-by-m block fits in
-        ``_BLOCK_CELLS`` cells or that has more than ``_TREE_MAX_DIM``
-        coordinates, are read by upper row blocks, half of its pairs,
-        once.  Past one block of streamed coordinates a k-d tree proposes
-        the pairs when at most m²/``_SPARSE_SHARE`` ordered pairs lie
-        within its reach.
-        The distances decide every pair either way, so both sources give
-        the same pairs bitwise, in their own order.
+        One pass over upper row blocks of the subset's distances: on
+        streamed coordinates those within reach of eps along the subset's
+        widest coordinate (``_window``), else the whole upper triangle.
+        The distances decide every pair either way, so both give the same
+        pairs bitwise, in their own order.  Each pass logs its points, the
+        pairs kept, the block cells and the window's coordinate, or the
+        whole triangle.
         """
         m = len(pts)
-        # The tree and ``cdist`` round their distances differently, by a
-        # few ulps.  The tree's radius r is eps (in scaled units) widened
-        # by 2^-20, which only has to cover that difference, so every pair
-        # below eps is proposed; the distances then keep exactly those.
-        # r² must be a normal float, so that the squared distances the
-        # tree compares keep their relative precision.
-        r = eps * self.scale * _MARGIN
-        tiny = np.finfo(np.float64).tiny
-        if m * m > _BLOCK_CELLS and self._treeable() and r * r >= tiny:
-            from scipy.spatial import cKDTree
+        axis, order, ends = self._window(eps, pts) or (None, np.arange(m), None)
 
-            tree = cKDTree(self.points[pts])
-            if tree.count_neighbors(tree, r) * _SPARSE_SHARE <= m * m:
-                ij = tree.query_pairs(r, output_type="ndarray")
-                keep = np.empty(len(ij), dtype=bool)
-                for c in _slices(len(ij), 4):  # ``_BLOCK_CELLS``/4 pairs at a time
-                    np.less(self._pairs(pts[ij[c, 0]], pts[ij[c, 1]]), eps, out=keep[c])
-                i, j = (ij[keep, side].astype(np.int32) for side in (0, 1))
-                return EpsNeighbors(i, j, "tree")
+        def upper(r: slice, block: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+            i, j = order[np.stack(np.nonzero(np.triu(block < eps, 1))) + r.start]
+            lo, hi = np.minimum(i, j), np.maximum(i, j)  # positions in ``pts``
+            return lo.astype(np.int32), hi.astype(np.int32), block.size
 
-        def upper(r: slice, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            i, j = np.nonzero(np.triu(block < eps, 1))
-            return i.astype(np.int32) + r.start, j.astype(np.int32) + r.start
-
-        found = self._scan(upper, pts, np.arange(m))
+        found = self._scan(upper, pts[order], np.arange(m), ends)
         none = np.empty(0, dtype=np.int32)  # the pairs of an empty subset
         i, j = (np.concatenate([none, *(f[side] for f in found)]) for side in (0, 1))
-        return EpsNeighbors(i, j, "matrix")
+        log.debug(
+            "eps-pairs: %d points, Eps=%r, %d pairs kept, %d block cells, %s",
+            m, eps, len(i), sum(f[2] for f in found),
+            "whole triangle" if axis is None else "window along coordinate %d" % axis,
+        )
+        return EpsNeighbors(i, j, "matrix" if axis is None else "window")
 
     @staticmethod
     def map_rows(fn: Callable[[slice], object], size: int, width: int) -> list:
@@ -457,27 +420,31 @@ class CondensedDistances:
         )
         return _fold(sums, coarse, 0, n)
 
-    def _window(self, hi: float) -> tuple[int, np.ndarray, np.ndarray] | None:
-        """For streamed coordinates and a normal float ``hi``: the widest
-        coordinate a, the order of the points along it, and for each
-        position p in that order the end of its window, one past the last
-        position within reach of p along a.  Every pair farther apart
-        along a than the reach is farther apart than hi, so a pass that
-        counts the distances up to hi may skip it.  None where the whole
-        triangle is read: held distances, read by slices, and hi inf or
-        not a normal float."""
-        if self._cdist is None or not np.finfo(np.float64).tiny <= hi < math.inf:
+    def _window(
+        self, hi: float, pts: np.ndarray
+    ) -> tuple[int, np.ndarray, np.ndarray] | None:
+        """For streamed coordinates, a point subset ``pts`` and a normal
+        float ``hi``: the subset's widest coordinate a, the order of its
+        positions along it, and for each position p in that order the end
+        of its window, one past the last position within reach of p along
+        a.  Every pair farther apart along a than the reach is farther
+        apart than hi, so a pass that reads the distances up to hi may
+        skip it.  None where the whole triangle is read: held distances,
+        an empty subset, and hi inf or not a normal float."""
+        tiny = np.finfo(np.float64).tiny
+        if self._cdist is None or not len(pts) or not tiny <= hi < math.inf:
             return None
-        pts = self.points
-        axis = int(np.argmax(np.ptp(pts, axis=0)))
-        order = np.argsort(pts[:, axis], kind="stable")
-        x = pts[order, axis]
+        x = self.points[pts]
+        axis = int(np.argmax(np.ptp(x, axis=0)))
+        order = np.argsort(x[:, axis], kind="stable")
+        x = x[order, axis]
         # ``cdist``'s value is at least the gap along one coordinate less a
-        # few ulps, which hi widened by 2^-20 covers, as in ``eps_neighbors``.
-        # Four ulps of the largest coordinate cover the rounding of x + reach,
-        # and gaps too small for their squares to keep their precision (below
-        # 2^-511; the largest coordinate of scaled points is 2^-256 or more).
-        reach = hi * self.scale * _MARGIN + 4.0 * float(np.spacing(np.abs(pts).max()))
+        # few ulps, which hi widened by 2^-20 covers.  Four ulps of the
+        # largest coordinate cover the rounding of x + reach, and gaps too
+        # small for their squares to keep their precision (below 2^-511).
+        # That coordinate is taken over all points, 2^-256 or more once
+        # scaled; a subset's own may be smaller than such a gap.
+        reach = hi * self.scale * _MARGIN + 4.0 * float(np.spacing(np.abs(self.points).max()))
         return axis, order, np.searchsorted(x, x + reach, side="right")
 
     def row(self, i: int) -> np.ndarray:
@@ -528,8 +495,7 @@ class CondensedDistances:
         every point is a candidate; and 0, which no distance is below,
         where it or its square in tree units is not a normal float, as
         its relative precision is then lost.  None, so that the caller
-        reads the rows, where no tree may serve (``_treeable``), as
-        ``eps_neighbors`` scans there too.
+        reads the rows, where no tree may serve (``_treeable``).
         """
         if not self._treeable():
             return None
@@ -710,7 +676,7 @@ class CondensedDistances:
                     held.append(v[(lo < v) & (v < hi)])
                 return below, at_lo, at_hi, held, block.size
 
-            axis, order, ends = self._window(hi) or (None, None, None)
+            axis, order, ends = self._window(hi, np.arange(self.n)) or (None, None, None)
             counts = self._scan(count, order, np.arange(self.n), ends)
             below, at_lo, at_hi = (sum(c[i] for c in counts) for i in range(3))
             held = np.concatenate([v for c in counts for v in c[3]])

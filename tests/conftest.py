@@ -48,7 +48,9 @@ def distances(datasets):
 
 def streamed(points):
     """The distances of ``points`` streamed, however few they are:
-    ``cdist`` computes them, and a k-d tree may propose neighbours."""
+    ``cdist`` computes them, a k-d tree may propose δ's and kNN's
+    candidates, and d_c's count and the ε-pairs read a window along the
+    widest coordinate."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(vdpc.dataset, "_HOLD_LIMIT", 0)
         return pairwise_distances(Dataset(points=points))
@@ -63,16 +65,13 @@ def streamed_distances(datasets):
 
 @contextlib.contextmanager
 def forcing(source):
-    """``eps_neighbors`` with the tree (past one block, at any share and
-    dimension, on streamed distances) or the matrix forced as its
-    source."""
+    """``eps_neighbors`` as it is ("window": streamed distances and a
+    normal Eps take the window) or with the whole triangle forced
+    ("matrix")."""
     with pytest.MonkeyPatch.context() as mp:
-        if source == "tree":
-            mp.setattr(vdpc.dataset, "_BLOCK_CELLS", 0)
-            mp.setattr(vdpc.dataset, "_SPARSE_SHARE", 0)
-            mp.setattr(vdpc.dataset, "_TREE_MAX_DIM", 1 << 30)
-        else:
-            mp.setattr(vdpc.dataset, "_TREE_MAX_DIM", 0)
+        if source == "matrix":
+            mp.setattr(vdpc.dataset.CondensedDistances, "_window",
+                       lambda self, hi, pts: None)
         yield
 
 

@@ -168,10 +168,14 @@ class TestDbscan:
             dbscan(cd_of([[0.0, x] for x in range(200)]),
                    DbscanParams(eps=1.5, minpts=3))
         assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("vdpc", logging.DEBUG, "eps-pairs: 7 points, Eps=0.75, 4 pairs kept, "
+             "49 block cells, whole triangle"),
             ("vdpc", logging.DEBUG, "dbscan on 7 points: Eps=0.75 MinPts=3, "
-             "4 pairs within Eps (matrix source)"),
+             "4 pairs within Eps"),
+            ("vdpc", logging.DEBUG, "eps-pairs: 200 points, Eps=1.5, 199 pairs kept, "
+             "40000 block cells, whole triangle"),
             ("vdpc", logging.DEBUG, "dbscan on 200 points: Eps=1.5 MinPts=3, "
-             "199 pairs within Eps (matrix source)"),
+             "199 pairs within Eps"),
         ]
 
     def test_matches_naive_oracle(self):

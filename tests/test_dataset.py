@@ -30,7 +30,8 @@ from vdpc import (
 from vdpc.baselines import _dbscan_labels
 from vdpc.density import delta_and_neighbors, local_density
 
-from conftest import BEST_PARAMS, forcing, pair_keys, random_points, streamed
+from conftest import (BEST_PARAMS, density_mix, forcing, pair_keys, random_points,
+                      streamed)
 from oracles import full_matrix, loop_delta_and_neighbors, loop_knn_sets
 
 
@@ -246,10 +247,11 @@ class TestBlocks:
 
     @pytest.mark.parametrize("block_cells", [1, 3000])
     def test_blocks_join_into_direct_indexing(self, monkeypatch, block_cells):
-        # The five forms of the passes: whole rows (ρ, the zero count), the
+        # The six forms of the passes: whole rows (ρ, the zero count), the
         # upper triangle (the d_c count, the largest distance), the lower
-        # triangle in an order (δ), the upper triangle of a subset (ε-pairs)
-        # and a window along a sorted coordinate (the streamed d_c count).
+        # triangle in an order (δ), the upper triangle of a subset (held
+        # ε-pairs) and a window along a sorted coordinate, of every point or
+        # of a subset (the streamed d_c count and ε-pairs).
         monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", block_cells)
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(150, 2))
@@ -257,13 +259,17 @@ class TestBlocks:
         sq = held._square
         every, order = np.arange(150), rng.permutation(150)
         subset = np.sort(order[:100])
-        _, along, ends = streamed(pts)._window(float(np.quantile(sq, 0.1)))
+        hi = float(np.quantile(sq, 0.1))
+        _, along, ends = streamed(pts)._window(hi, every)
+        _, sub_along, sub_ends = streamed(pts)._window(hi, subset)
         forms = [  # ``_scan``'s arguments, and the order, begin and end they mean
             ((), every, 0, 150),
             ((None, every), every, every, 150),
             ((order, None, every + 1), order, 0, every + 1),
             ((subset, np.arange(100)), subset, np.arange(100), 100),
             ((along, every, ends), along, every, ends),
+            ((subset[sub_along], np.arange(100), sub_ends), subset[sub_along],
+             np.arange(100), sub_ends),
         ]
         for cd in (held, streamed(pts)):
             for args, p, begin, end in forms:
@@ -575,6 +581,7 @@ def forced(cd, pts, eps, source):
     with forcing(source):
         nb = cd.eps_neighbors(pts, eps)
     assert nb.source == source
+    assert nb.i.dtype == nb.j.dtype == np.int32
     return nb
 
 
@@ -584,34 +591,40 @@ def sizes(nb, m):
 
 
 def both_sources(cd, pts, eps):
-    """The ε-pairs of ``pts`` from the tree and from the matrix, each
-    forced, checked equal to the matrix's strict upper triangle; returns
-    the tree's."""
+    """The ε-pairs of ``pts`` from the window and from the whole triangle,
+    each as int32 positions and as a set equal to the matrix's strict
+    upper triangle; returns the window's."""
     m = len(pts)
     i, j = np.nonzero(np.triu(full_matrix(cd)[np.ix_(pts, pts)] < eps, 1))
     want = (i * m + j).tobytes()
-    tree = forced(cd, pts, eps, "tree")
-    assert pair_keys(tree, m).tobytes() == want
+    window = forced(cd, pts, eps, "window")
+    assert pair_keys(window, m).tobytes() == want
     assert pair_keys(forced(cd, pts, eps, "matrix"), m).tobytes() == want
-    return tree
+    return window
 
 
 def assert_same_labels(cd, eps, minpts_values):
-    """``_dbscan_labels`` over all points is bitwise the same with the
-    tree forced and with the matrix forced."""
+    """``_dbscan_labels`` over all points is bitwise the same from the
+    window and from the whole triangle."""
     pts = np.arange(cd.n)
     labels = {}
-    for source in ("tree", "matrix"):
+    for source in ("window", "matrix"):
         with forcing(source):
             assert cd.eps_neighbors(pts, eps).source == source
             labels[source] = [_dbscan_labels(cd, pts, eps, minpts).tobytes()
                               for minpts in minpts_values]
-    assert labels["tree"] == labels["matrix"]
+    assert labels["window"] == labels["matrix"]
 
 
-class NoPairs(cKDTree):
-    def query_pairs(self, *args, **kwargs):
-        raise AssertionError("the tree was asked for pairs")
+class NoTree(cKDTree):
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a k-d tree was built")
+
+
+def eps_passes(caplog):
+    """(points, Eps, pairs kept, block cells, source) of each ε-pair pass
+    logged."""
+    return [r.args for r in caplog.records if r.msg.startswith("eps-pairs")]
 
 
 class TestEpsNeighbors:
@@ -622,8 +635,9 @@ class TestEpsNeighbors:
                 np.int32, np.int32, 0, 0)
 
     def test_held_distances_never_use_the_tree(self, distances, monkeypatch):
-        monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)  # past one block
-        monkeypatch.setattr(scipy.spatial, "cKDTree", NoPairs)
+        # nor the window: held distances read the whole triangle
+        monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)  # many blocks
+        monkeypatch.setattr(scipy.spatial, "cKDTree", NoTree)
         cd = distances["flame"]
         sparse = float(np.quantile(full_matrix(cd), 0.01, method="lower"))
         assert cd.eps_neighbors(np.arange(cd.n), sparse).source == "matrix"
@@ -659,7 +673,7 @@ class TestEpsNeighbors:
         cd = streamed(pts)
         upper = full_matrix(cd)[np.triu_indices(cd.n, 1)]
         # quantiles tie with a pair; one ulp above a distance keeps the
-        # pair, whose tree distance may round either side of eps
+        # pair, which may lie at the very end of the window's reach
         eps_values = [float(np.quantile(upper, q, method="lower"))
                       for q in (0.005, 0.03, 0.1)]
         eps_values += [float(np.nextafter(d, np.inf))
@@ -671,21 +685,26 @@ class TestEpsNeighbors:
 
     def test_precomputed_distances_never_use_the_tree(self, datasets, tmp_path,
                                                       monkeypatch):
+        # nor the window: without coordinates the whole triangle is read
         ds = datasets["flame"]
         path = tmp_path / "d.txt"
         path.write_text("\n".join(map(repr, pdist(ds.points).tolist())))
         want = dbscan(pairwise_distances(ds), DbscanParams(1.0, 4))
-        monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)  # past one block
-        monkeypatch.setattr(scipy.spatial, "cKDTree", NoPairs)
+        monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)  # many blocks
+        monkeypatch.setattr(scipy.spatial, "cKDTree", NoTree)
         cd = load_condensed_matrix(path, ds.n)
         assert cd.points is None
         assert cd.eps_neighbors(np.arange(ds.n), 1.0).source == "matrix"
         np.testing.assert_array_equal(dbscan(cd, DbscanParams(1.0, 4)), want)
 
-    def test_dense_eps_never_uses_the_tree(self, streamed_distances, monkeypatch):
-        monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)  # past one block
-        monkeypatch.setattr(scipy.spatial, "cKDTree", NoPairs)
+    def test_no_eps_builds_a_tree(self, streamed_distances, monkeypatch):
+        # sparse, or spanning the whole set, streamed ε-pairs read the window
+        monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)  # many blocks
+        monkeypatch.setattr(scipy.spatial, "cKDTree", NoTree)
         for cd in streamed_distances.values():
+            sparse = float(np.quantile(full_matrix(cd), 0.01, method="lower"))
+            for eps in (sparse, cd.max_distance, 2 * cd.max_distance):
+                assert cd.eps_neighbors(np.arange(cd.n), eps).source == "window"
             for eps in (cd.max_distance, 2 * cd.max_distance):
                 labels = dbscan(cd, DbscanParams(eps, 2))
                 assert labels.min() == 0  # no noise once eps spans the set
@@ -694,91 +713,79 @@ class TestEpsNeighbors:
     def test_a_subset_that_fits_one_block_is_read_once(self, streamed_distances,
                                                        monkeypatch, block_cells):
         # flame's 240 points fit one block of 2^18 cells: any eps reads it
-        # once and builds no tree; past one block (1,000 cells) the tree
-        # counts the pairs first, a dense eps reads the upper row blocks
-        # and a sparse one none
+        # once; past one block (1,000 cells) a sparse eps's window computes
+        # fewer cells than a dense one's, in blocks within the bound
+        cd = streamed_distances["flame"]
+        full = full_matrix(cd)
+        sparse = float(np.quantile(full, 0.01, method="lower"))
         if block_cells is not None:
             monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", block_cells)
-        cd = streamed_distances["flame"]
-        pts = np.arange(cd.n)
-        sparse = float(np.quantile(full_matrix(cd), 0.01, method="lower"))
-        built, reads = [], []
+        block, reads = CondensedDistances._block, []
 
-        class Counted(cKDTree):
-            def __init__(self, *args, **kwargs):
-                built.append(1)
-                super().__init__(*args, **kwargs)
+        def counted(self, *args):
+            out = block(self, *args)
+            reads.append(out.shape)
+            return out
 
-        block = CondensedDistances._block
-        monkeypatch.setattr(scipy.spatial, "cKDTree", Counted)
-        monkeypatch.setattr(CondensedDistances, "_block",
-                            lambda self, *a, **k: reads.append(1) or block(self, *a, **k))
-        fits = block_cells is None
-        # the upper row blocks of the 240 points under ``_scan``'s rule
-        blocks = 1 if fits else len(vdpc.dataset._slices(cd.n, cd.n + math.isqrt(block_cells)))
-        for eps, read in ((cd.max_distance / 2, blocks), (sparse, 0)):
-            nb = cd.eps_neighbors(pts, eps)
-            assert nb.source == ("matrix" if fits or read else "tree")
-            assert (built, len(reads)) == (([], 1) if fits else ([1], read))
-            assert len(nb.i) == np.count_nonzero(np.triu(full_matrix(cd) < eps, 1))
-            built.clear(), reads.clear()
+        monkeypatch.setattr(CondensedDistances, "_block", counted)
+        cells = []
+        for eps in (cd.max_distance / 2, sparse):
+            nb = cd.eps_neighbors(np.arange(cd.n), eps)
+            assert nb.source == "window"
+            assert len(nb.i) == np.count_nonzero(np.triu(full < eps, 1))
+            if block_cells is None:
+                assert reads == [(cd.n, cd.n)]
+            else:
+                assert len(reads) > 1
+                assert all(r == 1 or r * c <= block_cells for r, c in reads)
+            cells.append(sum(r * c for r, c in reads))
+            reads.clear()
+        if block_cells is not None:
+            assert cells[1] < cells[0]
 
-    def test_sparse_bundled_level_uses_the_tree(self, datasets, monkeypatch,
-                                                caplog):
-        # pathbased's levels fit one block; with blocks of 1,000 cells they
-        # are past one, and the tree proposes the pairs of its sparse level
+    def test_sparse_bundled_level_uses_the_window(self, datasets, monkeypatch,
+                                                  caplog):
+        # pathbased's streamed levels read a window along a coordinate, in
+        # blocks of 1,000 cells, and give the held run's labels
         cd = pairwise_distances(datasets["pathbased"])
         params = VdpcParams(0.4, 4.2)
         want = vdpc_run(cd, params)
         monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)
         caplog.set_level(logging.DEBUG, logger="vdpc")
         got = vdpc_run(streamed(datasets["pathbased"].points), params)
-        sources = [r.args[-1] for r in caplog.records if r.msg.startswith("dbscan")]
+        passes = eps_passes(caplog)
         assert got.derivations  # the level went through DBSCAN
-        assert sources == ["tree"] * len(got.derivations)
+        assert len(passes) == len(got.derivations)
+        for (m, eps, _, cells, source), (_, d) in zip(passes, got.derivations):
+            assert eps == d.eps and source == "window along coordinate 0"
+            assert cells < m * (m - 1) // 2
         assert got.labels.tobytes() == want.labels.tobytes()
 
-    def test_tree_pairs_are_checked_in_chunks(self, monkeypatch):
-        # A streamed 20-by-20 grid at eps = sqrt(2): the tree proposes the
-        # 760 axis pairs and the 722 diagonal ones, at exactly eps, and
-        # checks their distances ``_BLOCK_CELLS``/4 pairs at a time.  Chunks
-        # of one pair, of three and one chunk for all keep the same 760
-        # pairs bitwise, as int32 positions, which the matrix source finds.
-        pts = np.array([(x, y) for x in range(20) for y in range(20)], float)
-        cd, every, eps = streamed(pts), np.arange(400), math.sqrt(2.0)
-        pairs, chunks = CondensedDistances._pairs, []
-        monkeypatch.setattr(CondensedDistances, "_pairs", lambda self, i, j, **k:
-                            chunks.append(len(i)) or pairs(self, i, j, **k))
-        found = []
-        for cells in (0, 12, 1 << 16):  # past one block of the 400 points
-            with forcing("tree"), pytest.MonkeyPatch.context() as mp:
-                mp.setattr(vdpc.dataset, "_BLOCK_CELLS", cells)
-                chunks.clear()
-                nb = cd.eps_neighbors(every, eps)
-            assert nb.source == "tree" and nb.i.dtype == nb.j.dtype == np.int32
-            found.append((nb.i.tobytes(), nb.j.tobytes()))
-            assert (max(chunks), len(chunks)) == {
-                0: (1, 1482), 12: (3, 494), 1 << 16: (1482, 1)}[cells]
-        assert found[0] == found[1] == found[2]
-        matrix = forced(cd, every, eps, "matrix")
-        assert matrix.i.dtype == matrix.j.dtype == np.int32
-        assert len(nb.i) == 760
-        assert pair_keys(nb, 400).tobytes() == pair_keys(matrix, 400).tobytes()
-
-    def test_many_coordinates_use_the_matrix(self, monkeypatch):
-        monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)  # past one block
-        pts = random_points(np.random.default_rng(0), 200, 64)
+    def test_a_level_too_dense_for_a_tree_takes_the_window(self, caplog):
+        # the dense level of a 3,000-point density mix: 1,500 points, more
+        # than 1/32 of whose ordered pairs lie within Eps; its window along
+        # x computes fewer cells than the upper triangle holds and keeps
+        # the same pairs
+        pts, _ = density_mix(3000)
         cd = streamed(pts)
-        eps = float(np.quantile(full_matrix(cd), 0.02))  # sparse, but 64-D
-        assert cd.eps_neighbors(np.arange(cd.n), eps).source == "matrix"
+        caplog.set_level(logging.DEBUG, logger="vdpc")
+        run = vdpc_run(cd, VdpcParams(2.0, 2.0))
+        ((level, d),) = run.derivations
+        sub = np.flatnonzero(run.point_level == level)
+        ((m, eps, kept, cells, source),) = eps_passes(caplog)
+        assert (level, m, eps) == (2, len(sub), d.eps) and m == 1500
+        assert source == "window along coordinate 0"
+        assert (2 * kept + m) * 32 > m * m and m * m > vdpc.dataset._BLOCK_CELLS
+        assert cells < m * (m - 1) // 2
+        assert len(both_sources(cd, sub, eps).i) == kept
 
-    def test_radius_too_small_to_square_uses_the_matrix(self, streamed_distances,
-                                                        monkeypatch):
-        monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)  # past one block
+    def test_radius_too_small_to_square_uses_the_matrix(self, streamed_distances):
+        # a subnormal eps reads the whole triangle; 1e-160, whose square
+        # underflows but which is a normal float, takes the window
         cd = streamed_distances["flame"]
-        nb = cd.eps_neighbors(np.arange(cd.n), 1e-160)  # eps² underflows
-        assert nb.source == "matrix"
-        assert len(nb.i) == len(nb.j) == 0
+        for eps, source in ((1e-310, "matrix"), (1e-160, "window")):
+            nb = cd.eps_neighbors(np.arange(cd.n), eps)
+            assert (nb.source, len(nb.i), len(nb.j)) == (source, 0, 0)
 
 
 class TestPowerOfTwoScale:
@@ -787,10 +794,10 @@ class TestPowerOfTwoScale:
     def test_scaled_points_give_scaled_distances_and_equal_labels(
             self, datasets, name, e, caplog, monkeypatch):
         # held, the rows serve δ and kNN and the matrix the ε-pairs;
-        # streamed, the tree does
+        # streamed, the tree serves δ and kNN and the window the ε-pairs
         ds, f = datasets[name], 2.0 ** e
         for build, sources in ((pairwise_distances, ("rows", "matrix")),
-                               (lambda ds: streamed(ds.points), ("tree", "tree"))):
+                               (lambda ds: streamed(ds.points), ("tree", "window"))):
             caplog.clear()
             caplog.set_level(logging.DEBUG, logger="vdpc")
             with monkeypatch.context() as mp:
@@ -817,7 +824,7 @@ class TestPowerOfTwoScale:
         assert [d.eps for _, d in got.derivations] == [
             d.eps * f for _, d in want.derivations]
         eps = float(np.quantile(full_matrix(cd), 0.02, method="lower"))
-        monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)  # past one block
+        monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)  # many blocks
         nb, nb_f = (c.eps_neighbors(np.arange(ds.n), x)
                     for c, x in ((cd, eps), (cd_f, eps * f)))
         assert nb_f.source == sources[1]

@@ -35,7 +35,7 @@ from vdpc.vdpc import (
     reassign_boundary,
 )
 
-from conftest import forcing, streamed
+from conftest import forcing, pair_keys, streamed
 from oracles import (
     csgraph_components,
     full_matrix,
@@ -129,11 +129,11 @@ def test_sample_pairs_are_distinct_points_in_range_on_every_call(n, s):
 
 @st.composite
 def window_points(draw):
-    """2 to 40 points for d_c's window: on a 4-wide integer grid (ties and
-    coincident points) or any floats in [-4, 4], perhaps all at one x, and
-    then offset by 2^40 or scaled by 2^600 or 2^-600 (through the
-    power-of-two rescale)."""
-    n, dim = draw(st.integers(2, 40)), draw(st.integers(1, 3))
+    """2 to 40 points of 1 to 8 coordinates for the window: on a 4-wide
+    integer grid (ties and coincident points) or any floats in [-4, 4],
+    perhaps all at one x, and then offset by 2^40 or scaled by 2^600 or
+    2^-600 (through the power-of-two rescale)."""
+    n, dim = draw(st.integers(2, 40)), draw(st.integers(1, 8))
     cell = st.integers(0, 3).map(float) if draw(st.booleans()) else st.floats(-4, 4)
     pts = np.reshape(draw(st.lists(cell, min_size=n * dim, max_size=n * dim)), (n, dim))
     if draw(st.booleans()):
@@ -160,30 +160,38 @@ def upper_at_most(cd, hi, window):
 # The streamed count sorts the points along their widest coordinate and
 # skips the pairs beyond hi's reach along it; every pair up to hi must
 # still be counted once, so each selection equals the full sort, whatever
-# the bracket, also when it misses and widens to the whole triangle.
+# the bracket, also when it misses and widens to the whole triangle.  The
+# ε-pairs of a subset read its own window: at Eps a distance, pairs tie at
+# Eps, and they equal the whole triangle's as a set.
 @pytest.mark.parametrize("workers", [1, 2, 8])
 @given(st.data())
 def test_windowed_count_equals_the_whole_triangle(workers, data):
     pts = data.draw(window_points())
     cd = streamed(pts)
     n, m = len(pts), len(pts) * (len(pts) - 1) // 2
-    ordered = np.sort(full_matrix(pairwise_distances(Dataset(points=pts)))[
-        np.triu_indices(n, 1)])
+    full = full_matrix(pairwise_distances(Dataset(points=pts)))
+    ordered = np.sort(full[np.triu_indices(n, 1)])
     values = sorted(set(ordered.tolist()))
     tiny = np.finfo(np.float64).tiny
     bracket = vdpc.dataset._bracket
     lo, hi = sorted(data.draw(st.lists(st.sampled_from(values), min_size=2,
                                        max_size=2)))
     ks = sorted({1, m, data.draw(st.integers(1, m))})
+    sub = subset(data.draw, n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
         mp.setattr(vdpc.dataset, "_BLOCK_CELLS",
                    data.draw(st.sampled_from([1, 7, 40, 1 << 18])))
         for end in (hi, math.inf):
-            window = cd._window(end)
+            window = cd._window(end, np.arange(n))
             assert (window is None) == (not tiny <= end < math.inf)
             assert (upper_at_most(cd, end, window).tobytes()
                     == ordered[ordered <= end].tobytes())
+        for eps in (lo, hi):
+            i, j = np.nonzero(np.triu(full[np.ix_(sub, sub)] < eps, 1))
+            nb = cd.eps_neighbors(sub, eps)
+            assert nb.source == ("window" if len(sub) and eps >= tiny else "matrix")
+            assert pair_keys(nb, len(sub)).tobytes() == (i * len(sub) + j).tobytes()
         assert [cd.kth_smallest(k) for k in ks] == [ordered[k - 1] for k in ks]
         # a first bracket [lo, hi] on the distances themselves, pairs at
         # either end; where it misses the k-th, the real one widens
@@ -381,8 +389,8 @@ def test_streamed_equals_held(data):
             == cd.nearest(points, cols, rank).tobytes())
     eps = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
     a, b = cd.eps_neighbors(points, eps), streamed.eps_neighbors(points, eps)
-    assert (a.source, a.i.tolist(), a.j.tolist()) == (
-        b.source, b.i.tolist(), b.j.tolist())
+    assert (a.source, b.source) == ("matrix", "window")
+    assert pair_keys(a, len(points)).tobytes() == pair_keys(b, len(points)).tobytes()
 
 
 @given(st.data(), st.sampled_from([np.int32, np.int64]))
@@ -455,7 +463,7 @@ def test_dbscan_equals_the_textbook_expansion(data):
     whole = data.draw(st.booleans())
     points = np.arange(cd.n) if whole else subset(data.draw, cd.n, min_size=1)
     want = naive_dbscan(cd.points[points].tolist(), eps, minpts)
-    for source, distances in (("tree", streamed(cd.points)), ("matrix", cd)):
+    for source, distances in (("window", streamed(cd.points)), ("matrix", cd)):
         with forcing(source):
             assert distances.eps_neighbors(points, eps).source == source
             assert _dbscan_labels(distances, points, eps, minpts).tolist() == want

@@ -124,12 +124,11 @@ def assert_same_answers(held, streamed, pct, eps_quantiles=(0.01, 0.05)):
         eps = float(upper[int(q * len(upper))])  # a distance: pairs tie at eps
         for pts, cells in itertools.product((every, half), (None, 1000)):
             with pytest.MonkeyPatch.context() as mp:
-                if cells is not None:  # past one block, where a tree may serve
+                if cells is not None:  # many blocks
                     mp.setattr(vdpc.dataset, "_BLOCK_CELLS", cells)
                 a, b = held.eps_neighbors(pts, eps), streamed.eps_neighbors(pts, eps)
-            assert a.source == "matrix"  # the tree serves streamed distances only
-            if b.source == "matrix":  # the same pairs in the same order
-                assert a.i.tobytes() == b.i.tobytes() and a.j.tobytes() == b.j.tobytes()
+            # held, the whole triangle; streamed, the window: the same set
+            assert (a.source, b.source) == ("matrix", "window")
             assert pair_keys(a, n).tobytes() == pair_keys(b, n).tobytes()
     rank = np.empty(n, dtype=np.int64)
     rank[want[2]] = every
@@ -236,7 +235,9 @@ def test_the_window_reaches_a_gap_whose_square_underflows(monkeypatch):
     # 1e-160 squared is subnormal, so ``cdist`` gives the pair 6 ppm less
     # than its gap along x, below the gap less 2^-20; four ulps of the
     # largest coordinate still bring it into the window of the first pass
-    # (of one row per block)
+    # (of one row per block).  For the ε-pairs of the first two points
+    # alone that is the largest coordinate of all points, 1: four ulps of
+    # their own, 1e-160, would not reach the gap.
     pts = np.array([[0.0, 0.0], [1e-160, 0.0], [1.0, 0.0], [1.0, 0.5]])
     cd = build(pts, 0, monkeypatch)
     monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1)
@@ -246,19 +247,29 @@ def test_the_window_reaches_a_gap_whose_square_underflows(monkeypatch):
     monkeypatch.setattr(vdpc.dataset, "_bracket", lambda sample, k, m, width: (
         widths.append(width) or ((d, d) if width == 4.0 else (-np.inf, np.inf))))
     assert cd.kth_smallest(1) == d and widths == [4.0]
+    eps = float(np.nextafter(d, np.inf))
+    for sub in (np.arange(4), np.arange(2)):
+        nb = cd.eps_neighbors(sub, eps)
+        assert (nb.source, nb.i.tolist(), nb.j.tolist()) == ("window", [0], [1])
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
 def test_rho_pass_finds_the_largest_distance(workers, monkeypatch):
     # the windowed d_c count skips the farthest pairs, so ρ's full pass
-    # keeps the largest distance, and no pass of its own runs for δ
+    # keeps the largest distance, and no pass of its own runs for δ; tiles
+    # of at most 128 columns cut 600 rows into 8 segments, one task each,
+    # enough for the pool at 2 and 8 workers
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
-    monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 20 * 600)  # 30 row blocks
+    monkeypatch.setattr(vdpc.dataset, "_TILE", 128)
     pts, _ = density_mix(600)
     held, streamed = both(pts, monkeypatch)
     d_c = cutoff_distance(streamed, 2)
     assert streamed._max is None
-    local_density(streamed, d_c)
+    tasks, run = [], vdpc.dataset._map
+    with monkeypatch.context() as mp:
+        mp.setattr(vdpc.dataset, "_map", lambda fn, t: tasks.append(len(t)) or run(fn, t))
+        local_density(streamed, d_c)
+    assert tasks == [8] and tasks[0] >= vdpc.dataset._POOL_MIN_BLOCKS
     full = max(streamed._scan(lambda r, block: block.max()))
     assert streamed._max == full == held.max_distance
     calls = []
@@ -271,8 +282,8 @@ def test_streamed_t710_transients_stay_near_one_block_per_worker(t710, monkeypat
     # ``tracemalloc`` peaks with two worker threads, each computing 2 MB
     # blocks: d_c's counting pass and the values in its bracket; ρ's
     # kernel, which works in the block ``cdist`` returns; and DBSCAN on
-    # level 2 (9,993 points), whose tree pairs are checked by chunks and
-    # kept as int32 positions
+    # level 2 (9,993 points), whose window's pairs are kept by blocks as
+    # int32 positions
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     cd, run = t710
     ((level, derivation),) = run.derivations

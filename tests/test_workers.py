@@ -43,7 +43,7 @@ def results(pts, ks):
     order = np.random.default_rng(0).permutation(n)
     rank = np.empty(n, dtype=np.intp)
     rank[order] = every
-    nb = cd.eps_neighbors(every, d_c)  # pair keys: the tree's come in its order
+    nb = cd.eps_neighbors(every, d_c)  # pair keys: the window's come in its order
     return (full_matrix(cd).tobytes(), cd.max_distance,
             [cd.kth_smallest(k) for k in ks], local_density(cd, d_c).tobytes(),
             [v.tobytes() for v in cd.nearest_earlier(order)],
