@@ -18,17 +18,19 @@ streamed coordinates of at most ``_TREE_MAX_DIM`` dimensions, δ and
 kNN take candidates from a k-d tree, and a strict bound proves that no
 other point could win; d_c's count and DBSCAN's ε-pairs read only the
 pairs within reach of their radius along the widest coordinate
-(``_window``).  Every pass spreads its blocks over one thread per core
-the process may run on from ``_POOL_MIN_BLOCKS`` tasks on, and a k-d
-tree query from ``_TREE_POOL_MIN`` points; each block is computed as on
-one thread, so no result depends on the core count.  ``map_rows``
-lends that pool to passes over other arrays (aSNNC's shared-neighbour
-counts).
+(``_window``).  From ``_POOL_MIN_BLOCKS`` tasks on, every pass spreads
+its blocks over the calling thread and ``workers − 1`` pool threads,
+one thread per core the process may run on, and from ``_TREE_POOL_MIN``
+points a k-d tree query runs on every core; each block is computed as
+on one thread, so no result depends on the core count.  ``map_rows``
+lends those threads to passes over other arrays (aSNNC's
+shared-neighbour counts).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 import os
@@ -319,7 +321,9 @@ class CondensedDistances:
         axis, order, ends = self._window(eps, pts) or (None, np.arange(m), None)
 
         def upper(r: slice, block: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-            i, j = order[np.stack(np.nonzero(np.triu(block < eps, 1))) + r.start]
+            k, c = np.divmod(np.flatnonzero(block < eps), block.shape[1])
+            up = c > k  # the strict upper triangle, in C order
+            i, j = order[k[up] + r.start], order[c[up] + r.start]
             lo, hi = np.minimum(i, j), np.maximum(i, j)  # positions in ``pts``
             return lo.astype(np.int32), hi.astype(np.int32), block.size
 
@@ -336,10 +340,10 @@ class CondensedDistances:
     @staticmethod
     def map_rows(fn: Callable[[slice], object], size: int, width: int) -> list:
         """``[fn(r) for r in _slices(size, width)]``: row blocks of at most
-        ``_BLOCK_CELLS`` cells of ``width`` columns, spread over one thread
-        per core by ``_map`` as the passes over the distances are; ``fn``
-        may only read shared state or write the rows ``r`` of its own
-        output."""
+        ``_BLOCK_CELLS`` cells of ``width`` columns, spread over the calling
+        thread and ``workers − 1`` pool threads by ``_map`` as the passes
+        over the distances are; ``fn`` may only read shared state or write
+        the rows ``r`` of its own output."""
         return _map(fn, _slices(size, width))
 
     def row_sums(self, kernel: Callable[[np.ndarray, np.ndarray], object]) -> np.ndarray:
@@ -359,13 +363,13 @@ class CondensedDistances:
         row's segment sums are then added up the tree (``_fold``).  Past
         ``_SEGMENTS`` segments the sums are kept for coarser nodes, each
         folded from its tiles, so a pass holds at most ``_SEGMENTS``·n
-        floats of sums besides, per worker, one tile of at most
-        ``_TILE``² = ``_BLOCK_CELLS`` cells and a ``_LEAF``-row part of its
-        transpose.  One task per coarse segment of rows runs its tiles by
-        ``_map``; tasks write disjoint sums, so no result depends on the
-        core count.  A streamed pass also keeps the largest distance while
-        it is unknown.  Each pass logs its points, source, segments and
-        tiles.
+        floats of sums besides, per thread, one tile of at most
+        ``_TILE``² = ``_BLOCK_CELLS`` cells, whose transpose is summed down
+        its columns (``_column_sums``).  One task per coarse segment of
+        rows runs its tiles by ``_map``; tasks write disjoint sums, so no
+        result depends on the core count.  A streamed pass also keeps the
+        largest distance while it is unknown.  Each pass logs its points,
+        source, segments and tiles.
         """
         n = self.n
         width = _TILE
@@ -386,10 +390,8 @@ class CondensedDistances:
             terms = block if streamed else np.empty(block.shape)
             kernel(block, terms)
             across[:] = terms.sum(axis=1)
-            for c in range(0, terms.shape[1], _LEAF) if down is not None else ():
-                # the transpose, copied a bounded part at a time
-                part = np.ascontiguousarray(terms[:, c : c + _LEAF].T)
-                down[c : c + _LEAF] = part.sum(axis=1)
+            if down is not None:
+                down[:] = _column_sums(terms)
             return top
 
         def task(p: int) -> float:
@@ -734,6 +736,26 @@ def _nodes(a: int, b: int, width: int) -> list[tuple[int, int]]:
     return _nodes(a, h, width) + _nodes(h, b, width)
 
 
+def _column_sums(t: np.ndarray) -> np.ndarray:
+    """The sums down the columns of a C-contiguous ``t``, bitwise equal to
+    ``sum(axis=1)`` of its transpose without a transposed copy: NumPy's
+    pairwise tree walked over the rows.  A leaf sums every eighth row
+    into 8 accumulators in order, combines them pairwise, and adds the
+    rows past its last multiple of 8 in order."""
+    m = len(t)
+    if m > _LEAF:
+        h = _half(m)
+        return _column_sums(t[:h]) + _column_sums(t[h:])
+    e = m - m % 8
+    r = t[:e].reshape(-1, 8, t.shape[1]).sum(axis=0)  # zeros below 8 rows
+    for _ in range(3):  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        r = r[0::2] + r[1::2]
+    total = r[0]
+    for row in t[e:]:
+        total += row
+    return total
+
+
 def _fold(sums: np.ndarray, nodes: list[tuple[int, int]], a: int, b: int) -> np.ndarray:
     """The row sums over the node a..b of NumPy's pairwise tree, given in
     ``sums[c]`` the row sums over ``nodes[c]``, consecutive nodes covering
@@ -750,14 +772,36 @@ def _workers() -> int:
 
 
 def _map(fn: Callable, tasks: list) -> list:
-    """``[fn(t) for t in tasks]`` (row slices as a rule), spread over one
-    thread per core this process may run on; inline with one core or
-    fewer than ``_POOL_MIN_BLOCKS`` tasks.  NumPy and ``cdist`` release the
+    """``[fn(t) for t in tasks]`` (row slices as a rule), spread over the
+    calling thread and ``workers − 1`` pool threads, one thread per core
+    this process may run on; inline with one core or fewer than
+    ``_POOL_MIN_BLOCKS`` tasks.  Each pool thread is handed its first task
+    as it is submitted and the caller starts on task 0; then each thread
+    claims the next unclaimed task.  Once all have stopped, the error of
+    the lowest failed task is raised.  NumPy and ``cdist`` release the
     interpreter lock on a block, so the blocks of a pass run side by side."""
     workers = _workers()
     if workers < 2 or len(tasks) < _POOL_MIN_BLOCKS:
         return [fn(t) for t in tasks]
-    return list(_pool(os.getpid(), workers).map(fn, tasks))
+    out, errors = [None] * len(tasks), {}
+    claim = itertools.count(workers)  # one C call a claim: atomic under the GIL
+
+    def run(k: int) -> None:
+        while k < len(tasks):
+            try:
+                out[k] = fn(tasks[k])
+            except Exception as e:
+                errors[k] = e
+            k = next(claim)
+
+    pool = _pool(os.getpid(), workers - 1)
+    futures = [pool.submit(run, k) for k in range(1, workers)]
+    run(0)
+    for f in futures:
+        f.result()
+    if errors:
+        raise errors[min(errors)]
+    return out
 
 
 def _sample_size(m: int) -> int:

@@ -98,6 +98,20 @@ class TestRowSumTree:
                 a = np.exp(-np.square(a * 3))
             assert pairwise_row_sum(a).tobytes() == a.sum(axis=1).tobytes(), m
 
+    @pytest.mark.parametrize("cols", [1, 7, 128, 313])
+    @pytest.mark.parametrize("values", ["normal", "kernel"])
+    def test_column_sums_equal_the_oracle_of_the_transpose(self, values, cols):
+        # ``row_sums`` sums a tile's transpose down its columns
+        # (``_column_sums``); its leaves rest on NumPy adding the rows of
+        # an axis-0 sum in order, as its 8 accumulators do
+        rng = np.random.default_rng(cols)
+        for m in [*range(1, 301), 313, 512]:
+            a = rng.normal(size=(m, cols))
+            if values == "kernel":
+                a = np.exp(-np.square(a * 3))
+            got = vdpc.dataset._column_sums(a)
+            assert got.tobytes() == pairwise_row_sum(a.T).tobytes(), m
+
 
 def assert_same_answers(held, streamed, pct, eps_quantiles=(0.01, 0.05)):
     """d_c, ρ, δ, ``nneigh``, ``knn``, ``eps_neighbors``, ``nearest``,
@@ -279,11 +293,11 @@ def test_rho_pass_finds_the_largest_distance(workers, monkeypatch):
 
 
 def test_streamed_t710_transients_stay_near_one_block_per_worker(t710, monkeypatch):
-    # ``tracemalloc`` peaks with two worker threads, each computing 2 MB
-    # blocks: d_c's counting pass and the values in its bracket; ρ's
-    # kernel, which works in the block ``cdist`` returns; and DBSCAN on
-    # level 2 (9,993 points), whose window's pairs are kept by blocks as
-    # int32 positions
+    # ``tracemalloc`` peaks with two threads, each computing 2 MB blocks:
+    # d_c's counting pass and the values in its bracket; ρ's kernel, which
+    # works in the block ``cdist`` returns; δ's candidates from the k-d
+    # tree, 17 a point; and DBSCAN on level 2 (9,993 points), whose
+    # window's pairs are kept by blocks as int32 positions
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     cd, run = t710
     ((level, derivation),) = run.derivations
@@ -292,6 +306,7 @@ def test_streamed_t710_transients_stay_near_one_block_per_worker(t710, monkeypat
     stages = (
         ("kth_smallest", lambda: cutoff_distance(cd, 2), 10e6),
         ("local_density", lambda: local_density(cd, run.profile.d_c), 6e6),
+        ("delta_and_neighbors", lambda: delta_and_neighbors(cd, run.profile.rho), 8e6),
         ("_dbscan_labels", lambda: _dbscan_labels(
             cd, pts, derivation.eps, derivation.minpts), 11e6),
     )

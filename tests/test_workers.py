@@ -1,13 +1,15 @@
-"""The row-block passes run on a thread pool: the held fill, the d_c
-count, ρ, δ's triangle, ``nearest``, ``knn``'s row scan and the
-ε-pairs, held or streamed.  No result may depend on the number of
-worker threads, and no public function of the package may run off the
-main thread."""
+"""The row-block passes run on the calling thread and a thread pool: the
+held fill, the d_c count, ρ, δ's triangle, ``nearest``, ``knn``'s row
+scan and the ε-pairs, held or streamed.  No result may depend on the
+number of worker threads, and no public function of the package may run
+off the main thread."""
 
+import contextlib
 import importlib
 import os
 import sys
 import threading
+import time
 import types
 
 import numpy as np
@@ -150,6 +152,60 @@ def test_small_tree_queries_stay_on_the_calling_thread(monkeypatch):
     cd.knn(np.arange(limit - 1), 3)
     cd.knn(np.arange(limit), 3)
     assert spy.workers == [2, 1, 2]
+
+
+@contextlib.contextmanager
+def switching_often():
+    """Switch threads as often as the interpreter can, inside the block."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_map_shares_each_pass_with_the_calling_thread(monkeypatch, workers):
+    # the caller and workers - 1 pool threads each run a task of every
+    # pass; the tasks sleep, so every thread is free to claim one
+    cores(monkeypatch, workers)
+    tasks = list(range(3 * vdpc.dataset._POOL_MIN_BLOCKS))
+
+    def fn(t):
+        time.sleep(0.002)
+        return t, threading.current_thread()
+
+    with switching_often():
+        passes = [vdpc.dataset._map(fn, tasks) for _ in range(3)]
+    threads = {threading.main_thread()}
+    if workers > 1:
+        pool = vdpc.dataset._pool(os.getpid(), workers - 1)
+        assert pool._max_workers == len(pool._threads) == workers - 1
+        threads |= pool._threads
+    for got in passes:
+        assert [t for t, _ in got] == tasks
+        assert {thread for _, thread in got} == threads
+        assert got[0][1] is threading.main_thread()  # the caller starts on task 0
+
+
+@pytest.mark.parametrize("workers", [2, 8])
+def test_map_raises_the_lowest_error_once_every_thread_stops(monkeypatch, workers):
+    # task 3 fails after task 5 has, and the last task ends last of all
+    cores(monkeypatch, workers)
+    tasks = list(range(3 * vdpc.dataset._POOL_MIN_BLOCKS))
+    done = []
+
+    def fn(t):
+        time.sleep(0.02 if t in (3, tasks[-1]) else 0.002)
+        if t in (3, 5):
+            raise ValueError(t)
+        done.append(t)
+
+    with switching_often(), pytest.raises(ValueError) as raised:
+        vdpc.dataset._map(fn, tasks)
+    assert raised.value.args == (3,)
+    assert sorted(done) == [t for t in tasks if t not in (3, 5)]
 
 
 def fill_threads(monkeypatch):
