@@ -3,9 +3,10 @@
 These serve both as standalone baselines and as building blocks of the
 level-wise pipeline.  Labels are integer arrays; -1 marks noise and is
 only ever present in DBSCAN output.  DBSCAN and SNNC take the connected
-components of their graphs from one NumPy union (``_union``), and SNNC
-counts its shared neighbours from an inverted index of the kNN lists by
-row blocks, so the module needs NumPy alone.
+components of their graphs from one NumPy union (``_union``), numbered
+once by their smallest point (``_component_ids``), and SNNC counts its
+shared neighbours from an inverted index of the kNN lists by row
+blocks, so the module needs NumPy alone.
 """
 
 from __future__ import annotations
@@ -107,19 +108,14 @@ def _union(parent: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         lo, hi = np.minimum(a, b), np.maximum(a, b)
 
 
-def _component_ids(parent: np.ndarray) -> np.ndarray:
+def _component_ids(parent: np.ndarray, keep: np.ndarray | bool = True
+                   ) -> np.ndarray:
     """Component ids 0.. in the order of their smallest point, from each
-    point's root as ``_union`` leaves it."""
-    first = parent == np.arange(len(parent))
-    return (np.cumsum(first) - 1)[parent]
-
-
-def _components(m: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Connected components of the undirected graph on 0..m-1 with the
-    edges (i[e], j[e]), numbered 0.. in the order of their smallest point."""
-    # one dtype for ``parent`` and the values given to ``np.minimum.at``:
-    # a cast there makes it about 20 times slower; every point is a root yet
-    return _component_ids(_union(np.arange(m, dtype=np.result_type(i, j)), i, j))
+    point's root as ``_union`` leaves it; only the components whose root
+    the mask ``keep`` holds (all by default) are numbered, and the points
+    of the others get -1."""
+    first = (parent == np.arange(len(parent))) & keep
+    return np.where(first, np.cumsum(first) - 1, -1)[parent]
 
 
 def dpc_assign(profile: DensityProfile, centers: np.ndarray) -> np.ndarray:
@@ -150,22 +146,27 @@ def _dbscan_labels(
     A core point has at least ``minpts`` points of ``pts`` (itself
     included) at distance strictly below ``eps``.  Clusters are the
     connected components of the core points joined within eps, numbered
-    by their smallest core point; a non-core point within eps of a core
-    point takes the lowest cluster among its core neighbours; the others
-    stay noise (-1).  These are the labels of a breadth-first expansion
-    from the core points in ascending index order.  ``labels[i]`` is the
-    label of ``pts[i]``.
+    once by their smallest core point: that point is the component's
+    root in the union of the core pairs (``_union``), where every
+    non-core point is a root of its own, which ``_component_ids`` leaves
+    out.  A non-core point within eps of a core point takes the lowest
+    cluster among its core neighbours; the others stay noise (-1).
+    These are the labels of a breadth-first expansion from the core
+    points in ascending index order.  ``labels[i]`` is the label of
+    ``pts[i]``.
     """
     m = len(pts)
-    i, j, _ = cd.eps_neighbors(pts, eps)
+    i, j = cd.eps_neighbors(pts, eps)
     log.debug(
         "dbscan on %d points: Eps=%r MinPts=%d, %d pairs within Eps",
         m, eps, minpts, len(i),
     )
     core = np.bincount(i, minlength=m) + np.bincount(j, minlength=m) + 1 >= minpts
     both = core[i] & core[j]
-    comp = _components(m, i[both], j[both])
-    labels = relabel_contiguous(np.where(core, comp, -1))
+    # one dtype for ``parent`` and the values given to ``np.minimum.at``:
+    # a cast there makes it about 20 times slower; every point is a root yet
+    parent = _union(np.arange(m, dtype=i.dtype), i[both], j[both])
+    labels = _component_ids(parent, core)
     border = np.full(m, m, dtype=np.int64)  # m: no core neighbour
     for a, b in ((i, j), (j, i)):
         claim = core[a] & ~core[b]
@@ -236,11 +237,11 @@ def snnc(cd: CondensedDistances, k: int) -> np.ndarray:
 
     Two points are adjacent when their k-nearest-neighbor sets (self
     excluded) share more than one point; clusters are the connected
-    components, so unconnected points become singleton clusters.
+    components, numbered 0.. by their smallest point, so unconnected
+    points become singleton clusters.
     """
     n = cd.n
     _check_count("k", k)
     if not 1 <= k <= n - 1:
         raise ParameterError("k must be in [1, %d], got %d" % (n - 1, k))
-    comp = _shared_neighbor_components(cd, np.arange(n), k)
-    return relabel_contiguous(comp)
+    return _shared_neighbor_components(cd, np.arange(n), k)

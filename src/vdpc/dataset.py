@@ -12,19 +12,19 @@ modes give the same values bitwise; README "Known limitations" gives
 their memory and time.
 ``CondensedDistances`` hides the mode: its block source (``_block``,
 ``_pairs``) is the one place that reads the matrix or computes a
-distance, ``_scan`` the one reader of ranges of them but ρ's tiles
-(``row_sums``), and every query goes through one of its methods.  On
-streamed coordinates of at most ``_TREE_MAX_DIM`` dimensions, δ and
-kNN take candidates from a k-d tree, and a strict bound proves that no
-other point could win; d_c's count and DBSCAN's ε-pairs read only the
-pairs within reach of their radius along the widest coordinate
-(``_window``).  From ``_POOL_MIN_BLOCKS`` tasks on, every pass spreads
-its blocks over the calling thread and ``workers − 1`` pool threads,
-one thread per core the process may run on, and from ``_TREE_POOL_MIN``
-points a k-d tree query runs on every core; each block is computed as
-on one thread, so no result depends on the core count.  ``map_rows``
-lends those threads to passes over other arrays (aSNNC's
-shared-neighbour counts).
+distance, ``_scan`` the one reader of ranges of them, whole rows or
+their upper part, but ρ's tiles (``row_sums``), and every query goes
+through one of its methods.  On streamed coordinates of at most
+``_TREE_MAX_DIM`` dimensions, δ and kNN take candidates from a k-d
+tree, and a strict bound proves that no other point could win; d_c's
+count and DBSCAN's ε-pairs read only the pairs within reach of their
+radius along the widest coordinate (``_window``).  From
+``_POOL_MIN_BLOCKS`` tasks on, every pass spreads its blocks over the
+calling thread and ``workers − 1`` pool threads, one thread per core
+the process may run on, and from ``_TREE_POOL_MIN`` points a k-d tree
+query runs on every core; each block is computed as on one thread, so
+no result depends on the core count.  ``map_rows`` lends those threads
+to passes over other arrays (aSNNC's shared-neighbour counts).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -152,14 +152,6 @@ def _integer_labels(gt: np.ndarray) -> np.ndarray:
     return gt.astype(np.int64)
 
 
-class EpsNeighbors(NamedTuple):
-    """The pairs i < j of positions in a point subset closer than ε."""
-
-    i: np.ndarray  # the lower position of each pair
-    j: np.ndarray  # the higher one
-    source: str  # "window" or "matrix"
-
-
 class CondensedDistances:
     """Pairwise Euclidean distances of ``n`` points.
 
@@ -268,31 +260,30 @@ class CondensedDistances:
         return out
 
     def _scan(self, fn: Callable[[slice, np.ndarray], object],
-              order=None, begin=None, end=None) -> list:
+              order=None, upper: bool = False, end=None) -> list:
         """The results of ``fn(r, block)``, in order, for consecutive row
         blocks r of the m positions of ``order`` (all points by default),
-        run by ``_map``: the one reader of ranges of the distances.  ``block`` holds the
-        distances of the points at positions r to those at positions
-        begin[r.start] up to end[r.stop - 1] (0 up to m by default): a
-        read-only view of a held matrix without ``order``, else ``fn``'s
-        own, which it may overwrite.  Each begin[p] is 0 or p, so it rises
-        by at most one a position, and below end[p]; a block of s rows
-        then spans at most s + W columns, W the largest end - begin, and
-        the blocks of ``_slices(m, W + isqrt(_BLOCK_CELLS))`` hold at most
-        ``_BLOCK_CELLS`` cells each (one row at least)."""
+        run by ``_map``: the one reader of ranges of the distances.
+        ``block`` holds the distances of the points at positions r to
+        those at positions r.start (0 unless ``upper``) up to
+        end[r.stop - 1] (m by default): a read-only view of a held matrix
+        without ``order``, else ``fn``'s own, which it may overwrite.
+        Row p spans from p (``upper``) or 0 up to end[p], at least one
+        column; a block of s rows then spans at most s + W columns, W the
+        widest row, and the blocks of ``_slices(m, W + isqrt(_BLOCK_CELLS))``
+        hold at most ``_BLOCK_CELLS`` cells each (one row at least)."""
         m = self.n if order is None else len(order)
         if m == 0:
             return []
-        begin = np.broadcast_to(0 if begin is None else begin, m)
         end = np.broadcast_to(m if end is None else end, m)
 
         def run(r: slice):
-            cols = slice(int(begin[r.start]), int(end[r.stop - 1]))
+            cols = slice(r.start if upper else 0, int(end[r.stop - 1]))
             if order is None:
                 return fn(r, self._block(r, cols))
             return fn(r, self._block(order[r], order[cols]))
 
-        width = int((end - begin).max())
+        width = int(((end - np.arange(m)) if upper else end).max())
         return _map(run, _slices(m, width + math.isqrt(_BLOCK_CELLS)))
 
     # -- readers ---------------------------------------------------------
@@ -302,12 +293,14 @@ class CondensedDistances:
         """The largest pairwise distance; a streamed pass finds it on
         first use unless ρ's tile pass (``row_sums``) already has."""
         if self._max is None:
-            self._max = max(self._scan(lambda r, b: _checked_max(b), begin=np.arange(self.n)))
+            self._max = max(self._scan(lambda r, b: _checked_max(b), upper=True))
         return self._max
 
-    def eps_neighbors(self, pts: np.ndarray, eps: float) -> EpsNeighbors:
+    def eps_neighbors(
+        self, pts: np.ndarray, eps: float
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The pairs of positions i < j in the ascending point subset
-        ``pts`` with dist(pts[i], pts[j]) < eps, as int32.
+        ``pts`` with dist(pts[i], pts[j]) < eps, as int32 arrays (i, j).
 
         One pass over upper row blocks of the subset's distances: on
         streamed coordinates those within reach of eps along the subset's
@@ -320,14 +313,14 @@ class CondensedDistances:
         m = len(pts)
         axis, order, ends = self._window(eps, pts) or (None, np.arange(m), None)
 
-        def upper(r: slice, block: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        def within(r: slice, block: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
             k, c = np.divmod(np.flatnonzero(block < eps), block.shape[1])
             up = c > k  # the strict upper triangle, in C order
             i, j = order[k[up] + r.start], order[c[up] + r.start]
             lo, hi = np.minimum(i, j), np.maximum(i, j)  # positions in ``pts``
             return lo.astype(np.int32), hi.astype(np.int32), block.size
 
-        found = self._scan(upper, pts[order], np.arange(m), ends)
+        found = self._scan(within, pts[order], upper=True, end=ends)
         none = np.empty(0, dtype=np.int32)  # the pairs of an empty subset
         i, j = (np.concatenate([none, *(f[side] for f in found)]) for side in (0, 1))
         log.debug(
@@ -335,7 +328,7 @@ class CondensedDistances:
             m, eps, len(i), sum(f[2] for f in found),
             "whole triangle" if axis is None else "window along coordinate %d" % axis,
         )
-        return EpsNeighbors(i, j, "matrix" if axis is None else "window")
+        return i, j
 
     @staticmethod
     def map_rows(fn: Callable[[slice], object], size: int, width: int) -> list:
@@ -679,7 +672,7 @@ class CondensedDistances:
                 return below, at_lo, at_hi, held, block.size
 
             axis, order, ends = self._window(hi, np.arange(self.n)) or (None, None, None)
-            counts = self._scan(count, order, np.arange(self.n), ends)
+            counts = self._scan(count, order, upper=True, end=ends)
             below, at_lo, at_hi = (sum(c[i] for c in counts) for i in range(3))
             held = np.concatenate([v for c in counts for v in c[3]])
             cells += sum(c[4] for c in counts)
@@ -932,11 +925,11 @@ def _read_text(path: Path) -> str:
         raise DataError(f"{path}: cannot read: {e.strerror or e}") from None
 
 
-def _checked_lines(path: Path, lines: list[tuple[int, str]]) -> np.ndarray:
-    """The cells of numbered CSV lines, parsed one line at a time; the
-    first line with a cell count unlike the first line's, a non-numeric
-    cell or a non-finite value is a ``DataError`` naming it."""
-    rows, width = [], len(lines[0][1].split(","))
+def _checked_lines(path: Path, lines: list[tuple[int, str]]) -> None:
+    """Check numbered CSV lines one at a time: the first line with a cell
+    count unlike the first line's, a non-numeric cell or a non-finite
+    value is a ``DataError`` naming it."""
+    width = len(lines[0][1].split(","))
     for lineno, line in lines:
         cells = line.split(",")
         if len(cells) != width:
@@ -949,8 +942,6 @@ def _checked_lines(path: Path, lines: list[tuple[int, str]]) -> np.ndarray:
             raise DataError(f"{path}: line {lineno}: non-numeric cell") from None
         if not all(map(math.isfinite, row)):
             raise DataError(f"{path}: line {lineno}: non-finite value")
-        rows.append(row)
-    return np.array(rows, dtype=np.float64)
 
 
 def load_points_csv(
@@ -986,7 +977,7 @@ def load_points_csv(
     except ValueError:  # a ragged line or a non-numeric cell
         arr = None
     if arr is None or not np.isfinite(arr).all():
-        arr = _checked_lines(path, lines)  # raises at the first bad line
+        _checked_lines(path, lines)  # raises at the first bad line
     arr = arr.reshape(len(lines), width)
     if len(arr) < 2:
         raise DataError(f"{path}: need at least 2 data rows, got {len(arr)}")

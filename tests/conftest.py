@@ -1,4 +1,5 @@
 import contextlib
+import logging
 import math
 
 import numpy as np
@@ -67,7 +68,7 @@ def streamed_distances(datasets):
 def forcing(source):
     """``eps_neighbors`` as it is ("window": streamed distances and a
     normal Eps take the window) or with the whole triangle forced
-    ("matrix")."""
+    ("matrix"); ``eps_pairs`` tells which one a call took."""
     with pytest.MonkeyPatch.context() as mp:
         if source == "matrix":
             mp.setattr(vdpc.dataset.CondensedDistances, "_window",
@@ -75,11 +76,30 @@ def forcing(source):
         yield
 
 
-def pair_keys(nb, m):
-    """The ε-pairs of ``nb`` as ascending keys i*m + j, after checking that
+def eps_pairs(cd, pts, eps):
+    """``cd.eps_neighbors(pts, eps)``, the pairs (i, j), and the path its
+    ``eps-pairs`` debug line names: "window" along a coordinate or
+    "matrix", the whole triangle."""
+    log, records = logging.getLogger("vdpc"), []
+    handler, level = logging.Handler(), log.level
+    handler.emit = records.append
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+    try:
+        pairs = cd.eps_neighbors(pts, eps)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+    (path,) = [r.args[-1] for r in records if r.msg.startswith("eps-pairs")]
+    return pairs, "matrix" if path == "whole triangle" else "window"
+
+
+def pair_keys(pairs, m):
+    """The ε-pairs (i, j) as ascending keys i*m + j, after checking that
     each has i < j."""
-    assert np.all(nb.i < nb.j)
-    return np.sort(nb.i.astype(np.int64) * m + nb.j)
+    i, j = pairs
+    assert np.all(i < j)
+    return np.sort(i.astype(np.int64) * m + j)
 
 
 def random_points(rng: np.random.Generator, n: int, dim: int = 2) -> np.ndarray:

@@ -247,6 +247,26 @@ def csgraph_components(m: int, i, j) -> np.ndarray:
     return connected_components(graph, directed=False)[1]
 
 
+def component_dbscan(sq, eps: float, minpts: int) -> np.ndarray:
+    """DBSCAN labels of the points of the square distances ``sq`` as the
+    package numbered them before its union left out the non-core roots:
+    the components of the core pairs within eps (``csgraph_components``),
+    kept on the core points and renumbered by ``relabel_contiguous``; a
+    non-core point within eps of a core point then takes the lowest id
+    among its core neighbours."""
+    from vdpc import relabel_contiguous
+
+    m = len(sq)
+    near = sq < eps  # the point itself included
+    core = near.sum(axis=1) >= minpts
+    i, j = np.nonzero(np.triu(near & core & core[:, None], 1))
+    labels = relabel_contiguous(np.where(core, csgraph_components(m, i, j), -1))
+    lowest = np.where(near & core, labels, m).min(axis=1)
+    border = ~core & (lowest < m)
+    labels[border] = lowest[border]
+    return labels
+
+
 def sparse_shared_neighbor_components(cd, points, k: int) -> np.ndarray:
     """Component ids of the graph joining the ``points`` whose k nearest
     neighbours (``cd.knn``) share more than one point, from SciPy's sparse

@@ -3,12 +3,15 @@ import errno
 import logging
 import math
 import os
+import re
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.spatial
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist, squareform
 
@@ -30,8 +33,8 @@ from vdpc import (
 from vdpc.baselines import _dbscan_labels
 from vdpc.density import delta_and_neighbors, local_density
 
-from conftest import (BEST_PARAMS, density_mix, forcing, pair_keys, random_points,
-                      streamed)
+from conftest import (BEST_PARAMS, density_mix, eps_pairs, forcing, pair_keys,
+                      random_points, streamed)
 from oracles import full_matrix, loop_delta_and_neighbors, loop_knn_sets
 
 
@@ -45,6 +48,31 @@ def unreadable(path, *args, **kwargs):
     """``Path.read_text`` of a file whose read fails, as that of
     /proc/self/mem does."""
     raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+def float_or_none(parse, text):
+    """The bytes of ``parse(text)`` as a float64, or None where it raises
+    ``ValueError``; any other exception propagates."""
+    try:
+        return np.float64(parse(text)).tobytes()
+    except ValueError:
+        return None
+
+
+# Text no separator of a condensed file splits: neither a comma nor any
+# character ``\s`` matches (control, space and line separator categories).
+unsplit = st.characters(exclude_categories=("Cc", "Zs", "Zl", "Zp"),
+                        exclude_characters=",")
+
+# Cells a CSV line may hold (no comma, no newline): float spellings,
+# padding of any width, digits of other scripts, underscores, the names of
+# inf and nan, and what ``float`` refuses, such as hex and Fortran exponents.
+csv_cells = (st.floats().map(repr) | st.floats().map("%.3e".__mod__)
+             | st.text(st.sampled_from("0123456789+-._eExXdD \t\u00a0\u3000"
+                                       "\uff11\u0661infatyINFATY"), max_size=10)
+             | st.text(st.characters(exclude_characters=",\n"), max_size=6)
+             | st.sampled_from(["1_000", " 1.5 ", "\u00a07", "\uff11\uff12", "1e400",
+                                "nan", "-nan", "infinity", "0x10", "1d3"]))
 
 
 class TestLoadPointsCsv:
@@ -122,6 +150,16 @@ class TestLoadPointsCsv:
         rows = t710.read_text().split()[1:]
         want = np.array([[float(c) for c in r.split(",")] for r in rows])
         assert load_points_csv(t710, has_header=True).points.tobytes() == want.tobytes()
+
+    @given(csv_cells)
+    def test_fromiter_parses_each_cell_as_float_does(self, cell):
+        # A build fact the loader rests on: ``np.fromiter`` accepts and
+        # refuses the cells ``float`` does, with bitwise-equal values, so
+        # ``_checked_lines`` runs only where a line is at fault.
+        def fromiter(c):
+            return np.fromiter(iter([c]), np.float64, 1)[0]
+
+        assert float_or_none(fromiter, cell) == float_or_none(float, cell)
 
     def test_labels_beyond_float_integers_are_refused(self, tmp_path):
         # 1e20 and 2e20 would both cast to -2^63; 2^53 itself is exact
@@ -264,11 +302,11 @@ class TestBlocks:
         _, sub_along, sub_ends = streamed(pts)._window(hi, subset)
         forms = [  # ``_scan``'s arguments, and the order, begin and end they mean
             ((), every, 0, 150),
-            ((None, every), every, every, 150),
-            ((order, None, every + 1), order, 0, every + 1),
-            ((subset, np.arange(100)), subset, np.arange(100), 100),
-            ((along, every, ends), along, every, ends),
-            ((subset[sub_along], np.arange(100), sub_ends), subset[sub_along],
+            ((None, True), every, every, 150),
+            ((order, False, every + 1), order, 0, every + 1),
+            ((subset, True), subset, np.arange(100), 100),
+            ((along, True, ends), along, every, ends),
+            ((subset[sub_along], True, sub_ends), subset[sub_along],
              np.arange(100), sub_ends),
         ]
         for cd in (held, streamed(pts)):
@@ -289,7 +327,7 @@ class TestBlocks:
         cd = pairwise_distances(Dataset(points=rng.normal(size=(20, 2))))
         before = cd._square.copy()
         every, rows = np.arange(20), np.array([3, 0, 7])
-        for args in ((), (None, every)):  # held slices are read-only views
+        for args in ((), (None, True)):  # held slices are read-only views
             for view in cd._scan(lambda r, view: view, *args):
                 assert np.shares_memory(view, cd._square)
                 with pytest.raises(ValueError):
@@ -299,7 +337,7 @@ class TestBlocks:
             block[...] = -1.0
 
         cd._scan(overwrite, rows)
-        cd._scan(overwrite, every[::-1], None, every + 1)
+        cd._scan(overwrite, every[::-1], False, every + 1)
         for block in (cd._block(rows), cd._block(rows, rows)):
             block[...] = -1.0
         assert cd._square.tobytes() == before.tobytes()
@@ -560,6 +598,51 @@ class TestLoadCondensedMatrix:
         with pytest.raises(DataError, match="m.txt: non-numeric entry$"):
             load_condensed_matrix(path, n=3)
 
+    @given(data=st.data())
+    def test_any_file_loads_its_tokens_or_is_a_data_error(self, tmp_path_factory,
+                                                          data):
+        # a well-formed file holds float of each token bitwise; the wrong
+        # length, a negative, non-finite or non-numeric token is a data
+        # error, between any mix of separators
+        n = data.draw(st.integers(2, 6))
+        m = n * (n - 1) // 2
+        spell = st.sampled_from([repr, "%.17g".__mod__, "%.3E".__mod__,
+                                 "{:+}".format, "{:_}".format])
+        values = st.floats(0.0, 1e300) | st.sampled_from([0.0, -0.0, 5e-324])
+        tokens = [data.draw(spell)(data.draw(values)) for _ in range(m)]
+        fault = data.draw(st.sampled_from(
+            [None, "length", "negative", "non-finite", "non-numeric"]))
+        if fault == "length":
+            tokens = (tokens * 2)[: data.draw(st.integers(0, 2 * m).filter(
+                lambda k: k != m))]
+        elif fault is not None:
+            bad = {
+                "negative": st.floats(5e-324, 1e300).map("-{!r}".format),
+                "non-finite": st.sampled_from(["inf", "-inf", "nan", "-NaN",
+                                               "Infinity", "1e400", "-1e999"]),
+                "non-numeric": st.text(unsplit, min_size=1).filter(
+                    lambda t: float_or_none(float, t) is None),
+            }[fault]
+            tokens[data.draw(st.integers(0, m - 1))] = data.draw(bad)
+        seps = data.draw(st.lists(
+            st.sampled_from([" ", ",", "\t", "\n", "\r\n", ", ", ",,", " ,\t",
+                             "\u00a0", "\u2003", "\x0c", "\x1f"]),
+            min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+        path = tmp_path_factory.mktemp("condensed") / "m.txt"
+        path.write_text(seps[0] + "".join(map(str.__add__, tokens, seps[1:])))
+        if fault is not None:
+            why = {"length": "expected %d pairwise distances for n=%d, got %d"
+                             % (m, n, len(tokens)),
+                   "negative": "distances must be non-negative",
+                   "non-finite": "distances contain non-finite values",
+                   "non-numeric": "m.txt: non-numeric entry"}[fault]
+            with pytest.raises(DataError, match=re.escape(why) + "$"):
+                load_condensed_matrix(path, n)
+            return
+        cd = load_condensed_matrix(path, n)
+        want = np.array([float(t) for t in tokens])
+        assert cd._square[np.triu_indices(n, 1)].tobytes() == want.tobytes()
+
     def test_the_load_holds_no_python_float_per_distance(self, tmp_path):
         # the text, the matrix and the vector twice over at most; a list of
         # tokens and floats held 10 times the vector on top (20.6 MB here)
@@ -579,15 +662,16 @@ class TestLoadCondensedMatrix:
 
 def forced(cd, pts, eps, source):
     with forcing(source):
-        nb = cd.eps_neighbors(pts, eps)
-    assert nb.source == source
-    assert nb.i.dtype == nb.j.dtype == np.int32
-    return nb
+        (i, j), path = eps_pairs(cd, pts, eps)
+    assert path == source
+    assert i.dtype == j.dtype == np.int32
+    return i, j
 
 
-def sizes(nb, m):
+def sizes(pairs, m):
     """The size of each position's ε-neighbourhood, itself included."""
-    return np.bincount(nb.i, minlength=m) + np.bincount(nb.j, minlength=m) + 1
+    i, j = pairs
+    return np.bincount(i, minlength=m) + np.bincount(j, minlength=m) + 1
 
 
 def both_sources(cd, pts, eps):
@@ -610,7 +694,7 @@ def assert_same_labels(cd, eps, minpts_values):
     labels = {}
     for source in ("window", "matrix"):
         with forcing(source):
-            assert cd.eps_neighbors(pts, eps).source == source
+            assert eps_pairs(cd, pts, eps)[1] == source
             labels[source] = [_dbscan_labels(cd, pts, eps, minpts).tobytes()
                               for minpts in minpts_values]
     assert labels["window"] == labels["matrix"]
@@ -630,9 +714,8 @@ def eps_passes(caplog):
 class TestEpsNeighbors:
     def test_an_empty_subset_has_no_pairs(self, distances, streamed_distances):
         for cd in (distances["flame"], streamed_distances["flame"]):
-            nb = cd.eps_neighbors(np.array([], dtype=np.int64), 1.0)
-            assert (nb.i.dtype, nb.j.dtype, len(nb.i), len(nb.j)) == (
-                np.int32, np.int32, 0, 0)
+            i, j = cd.eps_neighbors(np.array([], dtype=np.int64), 1.0)
+            assert (i.dtype, j.dtype, len(i), len(j)) == (np.int32, np.int32, 0, 0)
 
     def test_held_distances_never_use_the_tree(self, distances, monkeypatch):
         # nor the window: held distances read the whole triangle
@@ -640,7 +723,7 @@ class TestEpsNeighbors:
         monkeypatch.setattr(scipy.spatial, "cKDTree", NoTree)
         cd = distances["flame"]
         sparse = float(np.quantile(full_matrix(cd), 0.01, method="lower"))
-        assert cd.eps_neighbors(np.arange(cd.n), sparse).source == "matrix"
+        assert eps_pairs(cd, np.arange(cd.n), sparse)[1] == "matrix"
 
     def test_sources_agree_on_bundled_sets(self, streamed_distances):
         rng = np.random.default_rng(5)
@@ -694,7 +777,7 @@ class TestEpsNeighbors:
         monkeypatch.setattr(scipy.spatial, "cKDTree", NoTree)
         cd = load_condensed_matrix(path, ds.n)
         assert cd.points is None
-        assert cd.eps_neighbors(np.arange(ds.n), 1.0).source == "matrix"
+        assert eps_pairs(cd, np.arange(ds.n), 1.0)[1] == "matrix"
         np.testing.assert_array_equal(dbscan(cd, DbscanParams(1.0, 4)), want)
 
     def test_no_eps_builds_a_tree(self, streamed_distances, monkeypatch):
@@ -704,7 +787,7 @@ class TestEpsNeighbors:
         for cd in streamed_distances.values():
             sparse = float(np.quantile(full_matrix(cd), 0.01, method="lower"))
             for eps in (sparse, cd.max_distance, 2 * cd.max_distance):
-                assert cd.eps_neighbors(np.arange(cd.n), eps).source == "window"
+                assert eps_pairs(cd, np.arange(cd.n), eps)[1] == "window"
             for eps in (cd.max_distance, 2 * cd.max_distance):
                 labels = dbscan(cd, DbscanParams(eps, 2))
                 assert labels.min() == 0  # no noise once eps spans the set
@@ -730,9 +813,9 @@ class TestEpsNeighbors:
         monkeypatch.setattr(CondensedDistances, "_block", counted)
         cells = []
         for eps in (cd.max_distance / 2, sparse):
-            nb = cd.eps_neighbors(np.arange(cd.n), eps)
-            assert nb.source == "window"
-            assert len(nb.i) == np.count_nonzero(np.triu(full < eps, 1))
+            (i, _), source = eps_pairs(cd, np.arange(cd.n), eps)
+            assert source == "window"
+            assert len(i) == np.count_nonzero(np.triu(full < eps, 1))
             if block_cells is None:
                 assert reads == [(cd.n, cd.n)]
             else:
@@ -777,15 +860,15 @@ class TestEpsNeighbors:
         assert source == "window along coordinate 0"
         assert (2 * kept + m) * 32 > m * m and m * m > vdpc.dataset._BLOCK_CELLS
         assert cells < m * (m - 1) // 2
-        assert len(both_sources(cd, sub, eps).i) == kept
+        assert len(both_sources(cd, sub, eps)[0]) == kept
 
     def test_radius_too_small_to_square_uses_the_matrix(self, streamed_distances):
         # a subnormal eps reads the whole triangle; 1e-160, whose square
         # underflows but which is a normal float, takes the window
         cd = streamed_distances["flame"]
         for eps, source in ((1e-310, "matrix"), (1e-160, "window")):
-            nb = cd.eps_neighbors(np.arange(cd.n), eps)
-            assert (nb.source, len(nb.i), len(nb.j)) == (source, 0, 0)
+            (i, j), path = eps_pairs(cd, np.arange(cd.n), eps)
+            assert (path, len(i), len(j)) == (source, 0, 0)
 
 
 class TestPowerOfTwoScale:
@@ -825,9 +908,9 @@ class TestPowerOfTwoScale:
             d.eps * f for _, d in want.derivations]
         eps = float(np.quantile(full_matrix(cd), 0.02, method="lower"))
         monkeypatch.setattr(vdpc.dataset, "_BLOCK_CELLS", 1000)  # many blocks
-        nb, nb_f = (c.eps_neighbors(np.arange(ds.n), x)
-                    for c, x in ((cd, eps), (cd_f, eps * f)))
-        assert nb_f.source == sources[1]
+        (nb, _), (nb_f, path) = (eps_pairs(c, np.arange(ds.n), x)
+                                 for c, x in ((cd, eps), (cd_f, eps * f)))
+        assert path == sources[1]
         assert pair_keys(nb_f, ds.n).tobytes() == pair_keys(nb, ds.n).tobytes()
         np.testing.assert_array_equal(
             dbscan(cd_f, DbscanParams(eps * f, 4)), dbscan(cd, DbscanParams(eps, 4)))

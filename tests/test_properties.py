@@ -26,7 +26,12 @@ from vdpc import (
     relabel_contiguous,
     snnc,
 )
-from vdpc.baselines import _components, _dbscan_labels, _shared_neighbor_components
+from vdpc.baselines import (
+    _component_ids,
+    _dbscan_labels,
+    _shared_neighbor_components,
+    _union,
+)
 from vdpc.density import delta_and_neighbors
 from vdpc.vdpc import (
     assign_noise,
@@ -35,8 +40,9 @@ from vdpc.vdpc import (
     reassign_boundary,
 )
 
-from conftest import forcing, pair_keys, streamed
+from conftest import eps_pairs, forcing, pair_keys, streamed
 from oracles import (
+    component_dbscan,
     csgraph_components,
     full_matrix,
     loop_assign_noise,
@@ -154,7 +160,7 @@ def upper_at_most(cd, hi, window):
         return v[v <= hi]
 
     _, order, ends = window or (None, None, None)
-    return np.sort(np.concatenate(cd._scan(at_most, order, np.arange(cd.n), ends)))
+    return np.sort(np.concatenate(cd._scan(at_most, order, True, ends)))
 
 
 # The streamed count sorts the points along their widest coordinate and
@@ -189,8 +195,8 @@ def test_windowed_count_equals_the_whole_triangle(workers, data):
                     == ordered[ordered <= end].tobytes())
         for eps in (lo, hi):
             i, j = np.nonzero(np.triu(full[np.ix_(sub, sub)] < eps, 1))
-            nb = cd.eps_neighbors(sub, eps)
-            assert nb.source == ("window" if len(sub) and eps >= tiny else "matrix")
+            nb, path = eps_pairs(cd, sub, eps)
+            assert path == ("window" if len(sub) and eps >= tiny else "matrix")
             assert pair_keys(nb, len(sub)).tobytes() == (i * len(sub) + j).tobytes()
         assert [cd.kth_smallest(k) for k in ks] == [ordered[k - 1] for k in ks]
         # a first bracket [lo, hi] on the distances themselves, pairs at
@@ -217,8 +223,7 @@ def test_scan_blocks_tile_the_positions_within_the_cell_bound(data):
     cells = data.draw(st.integers(0, 400))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(vdpc.dataset, "_BLOCK_CELLS", cells)
-        parts = cd._scan(lambda r, block: (r, block.shape), order,
-                         begin if upper else None, end)
+        parts = cd._scan(lambda r, block: (r, block.shape), order, upper, end)
     assert [r.start for r, _ in parts] + [m] == [0] + [r.stop for r, _ in parts]
     for r, shape in parts:
         assert r.stop > r.start
@@ -388,8 +393,9 @@ def test_streamed_equals_held(data):
     assert (streamed.nearest(points, cols, rank).tobytes()
             == cd.nearest(points, cols, rank).tobytes())
     eps = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
-    a, b = cd.eps_neighbors(points, eps), streamed.eps_neighbors(points, eps)
-    assert (a.source, b.source) == ("matrix", "window")
+    (a, held_path), (b, streamed_path) = (eps_pairs(c, points, eps)
+                                          for c in (cd, streamed))
+    assert (held_path, streamed_path) == ("matrix", "window")
     assert pair_keys(a, len(points)).tobytes() == pair_keys(b, len(points)).tobytes()
 
 
@@ -408,9 +414,16 @@ def test_components_equal_csgraph(data, dtype):
     data.draw(st.randoms()).shuffle(pairs)
     i = np.array([a for a, _ in pairs], dtype=dtype)
     j = np.array([b for _, b in pairs], dtype=dtype)
-    want = csgraph_components(m, i, j).tolist()
-    assert _components(m, i, j).tolist() == want
-    assert _components(m, i[:0], j[:0]).tolist() == list(range(m))
+    want = csgraph_components(m, i, j)
+    parent = _union(np.arange(m, dtype=dtype), i, j)
+    assert _component_ids(parent).tolist() == want.tolist()
+    no_edges = _union(np.arange(m, dtype=dtype), i[:0], j[:0])
+    assert _component_ids(no_edges).tolist() == list(range(m))
+    # a mask numbers only the components whose smallest point it holds
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    smallest = np.unique(want, return_index=True)[1]  # of each component
+    kept = relabel_contiguous(np.where(keep[smallest][want], want, -1))
+    assert _component_ids(parent, keep).tolist() == kept.tolist()
 
 
 @st.composite
@@ -455,15 +468,26 @@ def test_snnc_equals_the_sparse_product(data):
 
 @given(st.data())
 def test_dbscan_equals_the_textbook_expansion(data):
-    # eps is one of the grid's distances, so pairs tie at exactly eps
+    # eps is one of the grid's distances, so pairs tie at exactly eps.  The
+    # union numbers only the core roots, bitwise as the pair-list form's
+    # renumbering of every component did, at one, two and eight workers;
+    # blocks of one row spread over the pool.
     cd, _, _ = data.draw(grid(max_points=30))
     d = full_matrix(cd)
     eps = data.draw(st.sampled_from(sorted(set(d[d > 0].tolist()) | {0.5})))
     minpts = data.draw(st.integers(1, 6))
     whole = data.draw(st.booleans())
     points = np.arange(cd.n) if whole else subset(data.draw, cd.n, min_size=1)
-    want = naive_dbscan(cd.points[points].tolist(), eps, minpts)
-    for source, distances in (("window", streamed(cd.points)), ("matrix", cd)):
-        with forcing(source):
-            assert distances.eps_neighbors(points, eps).source == source
-            assert _dbscan_labels(distances, points, eps, minpts).tolist() == want
+    want = component_dbscan(d[np.ix_(points, points)], eps, minpts)
+    assert want.tolist() == naive_dbscan(cd.points[points].tolist(), eps, minpts)
+    cells = data.draw(st.sampled_from([1, 1 << 18]))
+    window = streamed(cd.points)
+    for workers in (1, 2, 8):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+            mp.setattr(vdpc.dataset, "_BLOCK_CELLS", cells)
+            for source, distances in (("window", window), ("matrix", cd)):
+                with forcing(source):
+                    assert eps_pairs(distances, points, eps)[1] == source
+                    got = _dbscan_labels(distances, points, eps, minpts)
+                    assert got.tobytes() == want.tobytes()

@@ -32,7 +32,7 @@ from vdpc.baselines import _dbscan_labels
 from vdpc.cli import main
 from vdpc.density import _zero_cutoff_message, delta_and_neighbors, local_density
 
-from conftest import BEST_PARAMS, BUNDLED, density_mix, pair_keys
+from conftest import BEST_PARAMS, BUNDLED, density_mix, eps_pairs, pair_keys
 from oracles import full_matrix, pairwise_row_sum, row_block_rho
 
 HOLD_ALL = 1 << 62
@@ -140,9 +140,10 @@ def assert_same_answers(held, streamed, pct, eps_quantiles=(0.01, 0.05)):
             with pytest.MonkeyPatch.context() as mp:
                 if cells is not None:  # many blocks
                     mp.setattr(vdpc.dataset, "_BLOCK_CELLS", cells)
-                a, b = held.eps_neighbors(pts, eps), streamed.eps_neighbors(pts, eps)
+                (a, held_path), (b, streamed_path) = (eps_pairs(c, pts, eps)
+                                                      for c in (held, streamed))
             # held, the whole triangle; streamed, the window: the same set
-            assert (a.source, b.source) == ("matrix", "window")
+            assert (held_path, streamed_path) == ("matrix", "window")
             assert pair_keys(a, n).tobytes() == pair_keys(b, n).tobytes()
     rank = np.empty(n, dtype=np.int64)
     rank[want[2]] = every
@@ -263,8 +264,8 @@ def test_the_window_reaches_a_gap_whose_square_underflows(monkeypatch):
     assert cd.kth_smallest(1) == d and widths == [4.0]
     eps = float(np.nextafter(d, np.inf))
     for sub in (np.arange(4), np.arange(2)):
-        nb = cd.eps_neighbors(sub, eps)
-        assert (nb.source, nb.i.tolist(), nb.j.tolist()) == ("window", [0], [1])
+        (i, j), path = eps_pairs(cd, sub, eps)
+        assert (path, i.tolist(), j.tolist()) == ("window", [0], [1])
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import vdpc.density
 import vdpc.vdpc as pipeline
@@ -31,7 +33,7 @@ from vdpc.vdpc import (
     split_boundary,
 )
 
-from conftest import BEST_PARAMS, random_points
+from conftest import BEST_PARAMS, random_points, streamed
 from oracles import euclidean, loop_level_of, naive_snnc, same_partition
 
 
@@ -494,6 +496,32 @@ def same_result(got, want):
         c.tobytes() for c in want.low_clusters]
     assert got.derivations == want.derivations
     assert got.levels == want.levels
+
+
+@st.composite
+def blobs(draw):
+    """Three blobs of rising density, 8 to 24 points each, on a grid of
+    0.001 (ties): some cells find one level, others two or three."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    sizes = draw(st.lists(st.integers(8, 24), min_size=3, max_size=3))
+    return np.round(np.concatenate([
+        rng.normal(c, s, size=(m, 2)) for (c, s), m in
+        zip((([0, 0], 1.5), ([12, 0], 0.9), ([0, 12], 0.6)), sizes)]), 3)
+
+
+# A sweep runs every cell on one distances object, whose memo shares the
+# density profiles and level passes between cells; any grid of cells on
+# it, held or streamed, gives what fresh distances give each cell alone.
+@given(st.data())
+def test_a_grid_on_one_distances_equals_fresh_distances_per_cell(data):
+    pts = data.draw(blobs())
+    cell = st.builds(VdpcParams, st.sampled_from([2, 5, 8]),
+                     st.sampled_from([2.0, 3.5, 5.0]), st.sampled_from([2, 5, 15]))
+    cells = data.draw(st.lists(cell, min_size=1, max_size=6))
+    want = {p: vdpc_run(cd_of(pts), p) for p in cells}
+    for cd in (cd_of(pts), streamed(pts)):
+        for p in cells:
+            same_result(vdpc_run(cd, p), want[p])
 
 
 # Cells of one level state, from the sweep grid: compound's differ only in

@@ -45,12 +45,12 @@ def results(pts, ks):
     order = np.random.default_rng(0).permutation(n)
     rank = np.empty(n, dtype=np.intp)
     rank[order] = every
-    nb = cd.eps_neighbors(every, d_c)  # pair keys: the window's come in its order
+    i, j = cd.eps_neighbors(every, d_c)  # pair keys: the window's come in its order
     return (full_matrix(cd).tobytes(), cd.max_distance,
             [cd.kth_smallest(k) for k in ks], local_density(cd, d_c).tobytes(),
             [v.tobytes() for v in cd.nearest_earlier(order)],
             cd.nearest(every, order[: n // 3], rank).tobytes(),
-            cd.knn(every, 5).tobytes(), np.sort(nb.i * np.int64(n) + nb.j).tobytes())
+            cd.knn(every, 5).tobytes(), np.sort(i * np.int64(n) + j).tobytes())
 
 
 @pytest.mark.parametrize("workers", [2, 8])
