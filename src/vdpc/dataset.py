@@ -16,14 +16,15 @@ distance, ``_scan`` the one reader of ranges of them, whole rows or
 their upper part, but ρ's tiles (``row_sums``), and every query goes
 through one of its methods.  On streamed coordinates of at most
 ``_TREE_MAX_DIM`` dimensions, δ and kNN take candidates from a k-d
-tree, and a strict bound proves that no other point could win; d_c's
-count and DBSCAN's ε-pairs read only the pairs within reach of their
-radius along the widest coordinate (``_window``).  From
+tree by row blocks of at most ``_BLOCK_CELLS`` candidates
+(``_candidates``), and a strict bound proves that no other point could
+win; d_c's count and DBSCAN's ε-pairs read only the pairs within reach
+of their radius along the widest coordinate (``_window``).  From
 ``_POOL_MIN_BLOCKS`` tasks on, every pass spreads its blocks over the
 calling thread and ``workers − 1`` pool threads, one thread per core
-the process may run on, and from ``_TREE_POOL_MIN`` points a k-d tree
-query runs on every core; each block is computed as on one thread, so
-no result depends on the core count.  ``map_rows`` lends those threads
+the process may run on, and a tree query of ``_TREE_POOL_MIN`` points
+or more runs on every core; each block is computed as on one thread,
+so no result depends on the core count.  ``map_rows`` lends those threads
 to passes over other arrays (aSNNC's shared-neighbour counts).
 """
 
@@ -469,46 +470,42 @@ class CondensedDistances:
         _map(scan, _slices(len(rows), len(cols)))
         return out
 
-    def _treeable(self) -> bool:
-        """Whether a k-d tree may propose neighbours: for streamed
-        coordinates, which ``cdist`` computes, of at most ``_TREE_MAX_DIM``
-        dimensions.  Held distances are read directly."""
-        return self._cdist is not None and self.points.shape[1] <= _TREE_MAX_DIM
-
-    def _candidates(
-        self, points: np.ndarray, count: int
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """k-d tree candidates of each of ``points``: the indices of its
-        ``count`` nearest points by tree distance (at most n, self among
-        them), and a bound in matrix units that every point outside them
-        reaches, so that an answer among them strictly below it has no
-        rival outside.
+    def _candidates(self, points: np.ndarray, count: int):
+        """k-d tree candidates of ``points`` by row blocks r of at most
+        ``_BLOCK_CELLS`` candidates (``_slices``): r, the indices of each
+        point's ``count`` nearest points by tree distance (at most n, self
+        among them), their distances (``_pairs``), and a bound in matrix
+        units that every point outside them reaches, so that an answer
+        among them strictly below it has no rival outside.
 
         The tree and ``cdist`` round their distances differently, by a
         few ulps.  The bound is the last tree distance shrunk by 2^-20,
-        which only has to cover that difference, over ``scale``; inf when
-        every point is a candidate; and 0, which no distance is below,
-        where it or its square in tree units is not a normal float, as
-        its relative precision is then lost.  None, so that the caller
-        reads the rows, where no tree may serve (``_treeable``).
+        which only has to cover that difference, over ``scale``; 0, which
+        no distance is below, where it or its square in tree units is not
+        a normal float, as its relative precision is then lost; inf when
+        every point is a candidate.  Held distances, or more than
+        ``_TREE_MAX_DIM`` coordinates, get no block: the caller reads
+        the rows.
         """
-        if not self._treeable():
-            return None
+        if self._cdist is None or self.points.shape[1] > _TREE_MAX_DIM:
+            return
         if self._tree is None:
             from scipy.spatial import cKDTree
 
             self._tree = cKDTree(self.points)
         count = min(count, self.n)  # the tree would pad with inf and index n
-        workers = _workers() if len(points) >= _TREE_POOL_MIN else 1
-        t, idx = self._tree.query(self.points[points], count, workers=workers)
-        idx = idx.reshape(len(points), count)
-        if count == self.n:
-            return idx, np.full(len(points), np.inf)
-        t = t.reshape(len(points), count)[:, -1] * _SHRINK
-        bound = t / self.scale
         tiny = np.finfo(np.float64).tiny
-        bound[(t * t < tiny) | (bound < tiny)] = 0.0
-        return idx, bound
+        for r in _slices(len(points), count):
+            pts = points[r]
+            workers = _workers() if len(pts) >= _TREE_POOL_MIN else 1
+            t, idx = self._tree.query(self.points[pts], count, workers=workers)
+            idx = idx.reshape(len(pts), count)
+            t = t.reshape(len(pts), count)[:, -1] * _SHRINK
+            bound = t / self.scale
+            bound[(t * t < tiny) | (bound < tiny)] = 0.0
+            if count == self.n:  # every point is a candidate
+                bound[:] = np.inf
+            yield r, idx, self._pairs(pts[:, None], idx), bound
 
     def nearest_earlier(self, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Distance to and index of each point's nearest point earlier in
@@ -523,30 +520,31 @@ class CondensedDistances:
         the answer of a loop over the full rows bitwise.
         """
         n = self.n
-        every = np.arange(n)
-        found = self._candidates(every, _CANDIDATES + 1)
-        if found is None:
-            dist, near = self._earlier_triangle(order)
-            source, count, read = "rows", 0, n
-        else:
-            idx, bound = found
-            rank = np.empty(n, dtype=np.intp)
-            rank[order] = every
-            d = self._pairs(every[:, None], idx)
-            r = rank[idx]
-            d[r >= rank[:, None]] = np.inf  # only earlier points count
-            dist = d.min(axis=1)
-            r[d != dist[:, None]] = n  # the earliest of the nearest
-            near = idx[every, r.argmin(axis=1)]
-            bad = np.flatnonzero(dist >= bound)
-            bad = bad[bad != order[0]]
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        dist, near = np.empty(n), np.empty(n, dtype=np.int64)
+        ok = np.zeros(n, dtype=bool)  # points decided by their candidates
+        count = 0
+        for r, idx, d, bound in self._candidates(np.arange(n), _CANDIDATES + 1):
+            earlier = rank[idx]
+            d[earlier >= rank[r, None]] = np.inf  # only earlier points count
+            dist[r] = d.min(axis=1)
+            earlier[d != dist[r, None]] = n  # the earliest of the nearest
+            near[r] = idx[np.arange(len(idx)), earlier.argmin(axis=1)]
+            ok[r] = dist[r] < bound
+            count = idx.shape[1]
+        if count:
+            ok[order[0]] = True  # it has no earlier point
+            bad = np.flatnonzero(~ok)
             near[bad] = order[self.nearest(bad, order, rank)]
             dist[bad] = self._pairs(bad, near[bad])
-            dist[order[0]], near[order[0]] = np.inf, -1
-            source, count, read = "tree", idx.shape[1], len(bad)
+        else:
+            dist, near = self._earlier_triangle(order)
+        dist[order[0]], near[order[0]] = np.inf, -1
         log.debug(
             "nearest earlier point of %d points: %s source, %d candidates, "
-            "%d rows read", n, source, count, read,
+            "%d rows read", n, "tree" if count else "rows", count,
+            np.count_nonzero(~ok),
         )
         return dist, near
 
@@ -554,7 +552,8 @@ class CondensedDistances:
         """``nearest_earlier`` by the lower triangle of the distances in
         ``order``: each row block of positions r reads its points'
         distances to the points at positions up to r.stop, and the first
-        of equal minima before a point's own position is the earliest."""
+        of equal minima before a point's own position is the earliest
+        (the caller sets the first point's answer)."""
         n = self.n
         dist = np.empty(n)
         near = np.empty(n, dtype=np.int64)
@@ -567,7 +566,6 @@ class CondensedDistances:
             dist[order[r]] = block[np.arange(size), at]
 
         self._scan(earlier, order, end=np.arange(1, n + 1))
-        dist[order[0]], near[order[0]] = np.inf, -1
         return dist, near
 
     def knn(self, points: np.ndarray, k: int) -> np.ndarray:
@@ -575,8 +573,7 @@ class CondensedDistances:
         and distance ties broken by ascending index; each row of the
         (m, k) result lists them in ascending index order.
 
-        With a tree (``_candidates``, by row blocks of at most
-        ``_BLOCK_CELLS`` candidates), a row is final when its k-th
+        With a tree (``_candidates``), a row is final when its k-th
         candidate by (distance, index) among k + 1 + ``_KNN_EXTRA`` is
         strictly below their bound, so every point tied with it is a
         candidate; the other rows read the matrix, as every row does
@@ -585,17 +582,15 @@ class CondensedDistances:
         m = len(points)
         cols = np.empty((m, k), dtype=np.int64)
         ok = np.zeros(m, dtype=bool)  # rows decided by their candidates
-        count = min(k + 1 + _KNN_EXTRA, self.n) if self._treeable() else 0
-        for r in _slices(m, count) if count else ():
-            pts = points[r]
-            idx, bound = self._candidates(pts, count)
-            d = self._pairs(pts[:, None], idx)
-            d[idx == pts[:, None]] = np.inf  # self ranks last
+        count = 0
+        for r, idx, d, bound in self._candidates(points, k + 1 + _KNN_EXTRA):
+            d[idx == points[r, None]] = np.inf  # self ranks last
             first = np.lexsort((idx, d))[:, :k]  # by (distance, index)
-            rows = np.arange(len(pts))[:, None]
+            rows = np.arange(len(idx))[:, None]
             final = d[rows, first[:, -1:]][:, 0] < bound
             cols[r][final] = np.sort(idx[rows, first], axis=1)[final]
             ok[r] = final
+            count = idx.shape[1]
         bad = np.flatnonzero(~ok)
 
         def scan(r: slice) -> None:

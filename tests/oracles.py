@@ -482,3 +482,113 @@ def loop_assign_noise(sq, noise, labels, rank):
         candidates = denser if len(denser) else labeled
         labels[i] = labels[candidates[np.argmin(sq[i, candidates])]]
     return labels
+
+
+# -- the whole pipeline ----------------------------------------------------
+
+def naive_vdpc(points, pct: float, delta_t: float, num: int, options) -> dict:
+    """VDPC run step by step as README "The algorithm" 1-6 states it, from
+    the oracles above and ``euclidean`` alone: the representatives, the
+    level intervals, each point's level, the initial labels (after the
+    boundary reassignment), the low-level clusters, each higher DBSCAN
+    level's (level, x_low, x_far, x_high, Eps, MinPts_low, MinPts_high,
+    MinPts), and the labels.  ``options`` is read for its four switches.
+    A stage that cannot go on raises ``ValueError`` with the stage's
+    name as the package gives it."""
+    n = len(points)
+    sq = np.array(distance_matrix(points))
+    upper = [sq[i][j] for i in range(n) for j in range(i + 1, n)]
+    # 1. density analytics, and the total order: ρ descending, index ascending
+    rho = np.array(naive_rho(points, naive_cutoff(upper, pct)))
+    delta, nneigh, order = loop_delta_and_neighbors(sq, rho, max(upper))
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    # 2. representatives, each seeding a DPC cluster
+    reps = [i for i in range(n) if delta[i] >= delta_t]
+    initial = loop_dpc_assign(order, nneigh, reps)
+    # 3. density levels of the representatives
+    _, intervals = loop_compute_levels([rho[r] for r in reps], num)
+    rep_level = [loop_level_of(intervals, rho[r]) for r in reps]
+    result = dict(representatives=reps, intervals=intervals, low_clusters=[],
+                  derivations=[])
+    if len(intervals) == 1:  # one level: DPC
+        return dict(result, point_level=[1] * n, initial_labels=initial,
+                    labels=initial)
+    if options.level_assignment == "inherit":
+        level = [rep_level[initial[i]] for i in range(n)]
+    else:
+        level = [loop_level_of(intervals, rho[i]) for i in range(n)]
+
+    def count(m: int, rule: str) -> int:  # ⌈√m⌉ or ⌈ln m⌉, at least 1
+        return max(math.ceil(math.sqrt(m) if rule == "sqrt" else math.log(m)), 1)
+
+    def cluster(p: int, pts: list, algorithm: str):
+        """(clusters, noise, derivation) of the level p points ``pts``."""
+        if algorithm == "snnc":  # aSNNC: k from the level's size
+            comp = naive_snnc(points, min(count(len(pts), options.k_rule), n - 1), pts)
+            return [[q for q, c in zip(pts, comp) if c == cid]
+                    for cid in range(max(comp) + 1)], [], None
+        # aDBSCAN: Eps and MinPts from the level's sparsest and densest
+        # representatives' initial clusters
+        here = [r for r, lv in zip(reps, rep_level) if lv == p]
+        if len(pts) < 2 or not here:
+            raise ValueError("adbscan-derivation")
+        x_low = min(here, key=lambda r: rho[r])
+        x_high = max(here, key=lambda r: rho[r])
+        low = [q for q in pts if initial[q] == initial[x_low]]
+        high = [q for q in pts if initial[q] == initial[x_high]]
+        x_far = max(low, key=lambda q: sq[x_low][q])
+        lo, hi = intervals[p - 1]
+        inside = sum(1 for q in low if lo - _EDGE <= rho[q] <= hi + _EDGE)
+        near = sorted(sq[x_far][q] for q in pts if q != x_far)
+        eps = near[min(count(max(inside, 1), options.eps_rule), len(near)) - 1]
+        if eps <= 0:
+            raise ValueError("adbscan-derivation")
+        minpts_low = sum(1 for q in low if sq[x_far][q] < eps)
+        minpts_high = sum(1 for q in high if sq[x_high][q] < eps)
+        minpts = math.ceil((minpts_low + minpts_high) / 2)
+        labels = naive_dbscan([points[q] for q in pts], eps, minpts)
+        return ([[q for q, c in zip(pts, labels) if c == cid]
+                 for cid in range(max(labels) + 1)],
+                [q for q, c in zip(pts, labels) if c < 0],
+                (p, x_low, x_far, x_high, eps, minpts_low, minpts_high, minpts))
+
+    # 4. the lowest level: its clusters smaller than the mean size become
+    # boundary points, which join the nearest higher representative
+    labels = np.full(n, -1, dtype=np.int64)
+    low, _, _ = cluster(1, [i for i in range(n) if level[i] == 1],
+                        options.low_algorithm)
+    total = sum(len(c) for c in low)  # a size below the mean: len(c)·|low| < total
+    kept = [c for c in low if len(c) * len(low) >= total]
+    for cid, c in enumerate(kept):
+        labels[c] = cid
+    boundary = sorted(q for c in low if len(c) * len(low) < total for q in c)
+    initial, level = loop_reassign_boundary(
+        sq, boundary, np.array(reps), np.array(rep_level), initial, level)
+    next_id = len(kept)
+    # 5. each higher level, then its micro-clusters folded into the rest,
+    # and its noise painted with its nearest denser cluster center's id
+    derivations = []
+    for p in range(2, len(intervals) + 1):
+        pts = [i for i in range(n) if level[i] == p]
+        if not pts:
+            continue
+        clusters, noise, derivation = cluster(p, pts, options.high_algorithm)
+        if derivation is not None:
+            derivations.append(derivation)
+        clusters = loop_microcluster_postprocess(sq, [np.array(c) for c in clusters], rho)
+        centers = []
+        for cid, c in enumerate(clusters, start=next_id):
+            labels[c] = cid
+            centers.append((int(c[np.argmax(rho[c])]), cid))
+        if noise and clusters:
+            loop_paint_level_noise(sq, noise, centers, labels, rank)
+        next_id += len(clusters)
+    # 6. the rest of the noise, densest first, to its nearest denser
+    # labeled point, and the labels numbered by first occurrence
+    if not (labels >= 0).any():
+        raise ValueError("noise-assignment")
+    labels = loop_assign_noise(sq, np.flatnonzero(labels < 0), labels, rank)
+    return dict(result, point_level=level.tolist(), initial_labels=initial.tolist(),
+                low_clusters=low, derivations=derivations,
+                labels=loop_relabel_contiguous(labels.tolist()))

@@ -297,17 +297,26 @@ def test_streamed_t710_transients_stay_near_one_block_per_worker(t710, monkeypat
     # ``tracemalloc`` peaks with two threads, each computing 2 MB blocks:
     # d_c's counting pass and the values in its bracket; ρ's kernel, which
     # works in the block ``cdist`` returns; δ's candidates from the k-d
-    # tree, 17 a point; and DBSCAN on level 2 (9,993 points), whose
-    # window's pairs are kept by blocks as int32 positions
+    # tree, 17 a point, by blocks of at most ``_BLOCK_CELLS`` candidates,
+    # so that blocks of 2^14 cells bound them too; and DBSCAN on level 2
+    # (9,993 points), whose window's pairs are kept by blocks as int32
+    # positions
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     cd, run = t710
     ((level, derivation),) = run.derivations
     pts = np.flatnonzero(run.point_level == level)
     assert (level, len(pts)) == (2, 9993)
+
+    def small_blocks():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vdpc.dataset, "_BLOCK_CELLS", 1 << 14)
+            delta_and_neighbors(cd, run.profile.rho)
+
     stages = (
         ("kth_smallest", lambda: cutoff_distance(cd, 2), 10e6),
         ("local_density", lambda: local_density(cd, run.profile.d_c), 6e6),
         ("delta_and_neighbors", lambda: delta_and_neighbors(cd, run.profile.rho), 8e6),
+        ("delta_and_neighbors, 2^14-cell blocks", small_blocks, 2.5e6),
         ("_dbscan_labels", lambda: _dbscan_labels(
             cd, pts, derivation.eps, derivation.minpts), 11e6),
     )

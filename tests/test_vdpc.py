@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import vdpc.density
@@ -34,7 +34,7 @@ from vdpc.vdpc import (
 )
 
 from conftest import BEST_PARAMS, random_points, streamed
-from oracles import euclidean, loop_level_of, naive_snnc, same_partition
+from oracles import euclidean, loop_level_of, naive_snnc, naive_vdpc, same_partition
 
 
 def cd_of(points):
@@ -522,6 +522,66 @@ def test_a_grid_on_one_distances_equals_fresh_distances_per_cell(data):
     for cd in (cd_of(pts), streamed(pts)):
         for p in cells:
             same_result(vdpc_run(cd, p), want[p])
+
+
+@st.composite
+def apart(draw):
+    """Three round blobs of 4 to 20 points each, of spreads 2, 0.9 and 0.4
+    (densities about 25 times apart), in general position."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(4, 20), min_size=3, max_size=3))
+    return np.concatenate([rng.normal(c, s, size=(m, 2)) for c, s, m in
+                           zip(([0, 0], [12, 0], [0, 12]), (2.0, 0.9, 0.4), sizes)])
+
+
+def same_as_the_paper(got, want):
+    """A result against ``naive_vdpc``'s: the interval ends are ρ values,
+    which the oracle sums in another order, so they agree to 1e-12; every
+    other field exactly."""
+    assert got.representatives.tolist() == want["representatives"]
+    assert len(got.levels.intervals) == len(want["intervals"])
+    for a, b in zip(np.ravel(got.levels.intervals), np.ravel(want["intervals"])):
+        assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+    assert got.point_level.tolist() == list(want["point_level"])
+    assert got.initial_labels.tolist() == list(want["initial_labels"])
+    assert [c.tolist() for c in got.low_clusters] == want["low_clusters"]
+    assert [(p, d.x_low, d.x_far, d.x_high, d.eps, d.minpts_low, d.minpts_high,
+             d.minpts) for p, d in got.derivations] == want["derivations"]
+    assert got.labels.tolist() == want["labels"]
+
+
+# The whole pipeline against the paper's steps written out as loops
+# (``oracles.naive_vdpc``), held and streamed, for each ablation switch
+# and both level assignments.  δ picks two to eight representatives and
+# num is at least 5, so that most cells find two or more levels; a set
+# whose ρ values lie within 1e-9 of each other is skipped, as the two ρ
+# differ in their last bits and must not order the points differently.
+@pytest.mark.parametrize("switch", [
+    {}, dict(k_rule="ln"), dict(eps_rule="ln"), dict(combo="snnc+snnc"),
+    dict(combo="dbscan+dbscan"), dict(combo="dbscan+snnc"),
+], ids=lambda switch: "=".join(next(iter(switch.items()), ("default",))))
+@given(st.data())
+def test_the_pipeline_follows_the_paper_step_by_step(switch, data):
+    pts = data.draw(apart())
+    pct = data.draw(st.sampled_from([5, 10, 20]))
+    held = cd_of(pts)
+    profile = density_profile(held, pct)
+    assume(np.diff(np.sort(profile.rho)).min() > 1e-9)
+    delta_t = float(np.sort(profile.delta)[-data.draw(st.integers(2, 8))])
+    params = VdpcParams(pct, delta_t, data.draw(st.sampled_from([5, 10, 20])))
+    for assignment in ("inherit", "midpoint"):
+        options = AblationOptions(level_assignment=assignment, **switch)
+        try:
+            want = naive_vdpc(pts.tolist(), pct, delta_t, params.num, options)
+        except ValueError as e:
+            want = str(e)  # the stage that cannot go on
+        for cd in (held, streamed(pts)):
+            if isinstance(want, str):
+                with pytest.raises(StageError) as failed:
+                    vdpc_run(cd, params, options)
+                assert failed.value.stage == want
+            else:
+                same_as_the_paper(vdpc_run(cd, params, options), want)
 
 
 # Cells of one level state, from the sweep grid: compound's differ only in

@@ -119,9 +119,10 @@ class QuerySpy:
 
 @pytest.mark.parametrize("workers", [2, 8])
 def test_tree_workers_never_change_delta_or_knn(monkeypatch, workers):
-    # δ and the k nearest take their candidates from k-d tree queries
-    # (one for δ, one per block of 40 points for knn), which run on one
-    # thread per core here however few points they hold
+    # δ and the k nearest take their candidates from k-d tree queries,
+    # one per block of at most 480 candidates: 22 blocks of 28 points for
+    # δ's 17 candidates and 15 of 40 points for knn's 12, which run on
+    # one thread per core here however few points they hold
     from scipy.spatial import cKDTree
 
     pts, _ = density_mix(600)
@@ -135,7 +136,7 @@ def test_tree_workers_never_change_delta_or_knn(monkeypatch, workers):
         order = np.random.default_rng(0).permutation(600)
         got[count] = [v.tobytes() for v in (*cd.nearest_earlier(order),
                                              cd.knn(np.arange(600), 7))]
-        assert len(spy.workers) == 1 + 600 // 40 and set(spy.workers) == {count}
+        assert len(spy.workers) == 22 + 15 and set(spy.workers) == {count}
     assert got[1] == got[workers]
 
 
